@@ -42,14 +42,90 @@ namespace {
   return value.dumpLine() + "\n";
 }
 
-/// Age of `path` in milliseconds by mtime; nullopt when the file vanished
-/// (lost a race with its owner finishing or a rival stealing).
-[[nodiscard]] std::optional<double> fileAgeMs(const std::string& path) {
-  std::error_code ec;
-  const fs::file_time_type mtime = fs::last_write_time(path, ec);
-  if (ec) return std::nullopt;
-  const auto age = fs::file_time_type::clock::now() - mtime;
+/// The identity of one file version: inode plus modification time.  A steal
+/// removes exactly the claim it judged stale, never a fresh claim that took
+/// the same name in between (inode numbers are recycled, hence the mtime).
+struct FileStamp {
+  ino_t inode = 0;
+  timespec mtime{};
+
+  [[nodiscard]] bool operator==(const FileStamp& other) const noexcept {
+    return inode == other.inode && mtime.tv_sec == other.mtime.tv_sec &&
+           mtime.tv_nsec == other.mtime.tv_nsec;
+  }
+};
+
+[[nodiscard]] std::optional<FileStamp> stampOf(const std::string& path) {
+  struct stat info;
+  if (::stat(path.c_str(), &info) != 0) return std::nullopt;
+  return FileStamp{info.st_ino, info.st_mtim};
+}
+
+[[nodiscard]] double ageMs(const FileStamp& stamp) {
+  const auto mtime = std::chrono::seconds{stamp.mtime.tv_sec} +
+                     std::chrono::nanoseconds{stamp.mtime.tv_nsec};
+  const auto age = std::chrono::system_clock::now().time_since_epoch() - mtime;
   return std::chrono::duration<double, std::milli>(age).count();
+}
+
+/// Removes `path` if it still is the file `judged` stamps: rename(2) moves
+/// whatever holds the name to `tombstone` atomically, and the stamp check
+/// tells whether that was the judged file.  A file that replaced it is linked
+/// back under its name; link(2) never overwrites, so when yet another file
+/// took the name meanwhile, the mistaken one is dropped rather than that one.
+bool removeIfUnchanged(const std::string& path, const FileStamp& judged,
+                       const std::string& tombstone) {
+  if (::rename(path.c_str(), tombstone.c_str()) != 0) {
+    if (errno == ENOENT) return false;
+    throw support::Error{"cannot reclaim stale file " + path + ": " + errnoText(errno)};
+  }
+  const bool removed = stampOf(tombstone) == judged;
+  if (!removed) static_cast<void>(::link(tombstone.c_str(), path.c_str()));
+  ::unlink(tombstone.c_str());
+  return removed;
+}
+
+/// `leaseMs <= 0` disables lease expiry: nothing is ever stale.
+[[nodiscard]] bool isStale(const FileStamp& stamp, double leaseMs) {
+  return leaseMs > 0.0 && ageMs(stamp) > leaseMs;
+}
+
+[[nodiscard]] std::string tombstonePath(const std::string& path, const std::string& owner) {
+  static std::atomic<unsigned long> stealSeq{0};
+  return path + ".steal-" + owner + "-" +
+         std::to_string(stealSeq.fetch_add(1, std::memory_order_relaxed));
+}
+
+/// Steals the claim at `path` if it is still the file `judged` stamps.
+bool stealIfUnchanged(const std::string& path, const FileStamp& judged, const std::string& owner,
+                      double leaseMs) {
+  // Stealers of one cell serialize on `<claim>.lock`, so no stealer can
+  // remove the fresh claim a faster stealer created after judging the same
+  // stale one: under the lock the claim is re-stamped before it is moved.
+  const std::string lockPath = path + ".lock";
+  const int fd = ::open(lockPath.c_str(), O_CREAT | O_EXCL | O_WRONLY, 0644);
+  if (fd < 0) {
+    if (errno != EEXIST) {
+      throw support::Error{"cannot create steal lock " + lockPath + ": " + errnoText(errno)};
+    }
+    // A rival is stealing.  A lock older than the lease is a dead stealer's.
+    const std::optional<FileStamp> lock = stampOf(lockPath);
+    if (lock.has_value() && isStale(*lock, leaseMs)) {
+      removeIfUnchanged(lockPath, *lock, tombstonePath(lockPath, owner));
+    }
+    return false;
+  }
+  ::close(fd);
+  bool stolen = false;
+  try {
+    stolen = stampOf(path) == judged &&
+             removeIfUnchanged(path, judged, tombstonePath(path, owner));
+  } catch (...) {
+    ::unlink(lockPath.c_str());
+    throw;
+  }
+  ::unlink(lockPath.c_str());
+  return stolen;
 }
 
 }  // namespace
@@ -180,16 +256,7 @@ std::string ClaimBoard::donePath(std::size_t index) const {
   return dir_ + "/cell-" + std::to_string(index) + ".done";
 }
 
-bool ClaimBoard::claimIsStale(const std::string& path) const {
-  if (leaseMs_ <= 0.0) return false;
-  const std::optional<double> age = fileAgeMs(path);
-  // A vanished claim is not stale — the next O_CREAT|O_EXCL attempt settles
-  // who owns the cell now.
-  return age.has_value() && *age > leaseMs_;
-}
-
 ClaimOutcome ClaimBoard::tryClaim(std::size_t index) {
-  static std::atomic<unsigned long> stealSeq{0};
   const std::string path = claimPath(index);
   ClaimOutcome outcome;
 
@@ -226,7 +293,11 @@ ClaimOutcome ClaimBoard::tryClaim(std::size_t index) {
       throw support::Error{"cannot create claim file " + path + ": " + errnoText(errno)};
     }
 
-    bool steal = claimIsStale(path);
+    // A vanished claim is not stale — the next O_CREAT|O_EXCL attempt
+    // settles who owns the cell now.
+    const std::optional<FileStamp> judged = stampOf(path);
+    if (!judged.has_value()) continue;
+    bool steal = isStale(*judged, leaseMs_);
     if (!steal) {
       // A claim this owner id left behind is an orphan of our own previous
       // incarnation (same host, restarted worker): reclaim it immediately
@@ -238,18 +309,7 @@ ClaimOutcome ClaimBoard::tryClaim(std::size_t index) {
       outcome.status = ClaimStatus::Busy;
       return outcome;
     }
-
-    // Steal: rename to a unique tombstone.  rename(2) is atomic, so when
-    // several workers notice the same stale claim exactly one rename
-    // succeeds — the losers see ENOENT and go round the loop again.
-    const std::string tombstone = path + ".steal-" + owner_ + "-" +
-                                  std::to_string(stealSeq.fetch_add(1, std::memory_order_relaxed));
-    if (::rename(path.c_str(), tombstone.c_str()) == 0) {
-      ::unlink(tombstone.c_str());
-      outcome.stolen = true;
-    } else if (errno != ENOENT) {
-      throw support::Error{"cannot reclaim stale claim " + path + ": " + errnoText(errno)};
-    }
+    if (stealIfUnchanged(path, *judged, owner_, leaseMs_)) outcome.stolen = true;
   }
   outcome.status = ClaimStatus::Busy;
   return outcome;

@@ -18,8 +18,12 @@
 //    *freshness* is judged by the file's mtime: heartbeat() atomically
 //    rewrites the claim, bumping mtime, and a claim older than the lease is
 //    presumed orphaned by a dead worker and may be stolen.  The steal itself
-//    is race-free — rename the stale claim to a unique tombstone (exactly
-//    one stealer wins the rename), then re-create via O_CREAT|O_EXCL;
+//    is race-free: stealers of a cell serialize on `cell-i.claim.lock`
+//    (O_CREAT|O_EXCL; a lock older than the lease is a dead stealer's and is
+//    reaped), re-check under it that the claim is still the exact file
+//    (inode + mtime) they judged stale, rename it to a unique tombstone, and
+//    re-create via O_CREAT|O_EXCL — so a stealer never removes the fresh
+//    claim of a faster one;
 //  * a completed cell gets `<manifest>.claims/cell-i.done` (atomic rename),
 //    the cross-worker "skip this" signal.  A crash between journal append
 //    and done-marker write, or a steal that races a slow owner, can at
@@ -119,8 +123,6 @@ class ClaimBoard {
   [[nodiscard]] std::string donePath(std::size_t index) const;
 
  private:
-  [[nodiscard]] bool claimIsStale(const std::string& path) const;
-
   std::string dir_;
   std::string owner_;
   double leaseMs_;

@@ -8,55 +8,12 @@
 
 namespace rtlock::lock {
 
-namespace {
-
 using rtl::BinaryExpr;
 using rtl::Expr;
 using rtl::ExprKind;
 using rtl::ExprSlot;
 using rtl::OpKind;
 using rtl::TernaryExpr;
-
-/// Exact structural equality for the immutable leaf kinds (the only operand
-/// shapes the shell recycler caches — see LockEngine::shells_).
-[[nodiscard]] bool leafEqual(const Expr& a, const Expr& b) noexcept {
-  if (a.kind() != b.kind() || a.width() != b.width()) return false;
-  switch (a.kind()) {
-    case ExprKind::SignalRef:
-      return static_cast<const rtl::SignalRefExpr&>(a).signal() ==
-             static_cast<const rtl::SignalRefExpr&>(b).signal();
-    case ExprKind::Constant:
-      return static_cast<const rtl::ConstantExpr&>(a).value() ==
-             static_cast<const rtl::ConstantExpr&>(b).value();
-    case ExprKind::KeyRef:
-      return static_cast<const rtl::KeyRefExpr&>(a).firstBit() ==
-             static_cast<const rtl::KeyRefExpr&>(b).firstBit();
-    default: return false;
-  }
-}
-
-/// True when `shell` is a recyclable mux for `real`: a key-conditioned
-/// ternary holding exactly one branch — a `dummyKind` operation whose
-/// operands equal `real`'s operands bit for bit.  Content-based, so a stale
-/// cache entry can never be reused.
-[[nodiscard]] const Expr* shellDummyIfReusable(const Expr& shell, const BinaryExpr& real,
-                                               OpKind dummyKind) noexcept {
-  if (shell.kind() != ExprKind::Ternary) return nullptr;
-  auto& mux = const_cast<TernaryExpr&>(static_cast<const TernaryExpr&>(shell));
-  const rtl::ExprPtr& thenSlot = mux.exprSlotAt(TernaryExpr::kThenSlot);
-  const rtl::ExprPtr& elseSlot = mux.exprSlotAt(TernaryExpr::kElseSlot);
-  const Expr* dummy = thenSlot != nullptr ? thenSlot.get() : elseSlot.get();
-  if (dummy == nullptr || (thenSlot != nullptr && elseSlot != nullptr)) return nullptr;
-  if (dummy->kind() != ExprKind::Binary) return nullptr;
-  const auto& dummyOp = static_cast<const BinaryExpr&>(*dummy);
-  if (dummyOp.op() != dummyKind || dummyOp.width() != real.width()) return nullptr;
-  if (!leafEqual(dummyOp.lhs(), real.lhs()) || !leafEqual(dummyOp.rhs(), real.rhs())) {
-    return nullptr;
-  }
-  return dummy;
-}
-
-}  // namespace
 
 LockEngine::LockEngine(rtl::Module& module, const PairTable& table)
     : module_(module), table_(table) {
@@ -130,42 +87,19 @@ const LockRecord& LockEngine::lockOpAt(OpKind kind, std::size_t index, bool keyV
 
   auto& real = static_cast<BinaryExpr&>(*owner);
   const OpKind dummyKind = table_.dummyFor(kind);
-  // Leaf operands never mutate in place, so their mux shells are recyclable
-  // across lock/undo cycles (see shells_).
-  undo.recyclable =
+  const bool leafOperands =
       real.lhs().exprSlotCount() == 0 && real.rhs().exprSlotCount() == 0;
 
   const int keyIndex = module_.allocateKeyBits(1);
   undo.realBranchSlot = keyValue ? TernaryExpr::kThenSlot : TernaryExpr::kElseSlot;
   const int dummyBranchSlot = keyValue ? TernaryExpr::kElseSlot : TernaryExpr::kThenSlot;
 
-  rtl::ExprPtr mux;
-  auto& shellBucket = shells_[static_cast<std::size_t>(kind)];
-  if (undo.recyclable && index < shellBucket.size() && shellBucket[index] != nullptr &&
-      shellDummyIfReusable(*shellBucket[index], real, dummyKind) != nullptr) {
-    // Reuse the cached shell: re-target its key ref, orient the dummy into
-    // the dummy branch, and splice the live operation into the real branch.
-    // The resulting node contents are byte-for-byte what a fresh build makes.
-    mux = std::move(shellBucket[index]);
-    auto& shellMux = static_cast<TernaryExpr&>(*mux);
-    static_cast<rtl::KeyRefExpr&>(*shellMux.exprSlotAt(TernaryExpr::kCondSlot))
-        .setFirstBit(keyIndex);
-    if (shellMux.exprSlotAt(dummyBranchSlot) == nullptr) {
-      shellMux.exprSlotAt(dummyBranchSlot) =
-          std::move(shellMux.exprSlotAt(undo.realBranchSlot));
-    }
-    shellMux.exprSlotAt(undo.realBranchSlot) = std::move(owner);
-  } else {
-    // Build the dummy: same operand structure, partner operator.
-    rtl::ExprPtr dummy = rtl::makeBinary(dummyKind, real.lhs().clone(), real.rhs().clone());
-    rtl::ExprPtr realExpr = std::move(owner);
-    mux = keyValue ? rtl::makeTernary(rtl::makeKeyRef(keyIndex), std::move(realExpr),
-                                      std::move(dummy))
-                   : rtl::makeTernary(rtl::makeKeyRef(keyIndex), std::move(dummy),
-                                      std::move(realExpr));
-  }
-  Expr* const muxPtr = mux.get();
-  owner = std::move(mux);
+  // Build the dummy: same operand structure, partner operator.
+  rtl::ExprPtr dummy = rtl::makeBinary(dummyKind, real.lhs().clone(), real.rhs().clone());
+  rtl::ExprPtr realExpr = std::move(owner);
+  owner = rtl::makeTernary(rtl::makeKeyRef(keyIndex), std::move(keyValue ? realExpr : dummy),
+                           std::move(keyValue ? dummy : realExpr));
+  Expr* const muxPtr = owner.get();
 
   // Re-pin the real operation's pool entry to its new home inside the mux.
   entries[index] = ExprSlot{muxPtr, undo.realBranchSlot};
@@ -173,7 +107,7 @@ const LockRecord& LockEngine::lockOpAt(OpKind kind, std::size_t index, bool keyV
   // Index every lockable operation of the dummy branch (top node + any
   // operations in cloned operand subtrees).  With leaf operands the only
   // candidate is the dummy root itself, so skip the generic subtree walk.
-  if (undo.recyclable) {
+  if (leafOperands) {
     if (table_.lockable(dummyKind)) {
       pool(dummyKind).push_back(ExprSlot{muxPtr, dummyBranchSlot});
       dummyAppendLog_.push_back(dummyKind);
@@ -299,19 +233,13 @@ void LockEngine::undoTo(std::size_t checkpoint) {
       --lockableTotal_;
     }
 
-    // Splice the real operation back into the mux's former slot; keep the
-    // detached shell (key ref + dummy) for the next lock of this position.
+    // Splice the real operation back into the mux's former slot and recycle
+    // the mux with its key ref and dummy branch for the next lock to rebuild.
     rtl::ExprPtr& owner = undo.slot.get();
     RTLOCK_REQUIRE(owner->kind() == ExprKind::Ternary, "undo expected a key mux");
-    auto& mux = static_cast<TernaryExpr&>(*owner);
-    rtl::ExprPtr real = std::move(mux.exprSlotAt(undo.realBranchSlot));
-    rtl::ExprPtr shell = std::move(owner);
-    owner = std::move(real);
-    if (undo.recyclable) {
-      auto& shellBucket = shells_[static_cast<std::size_t>(undo.realKind)];
-      if (shellBucket.size() <= undo.poolPosition) shellBucket.resize(undo.poolPosition + 1);
-      shellBucket[undo.poolPosition] = std::move(shell);
-    }
+    rtl::ExprPtr mux = std::move(owner);
+    owner = std::move(static_cast<TernaryExpr&>(*mux).exprSlotAt(undo.realBranchSlot));
+    rtl::recycle(std::move(mux));
 
     pool(undo.realKind)[undo.poolPosition] = undo.slot;
     module_.setKeyWidth(undo.prevKeyWidth);

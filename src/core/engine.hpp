@@ -16,12 +16,15 @@
 // expression nodes never move in memory), and every lockable operation inside
 // the cloned dummy branch is appended to its pool.  Undo is strictly LIFO.
 //
-// Operand cloning note: the dummy operation reuses clones of the real
-// operation's operand subtrees (`K ? a+b : a-b`).  For three-address designs
-// (all generators in src/designs) operands are signal references, so each key
-// bit adds exactly one dummy operation — the paper's cost model.  For nested
-// expressions the cloned operand operations are also counted and indexed,
-// keeping the ODT truthful to what an attacker sees.
+// Operand cloning note: every lock builds a fresh mux — key ref, dummy
+// operation and clones of the real operation's operand subtrees
+// (`K ? a+b : a-b`) — and undo recycles it (rtl::recycle), so the next lock
+// takes its nodes from the per-thread node cache without touching the heap.
+// For three-address designs (all generators in src/designs) operands are
+// signal references, so each key bit adds exactly one dummy operation (the
+// paper's cost model) from five nodes.  For nested expressions the cloned
+// operand operations are also counted and indexed, keeping the ODT truthful
+// to what an attacker sees.
 //
 // Contract --------------------------------------------------------------------
 // Ownership: the engine borrows the module (which must outlive it) and takes
@@ -163,7 +166,6 @@ class LockEngine {
     std::size_t poolPosition = 0;                // index into ops_[realKind]
     int realBranchSlot = 0;                      // kThenSlot or kElseSlot
     std::uint32_t dummyAppendCount = 0;          // entries in dummyAppendLog_
-    bool recyclable = false;                     // shell may be cached on undo
     int prevKeyWidth = 0;
     int pairIndex = -1;                          // -1 for non-involutive tables
     bool pairWasTouched = false;
@@ -185,15 +187,6 @@ class LockEngine {
   /// A shared log instead of a per-lock vector: lock/undo is the attack's
   /// innermost loop and must not allocate per operation.
   std::vector<rtl::OpKind> dummyAppendLog_;
-  /// Detached mux shells (ternary + key ref + dummy, real slot empty) cached
-  /// by (kind, pool position) on undo and reused by the next lock of the
-  /// same position — the relock/undo training loop otherwise rebuilds the
-  /// identical five heap nodes tens of thousands of times.  Reuse is gated
-  /// on the shell's dummy operands matching the live operation's operands
-  /// exactly (content check, so stale entries are impossible), which holds
-  /// precisely for the three-address case where operands are immutable
-  /// leaves; the resulting module states are bit-identical to fresh builds.
-  std::array<std::vector<rtl::ExprPtr>, rtl::kOpKindCount> shells_;
   std::vector<int> initialMagnitudes_;
   std::vector<bool> touched_;
   std::vector<UndoRecord> undoStack_;

@@ -1,7 +1,11 @@
 #include "rtl/expr.hpp"
 
 #include <algorithm>
+#include <array>
+#include <atomic>
+#include <new>
 #include <numeric>
+#include <utility>
 
 namespace rtlock::rtl {
 
@@ -9,7 +13,80 @@ namespace {
 
 [[noreturn]] void badSlot() { RTLOCK_UNREACHABLE("expression slot index out of range"); }
 
+// ---- Node cache ----
+//
+// One LIFO free list per 8-byte size class per thread (node sizes are
+// multiples of the vptr alignment, so a class holds one block size), each
+// capped at kExprNodeCacheCap.  Only recycle() parks blocks, so the lists hold
+// what a lock/undo loop rebuilds; a design freed whole goes to the heap, which
+// packs the next design's nodes tighter than scattered parked blocks would.
+// Overflow and an exiting thread's lists go back to the heap as well.
+
+constexpr std::size_t kSizeClasses = 8;  // blocks up to 64 bytes; larger bypass
+
+struct FreeBlock {
+  FreeBlock* next;
+};
+
+// Trivially destructible, so it stays usable through thread teardown.
+struct FreeLists {
+  std::array<FreeBlock*, kSizeClasses> head;
+  std::array<std::size_t, kSizeClasses> count;
+  bool recycling;  // inside recycle()
+};
+thread_local FreeLists freeLists{};
+std::atomic<std::size_t> releasedAtThreadExit{0};
+
+struct ThreadExitRelease {
+  ~ThreadExitRelease() {
+    for (std::size_t c = 0; c < kSizeClasses; ++c) {
+      releasedAtThreadExit.fetch_add(freeLists.count[c], std::memory_order_relaxed);
+      while (FreeBlock* block = freeLists.head[c]) {
+        freeLists.head[c] = block->next;
+        ::operator delete(block);
+      }
+      freeLists.count[c] = kExprNodeCacheCap;  // recycling later in teardown bypasses
+    }
+  }
+};
+thread_local ThreadExitRelease threadExitRelease;
+
 }  // namespace
+
+void* Expr::operator new(std::size_t size) {
+  const std::size_t c = (size - 1) / 8;
+  if (kExprNodeCacheCap == 0 || c >= kSizeClasses || freeLists.head[c] == nullptr) {
+    return ::operator new(size);
+  }
+  --freeLists.count[c];
+  return std::exchange(freeLists.head[c], freeLists.head[c]->next);
+}
+
+void Expr::operator delete(void* block, std::size_t size) noexcept {
+  const std::size_t c = (size - 1) / 8;
+  if (kExprNodeCacheCap == 0 || !freeLists.recycling || c >= kSizeClasses ||
+      freeLists.count[c] >= kExprNodeCacheCap) {
+    ::operator delete(block);
+    return;
+  }
+  ++freeLists.count[c];
+  freeLists.head[c] = ::new (block) FreeBlock{freeLists.head[c]};
+}
+
+void recycle(ExprPtr expr) noexcept {
+  static_cast<void>(&threadExitRelease);  // registers the thread-exit release
+  freeLists.recycling = true;
+  expr.reset();
+  freeLists.recycling = false;
+}
+
+std::size_t cachedExprNodes() noexcept {
+  return std::accumulate(freeLists.count.begin(), freeLists.count.end(), std::size_t{0});
+}
+
+std::size_t exprNodesReleasedAtThreadExit() noexcept {
+  return releasedAtThreadExit.load(std::memory_order_relaxed);
+}
 
 // ---- ConstantExpr ----
 

@@ -6,12 +6,14 @@
 // holder.hpp), which keeps undo trivial and pointer-stable.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <vector>
 
 #include "rtl/holder.hpp"
 #include "rtl/ops.hpp"
+#include "support/config.hpp"
 #include "support/diagnostics.hpp"
 
 namespace rtlock::rtl {
@@ -52,6 +54,10 @@ class Expr : public ExprHolder {
 
   /// Children double as expression slots (ExprHolder interface).
   [[nodiscard]] const Expr& child(int index) const { return exprAt(index); }
+
+  /// Nodes reuse blocks their thread recycled (see recycle), else the heap.
+  static void* operator new(std::size_t size);
+  static void operator delete(void* block, std::size_t size) noexcept;
 
  protected:
   Expr(ExprKind kind, int width) : kind_(kind), width_(width) {
@@ -107,9 +113,6 @@ class KeyRefExpr final : public Expr {
   }
 
   [[nodiscard]] int firstBit() const noexcept { return firstBit_; }
-
-  /// Re-targets the reference (locking-engine shell recycling).
-  void setFirstBit(int firstBit) noexcept { firstBit_ = firstBit; }
 
   [[nodiscard]] int exprSlotCount() const noexcept override { return 0; }
   [[nodiscard]] ExprPtr& exprSlotAt(int) override;
@@ -237,5 +240,16 @@ class SliceExpr final : public Expr {
 
 /// Depth of the subtree (a leaf has depth 1).
 [[nodiscard]] int exprDepth(const Expr& expr) noexcept;
+
+/// Free blocks each thread keeps per node size class; none under ASan/TSan,
+/// so a recycled block cannot hide a use-after-free on a node.
+inline constexpr std::size_t kExprNodeCacheCap = support::kSanitizedBuild ? 0 : 8192;
+/// Frees `expr` into the calling thread's free lists, which serve the next
+/// nodes that thread builds; plain destruction returns nodes to the heap.
+void recycle(ExprPtr expr) noexcept;
+/// Node blocks parked in the calling thread's free lists.
+[[nodiscard]] std::size_t cachedExprNodes() noexcept;
+/// Node blocks returned to the heap by exiting threads, process-wide.
+[[nodiscard]] std::size_t exprNodesReleasedAtThreadExit() noexcept;
 
 }  // namespace rtlock::rtl

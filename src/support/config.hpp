@@ -18,6 +18,15 @@
     "rtlock requires C++20 (std::span, defaulted operator==). Build with -std=c++20 or newer; the CMake build enforces this via target_compile_features(rtlock PUBLIC cxx_std_20)."
 #endif
 
+// AddressSanitizer / ThreadSanitizer builds (GCC and Clang spellings).
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define RTLOCK_SANITIZED 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define RTLOCK_SANITIZED 1
+#endif
+#endif
+
 namespace rtlock::support {
 
 /// Language floor the library is built against, for tests and diagnostics.
@@ -25,5 +34,13 @@ inline constexpr long kRequiredCppStandard = 202002L;
 
 /// The standard this translation unit was actually compiled under.
 inline constexpr long kCompiledCppStandard = RTLOCK_CPLUSPLUS;
+
+/// True under ASan or TSan: code that recycles memory compiles down to the
+/// plain allocator there, so the sanitizer sees every free.
+#ifdef RTLOCK_SANITIZED
+inline constexpr bool kSanitizedBuild = true;
+#else
+inline constexpr bool kSanitizedBuild = false;
+#endif
 
 }  // namespace rtlock::support

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <vector>
+
 #include "designs/networks.hpp"
 
 namespace rtlock::attack {
@@ -94,6 +97,49 @@ TEST(SnapshotTest, KpaConsistentWithCounts) {
       snapshotAttack(sample.module, sample.records, lock::PairTable::fixed(), fastConfig(), rng);
   EXPECT_NEAR(result.kpa, 100.0 * result.correct / result.keyBits, 1e-9);
   EXPECT_LE(result.correct, result.keyBits);
+}
+
+/// Locks and attacks a mixed-operator network on a new thread.  With
+/// `warmCache` the thread first recycles node blocks into its free lists in
+/// a scrambled order, so the attack's nodes land at other addresses than
+/// from the cold cache a new thread starts with.
+SnapshotResult attackOnFreshThread(bool warmCache, rtl::Module& restored) {
+  SnapshotResult result;
+  std::thread{[&] {
+    if (warmCache) {
+      std::vector<rtl::ExprPtr> churn;
+      for (int i = 0; i < 4000; ++i) {
+        churn.push_back(rtl::makeTernary(
+            rtl::makeKeyRef(i), rtl::makeSignalRef(static_cast<rtl::SignalId>(i), 8),
+            rtl::makeBinary(OpKind::Add, rtl::makeConstant(1, 8), rtl::makeConstant(2, 8))));
+      }
+      for (std::size_t i = 0; i < churn.size(); i += 3) rtl::recycle(std::move(churn[i]));
+      for (rtl::ExprPtr& expr : churn) rtl::recycle(std::move(expr));
+    }
+    rtl::Module network = designs::makeOperationNetwork(
+        "mix", {{OpKind::Add, 30}, {OpKind::Sub, 12}, {OpKind::Mul, 8}});
+    auto sample = lockWith(lock::Algorithm::AssureRandom, std::move(network), 0.75, 21);
+    support::Rng rng{22};
+    result = snapshotAttack(sample.module, sample.records, lock::PairTable::fixed(), fastConfig(),
+                            rng);
+    restored = std::move(sample.module);
+  }}.join();
+  return result;
+}
+
+TEST(SnapshotTest, SameSeedMatchesFromColdAndWarmNodeCache) {
+  rtl::Module coldModule{"cold"};
+  rtl::Module warmModule{"warm"};
+  const SnapshotResult cold = attackOnFreshThread(false, coldModule);
+  const SnapshotResult warm = attackOnFreshThread(true, warmModule);
+  EXPECT_EQ(cold.keyBits, warm.keyBits);
+  EXPECT_EQ(cold.correct, warm.correct);
+  EXPECT_EQ(cold.kpa, warm.kpa);
+  EXPECT_EQ(cold.modelName, warm.modelName);
+  EXPECT_EQ(cold.cvAccuracy, warm.cvAccuracy);
+  EXPECT_EQ(cold.trainingRows, warm.trainingRows);
+  EXPECT_EQ(cold.predictions, warm.predictions);
+  EXPECT_TRUE(structurallyEqual(coldModule, warmModule));
 }
 
 }  // namespace

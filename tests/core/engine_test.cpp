@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "designs/networks.hpp"
 #include "rtl/builder.hpp"
 #include "rtl/stats.hpp"
@@ -262,34 +264,61 @@ TEST(EngineTest, FuzzedLockUndoInterleavingsRoundTripToRtlEqualModule) {
   }
 }
 
-TEST(EngineTest, RepeatedLockUndoCyclesAreStructurallyIdempotent) {
-  // The engine recycles detached mux shells across lock/undo cycles (leaf
-  // operands); the rebuilt module must be byte-identical to a fresh build,
-  // orientation flips included.
-  rtl::Module reference = smallDesign();
-  LockEngine referenceEngine{reference, PairTable::fixed()};
-  referenceEngine.lockOpAt(OpKind::Add, 0, false);
-  const std::string referenceText = verilog::writeModule(reference);
-  referenceEngine.undoAll();
+/// The lock sequence the cycle tests replay: a plain lock, the same logical
+/// op locked again (its real branch wrapped in a second mux), and a lock of
+/// the dummy the first lock appended.
+void lockSequence(LockEngine& engine, bool keyValue) {
+  engine.lockOpAt(OpKind::Add, 0, keyValue);
+  engine.lockOpAt(OpKind::Add, 0, !keyValue);
+  engine.lockOpAt(OpKind::Sub, 1, keyValue);
+}
+
+TEST(EngineTest, RepeatedLockUndoCyclesMatchFreshBuildsInBothOrientations) {
+  // Locking after any number of lock/undo cycles must give the text a fresh
+  // engine over a fresh module gives, whichever branch the key selects.
+  std::string fresh[2];
+  for (const bool keyValue : {false, true}) {
+    rtl::Module reference = smallDesign();
+    LockEngine referenceEngine{reference, PairTable::fixed()};
+    lockSequence(referenceEngine, keyValue);
+    fresh[keyValue] = verilog::writeModule(reference);
+  }
+  ASSERT_NE(fresh[0], fresh[1]);
 
   rtl::Module m = smallDesign();
   LockEngine engine{m, PairTable::fixed()};
-  for (int cycle = 0; cycle < 5; ++cycle) {
-    // Alternate key values so the recycled shell must re-orient its dummy
-    // branch between then/else slots.
-    engine.lockOpAt(OpKind::Add, 0, cycle % 2 == 0);
-    if (cycle % 2 == 1) {
-      EXPECT_EQ(verilog::writeModule(m), referenceText) << cycle;
-    }
+  for (int cycle = 0; cycle < 6; ++cycle) {
+    const bool keyValue = cycle % 3 != 0;
+    lockSequence(engine, keyValue);
+    EXPECT_EQ(verilog::writeModule(m), fresh[keyValue]) << cycle;
     engine.undoAll();
     EXPECT_TRUE(structurallyEqual(m, smallDesign())) << cycle;
     EXPECT_EQ(m.keyWidth(), 0) << cycle;
   }
 }
 
-TEST(EngineTest, ShellRecyclingKeepsNestedOperandsCorrect) {
-  // Non-leaf operands are not recyclable: the dummy must be a fresh clone of
-  // the operand subtree every time, including after the subtree changed.
+TEST(EngineTest, UndoRestoresPoolCounts) {
+  rtl::Module m = smallDesign();
+  LockEngine engine{m, PairTable::fixed()};
+  for (int cycle = 0; cycle < 3; ++cycle) {
+    const std::size_t checkpoint = engine.checkpoint();
+    lockSequence(engine, cycle % 2 == 0);
+    EXPECT_EQ(engine.opCount(OpKind::Add), 4) << cycle;  // + the dummy of the Sub lock
+    EXPECT_EQ(engine.opCount(OpKind::Sub), 3) << cycle;  // + the dummies of the Add locks
+    EXPECT_EQ(engine.totalLockableOps(), 7) << cycle;
+    engine.undoTo(checkpoint);
+    EXPECT_EQ(engine.opCount(OpKind::Add), 3) << cycle;
+    EXPECT_EQ(engine.opCount(OpKind::Sub), 1) << cycle;
+    EXPECT_EQ(engine.totalLockableOps(), 4) << cycle;
+    EXPECT_EQ(engine.odtValue(OpKind::Add), 2) << cycle;
+    EXPECT_TRUE(engine.records().empty()) << cycle;
+  }
+}
+
+TEST(EngineTest, NestedOperandsGetFreshClones) {
+  // y = (a + 1) + a: locking the outer op clones the nested operand subtree
+  // into the dummy.  The clone is its own subtree — locking the real inner
+  // op leaves it untouched — and every cycle rebuilds it identically.
   rtl::ModuleBuilder b{"nested"};
   const auto a = b.input("a", 8);
   const auto y = b.output("y", 8);
@@ -301,23 +330,28 @@ TEST(EngineTest, ShellRecyclingKeepsNestedOperandsCorrect) {
   std::string lockedText;
   for (int cycle = 0; cycle < 3; ++cycle) {
     const std::size_t checkpoint = engine.checkpoint();
-    // Lock the outer op: the dummy is a fresh clone of the nested operand
-    // subtree (one Sub dummy root + one cloned inner Add), identical every
-    // cycle.
-    engine.lockOpAt(OpKind::Add, 0, true);
+    engine.lockOpAt(OpKind::Add, 0, true);  // outer op: Sub dummy + cloned inner Add
     EXPECT_EQ(engine.opCount(OpKind::Sub), 1) << cycle;
     EXPECT_EQ(engine.opCount(OpKind::Add), 3) << cycle;
+    const auto& mux = static_cast<const rtl::TernaryExpr&>(m.contAssigns()[0]->value());
+    const auto& realOp = static_cast<const rtl::BinaryExpr&>(mux.thenExpr());
+    const auto& dummyOp = static_cast<const rtl::BinaryExpr&>(mux.elseExpr());
+    EXPECT_NE(&realOp.lhs(), &dummyOp.lhs()) << cycle;
+    EXPECT_TRUE(rtl::structurallyEqual(realOp.lhs(), dummyOp.lhs())) << cycle;
+
     const std::string text = verilog::writeModule(m);
-    if (cycle == 0) {
-      lockedText = text;
-    } else {
-      EXPECT_EQ(text, lockedText) << cycle;
-    }
+    if (cycle == 0) lockedText = text;
+    EXPECT_EQ(text, lockedText) << cycle;
+
+    engine.lockOpAt(OpKind::Add, 1, false);  // the real inner op
+    EXPECT_EQ(realOp.lhs().kind(), rtl::ExprKind::Ternary) << cycle;
+    EXPECT_EQ(dummyOp.lhs().kind(), rtl::ExprKind::Binary) << cycle;
+
     engine.undoTo(checkpoint);
     EXPECT_EQ(engine.opCount(OpKind::Sub), 0) << cycle;
     EXPECT_EQ(engine.opCount(OpKind::Add), 2) << cycle;
   }
-  EXPECT_TRUE(rtl::computeStats(m).keyMuxes == 0);
+  EXPECT_EQ(rtl::computeStats(m).keyMuxes, 0);
 }
 
 }  // namespace

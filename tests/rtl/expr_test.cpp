@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
+#include <thread>
+#include <utility>
+#include <vector>
+
 #include "support/diagnostics.hpp"
 
 namespace rtlock::rtl {
@@ -113,6 +119,114 @@ TEST(ExprTest, SpliceThroughSlot) {
   slot.get() = makeTernary(makeKeyRef(0), std::move(original), makeConstant(0, 8));
   EXPECT_EQ(binary.lhs().kind(), ExprKind::Ternary);
   EXPECT_EQ(exprSize(*root), 6);
+}
+
+// ---- node cache ----
+
+/// Runs `body` on a new thread, whose node cache starts empty.
+template <typename Body>
+void onFreshThread(Body body) {
+  std::thread{std::move(body)}.join();
+}
+
+/// Nodes a cache of kExprNodeCacheCap per size class parks out of `freed`
+/// recycled nodes of one size class (none in sanitizer builds).
+std::size_t parked(std::size_t freed) { return std::min(freed, kExprNodeCacheCap); }
+
+std::vector<ExprPtr> makeSums(std::size_t count) {
+  std::vector<ExprPtr> sums;
+  for (std::size_t i = 0; i < count; ++i) {
+    const auto id = static_cast<SignalId>(i);
+    sums.push_back(makeBinary(OpKind::Add, makeSignalRef(id, 8), makeConstant(i, 8)));
+  }
+  return sums;
+}
+
+void expectSums(const std::vector<ExprPtr>& sums) {
+  for (std::size_t i = 0; i < sums.size(); ++i) {
+    const auto id = static_cast<SignalId>(i);
+    const ExprPtr fresh = makeBinary(OpKind::Add, makeSignalRef(id, 8), makeConstant(i, 8));
+    ASSERT_TRUE(structurallyEqual(*sums[i], *fresh)) << i;
+  }
+}
+
+void recycleAll(std::vector<ExprPtr>& exprs) {
+  for (ExprPtr& expr : exprs) recycle(std::move(expr));
+  exprs.clear();
+}
+
+TEST(ExprNodeCacheTest, OnlyRecycledNodesAreParked) {
+  onFreshThread([] {
+    std::vector<ExprPtr> sums = makeSums(100);
+    sums.clear();  // plain destruction: back to the heap
+    EXPECT_EQ(cachedExprNodes(), 0u);
+    sums = makeSums(100);
+    recycleAll(sums);
+    EXPECT_EQ(cachedExprNodes(), parked(200) + parked(100));
+  });
+}
+
+TEST(ExprNodeCacheTest, CapBoundsEachSizeClass) {
+  onFreshThread([] {
+    EXPECT_EQ(cachedExprNodes(), 0u);
+    // Leaves share one size class, binary nodes fill another.
+    const std::size_t count = kExprNodeCacheCap + 100;
+    std::vector<ExprPtr> sums = makeSums(count);
+    recycleAll(sums);
+    EXPECT_EQ(cachedExprNodes(), parked(2 * count) + parked(count));
+
+    // Building drains the lists; the nodes it gets back are whole.
+    sums = makeSums(50);
+    EXPECT_EQ(cachedExprNodes(), parked(2 * count) + parked(count) - parked(3 * 50));
+    expectSums(sums);
+  });
+}
+
+TEST(ExprNodeCacheTest, NodesBuiltOnOneThreadAreRecycledOnAnother) {
+  std::vector<ExprPtr> sums;
+  onFreshThread([&sums] { sums = makeSums(1000); });
+  onFreshThread([&sums] {
+    recycleAll(sums);
+    EXPECT_EQ(cachedExprNodes(), parked(2000) + parked(1000));
+    sums = makeSums(1000);  // served from the blocks the other thread built
+    EXPECT_EQ(cachedExprNodes(), 0u);
+    expectSums(sums);
+  });
+  expectSums(sums);
+  sums.clear();  // and freed on a third thread
+}
+
+TEST(ExprNodeCacheTest, ExitingThreadsReleaseCachedNodes) {
+  const std::size_t releasedBefore = exprNodesReleasedAtThreadExit();
+  std::vector<ExprPtr> survivors;
+  onFreshThread([&survivors] {
+    std::vector<ExprPtr> sums = makeSums(400);
+    survivors = makeSums(10);  // built on this thread, outlive it
+    recycleAll(sums);
+    EXPECT_EQ(cachedExprNodes(), parked(800) + parked(400));
+  });
+  EXPECT_EQ(exprNodesReleasedAtThreadExit() - releasedBefore, parked(800) + parked(400));
+  expectSums(survivors);
+  survivors.clear();
+}
+
+/// Recycles its nodes when its thread tears down.
+struct RecycleAtExit {
+  std::vector<ExprPtr> exprs;
+  ~RecycleAtExit() { recycleAll(exprs); }
+};
+
+TEST(ExprNodeCacheTest, NodesRecycledDuringThreadTeardownAreSafe) {
+  // Thread-local owners may recycle nodes before or after the thread's lists
+  // are released; both orders must be safe.
+  onFreshThread([] {
+    thread_local RecycleAtExit early;
+    early.exprs = makeSums(20);
+    std::vector<ExprPtr> sums = makeSums(20);
+    recycleAll(sums);  // the first recycle arms the release
+    thread_local RecycleAtExit late;
+    late.exprs = makeSums(20);
+  });
 }
 
 }  // namespace

@@ -10,8 +10,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <thread>
+#include <utility>
 
 namespace rtlock::service {
 namespace {
@@ -64,9 +66,10 @@ constexpr const char* kMixer =
 }
 
 /// Serves exactly `maxRequests` connections on an ephemeral port, runs
-/// `client` against it, and returns run()'s exit code.
-template <typename Client>
-int withServer(ServeOptions options, Client&& client) {
+/// `client` against it, then `drained` on the drained server while it is
+/// still alive, and returns run()'s exit code.
+template <typename Client, typename Drained>
+int withServer(ServeOptions options, Client&& client, Drained&& drained) {
   options.host = "127.0.0.1";
   options.port = 0;
   Server server{options};
@@ -74,7 +77,13 @@ int withServer(ServeOptions options, Client&& client) {
   std::thread runner{[&server, &exitCode] { exitCode = server.run(); }};
   client(server);
   runner.join();
+  drained(server);
   return exitCode;
+}
+
+template <typename Client>
+int withServer(ServeOptions options, Client&& client) {
+  return withServer(std::move(options), std::forward<Client>(client), [](Server&) {});
 }
 
 TEST(ServerTest, HealthzOverTcp) {
@@ -93,17 +102,22 @@ TEST(ServerTest, MaxRequestsAcceptsExactlyThatMany) {
   ServeOptions options;
   options.threads = 1;
   options.maxRequests = 3;
-  Server* observed = nullptr;
-  const int exitCode = withServer(options, [&observed](Server& server) {
-    observed = &server;
-    for (int i = 0; i < 3; ++i) {
-      EXPECT_NE(httpExchange(server.port(), getRequest("/healthz")), "");
-    }
-  });
+  std::uint64_t accepted = 0;
+  std::uint64_t rejected = 0;
+  const int exitCode = withServer(
+      options,
+      [](Server& server) {
+        for (int i = 0; i < 3; ++i) {
+          EXPECT_NE(httpExchange(server.port(), getRequest("/healthz")), "");
+        }
+      },
+      [&accepted, &rejected](Server& server) {
+        accepted = server.acceptedConnections();
+        rejected = server.rejectedConnections();
+      });
   EXPECT_EQ(exitCode, 0);
-  ASSERT_NE(observed, nullptr);
-  EXPECT_EQ(observed->acceptedConnections(), 3u);
-  EXPECT_EQ(observed->rejectedConnections(), 0u);
+  EXPECT_EQ(accepted, 3u);
+  EXPECT_EQ(rejected, 0u);
 }
 
 TEST(ServerTest, MalformedRequestLineGets400) {
