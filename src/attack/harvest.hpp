@@ -2,6 +2,13 @@
 // re-walking the whole module with extractLocalities() after every relock
 // round of the SnapShot attack.
 //
+// snapshotAttack runs its relock rounds tree-free (attack/pool_relock.hpp)
+// whenever the target's lockable operations never nest; this harvester is
+// the fallback for the other targets (SASC, SIM_SPI in the registry) and
+// the paper-sized oracle: tests/attack/pool_relock_test compares the two
+// row for row, and the benchmark's traced replay runs every cell through
+// this path and byte-compares the result.
+//
 // The harvester observes a LockEngine: every lockOpAt records the freshly
 // installed key mux (plus any key muxes cloned into its dummy operand
 // subtree, which the full walk would also see).  Feature vectors are NOT

@@ -20,14 +20,6 @@ constexpr int kDesignTernaryCode = 105;
 constexpr int kConcatCode = 106;
 constexpr int kSliceCode = 107;
 
-[[nodiscard]] int widthBucket(int width) noexcept {
-  if (width <= 1) return 0;
-  if (width <= 8) return 1;
-  if (width <= 16) return 2;
-  if (width <= 32) return 3;
-  return 4;
-}
-
 /// Walks expression trees with an explicit work list — locked designs nest
 /// muxes arbitrarily deep (every relock adds a level), and the collector must
 /// not be the component that overflows the stack on pathological chains.
@@ -66,6 +58,14 @@ struct Collector {
 };
 
 }  // namespace
+
+int widthBucket(int width) noexcept {
+  if (width <= 1) return 0;
+  if (width <= 8) return 1;
+  if (width <= 16) return 2;
+  if (width <= 32) return 3;
+  return 4;
+}
 
 int featureCount(const LocalityConfig& config) noexcept { return config.extendedFeatures ? 6 : 2; }
 

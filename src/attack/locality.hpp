@@ -30,6 +30,9 @@ struct LocalityConfig {
 /// 1 + OpKind; special constructs (mux, constant, ...) use codes >= 100.
 [[nodiscard]] int constructCode(const rtl::Expr& expr) noexcept;
 
+/// Extended-feature bucket of a key mux's bit width (1, <=8, <=16, <=32, >32).
+[[nodiscard]] int widthBucket(int width) noexcept;
+
 /// Code assigned to nested key muxes.
 inline constexpr int kMuxCode = 100;
 

@@ -1,10 +1,51 @@
 #include "attack/snapshot.hpp"
 
+#include <optional>
 #include <unordered_map>
 
 #include "attack/harvest.hpp"
+#include "attack/pool_relock.hpp"
 
 namespace rtlock::attack {
+
+namespace {
+
+/// Key budget of one relock round over `lockableOps` operations.
+int roundBudget(const SnapshotConfig& config, int lockableOps) {
+  return std::max(
+      1, static_cast<int>(config.relockBudgetFraction * static_cast<double>(lockableOps)));
+}
+
+/// Step 2 on the expression tree, for targets outside PoolRelocker's
+/// precondition.  Each round applies a fresh random-ASSURE relock with known
+/// key bits, harvests the new localities, and rolls the module back.
+/// Harvesting is incremental — the engine's lock observer records each new
+/// key mux as it is inserted, so a round costs O(relock budget) instead of
+/// O(module) (attack/harvest.hpp; extractLocalities remains the oracle).
+ml::Dataset relockOnTree(rtl::Module& target, const lock::PairTable& table,
+                         const SnapshotConfig& config, support::Rng& rng) {
+  lock::LockEngine engine{target, table};
+  LocalityHarvester harvester{engine, config.locality};
+  ml::Dataset training{featureCount(config.locality)};
+  for (int round = 0; round < config.relockRounds; ++round) {
+    const std::size_t checkpoint = engine.checkpoint();
+    const int budget = roundBudget(config, engine.totalLockableOps());
+    harvester.beginRound();
+    // Summary detail: the relock report is discarded, so skip the per-bit
+    // metric trace (two ODT scans per lock).
+    (void)lock::assureRandomLock(engine, budget, rng, lock::ReportDetail::Summary);
+    harvester.harvestInto(training);
+    engine.undoTo(checkpoint);
+    if (round == 0) {
+      // Rounds produce near-identical row counts; one up-front reservation
+      // keeps the remaining appends growth-free.
+      training.reserveRows(training.size() * static_cast<std::size_t>(config.relockRounds - 1));
+    }
+  }
+  return training;
+}
+
+}  // namespace
 
 SnapshotResult snapshotAttack(rtl::Module& lockedTarget,
                               const std::vector<lock::LockRecord>& targetRecords,
@@ -22,32 +63,23 @@ SnapshotResult snapshotAttack(rtl::Module& lockedTarget,
     targetFeatures.emplace(locality.keyIndex, &locality.features);
   }
 
-  // Step 2: self-referencing training set.  Each round applies a fresh
-  // random-ASSURE relock with known key bits, harvests the new localities,
-  // and rolls the module back.  Harvesting is incremental — the engine's
-  // lock observer records each new key mux as it is inserted, so a round
-  // costs O(relock budget) instead of O(module) (attack/harvest.hpp; the
-  // full-walk extractor above remains the differential oracle).
-  lock::LockEngine engine{lockedTarget, table};
-  LocalityHarvester harvester{engine, config.locality};
+  // Step 2: self-referencing training set, tree-free when the target's
+  // lockable operations never nest (attack/pool_relock.hpp).
+  std::size_t harvested = 0;
   ml::Dataset training{featureCount(config.locality)};
-
-  for (int round = 0; round < config.relockRounds; ++round) {
-    const std::size_t checkpoint = engine.checkpoint();
-    const int budget = std::max(
-        1, static_cast<int>(config.relockBudgetFraction *
-                            static_cast<double>(engine.totalLockableOps())));
-    harvester.beginRound();
-    // Summary detail: the relock report is discarded, so skip the per-bit
-    // metric trace (two ODT scans per lock).
-    (void)lock::assureRandomLock(engine, budget, rng, lock::ReportDetail::Summary);
-    harvester.harvestInto(training);
-    engine.undoTo(checkpoint);
-    if (round == 0) {
-      // Rounds produce near-identical row counts; one up-front reservation
-      // keeps the remaining appends growth-free.
-      training.reserveRows(training.size() * static_cast<std::size_t>(config.relockRounds - 1));
-    }
+  std::optional<PoolRelocker> relocker = PoolRelocker::build(lockedTarget, table, config.locality);
+  if (relocker.has_value()) {
+    const int budget = roundBudget(config, relocker->totalLockableOps());
+    relocker->reserveRows(static_cast<std::size_t>(budget) *
+                          static_cast<std::size_t>(config.relockRounds));
+    for (int round = 0; round < config.relockRounds; ++round) relocker->relockRound(budget, rng);
+    harvested = relocker->rowCount();
+    // Only the rows auto-ml keeps become a Dataset; autoSelect then finds
+    // at most maxTrainingRows rows and draws no second sample.
+    training = relocker->trainingSet(config.automl.maxTrainingRows, rng);
+  } else {
+    training = relockOnTree(lockedTarget, table, config, rng);
+    harvested = training.size();
   }
 
   // Step 3: model selection + training.
@@ -57,7 +89,7 @@ SnapshotResult snapshotAttack(rtl::Module& lockedTarget,
   SnapshotResult result;
   result.modelName = automl.bestName;
   result.cvAccuracy = automl.bestCvAccuracy;
-  result.trainingRows = training.size();
+  result.trainingRows = harvested;
   result.predictions.reserve(targetRecords.size());
   for (const lock::LockRecord& record : targetRecords) {
     const auto it = targetFeatures.find(record.keyIndex);

@@ -7,7 +7,13 @@
 //  1. extracts the target's localities — one [C1, C2] pair per key bit;
 //  2. builds a training set by self-referencing: relocking the target
 //     `relockRounds` times with fresh random ASSURE locks whose key bits are
-//     known, extracting the new localities, and undoing the relock;
+//     known, extracting the new localities, and undoing the relock.  When
+//     no lockable operation and no key mux sit inside a lockable
+//     operation's operands, the rounds run tree-free over per-kind pool
+//     counts (attack/pool_relock.hpp) and only the rows auto-ml keeps are
+//     materialized.  Other targets fall back to the LockEngine +
+//     LocalityHarvester path (attack/harvest.hpp), which also stays the
+//     oracle the tree-free rounds must match row for row;
 //  3. trains an auto-ml-selected classifier on (locality -> key bit);
 //  4. predicts every target key bit and reports the Key Prediction Accuracy.
 //
@@ -38,7 +44,7 @@ struct SnapshotResult {
   double kpa = 0.0;                // 100 * correct / keyBits
   std::string modelName;           // auto-ml winner
   double cvAccuracy = 0.0;         // winner's cross-validated accuracy
-  std::size_t trainingRows = 0;    // extracted training localities
+  std::size_t trainingRows = 0;    // harvested training localities (before auto-ml's row cap)
   std::vector<int> predictions;    // per key bit (index aligned with records)
 };
 
@@ -46,9 +52,10 @@ struct SnapshotResult {
 /// ground truth used only for scoring (the classifier never sees it).
 ///
 /// Contract -------------------------------------------------------------------
-/// Ownership: `lockedTarget` is borrowed mutably — relock rounds edit it in
-///   place — and is restored bit-exactly before returning (also on throw the
-///   undo path unwinds cleanly).  The caller keeps exclusive ownership;
+/// Ownership: `lockedTarget` is borrowed mutably — fallback relock rounds
+///   edit it in place — and is restored bit-exactly before returning (also
+///   on throw the undo path unwinds cleanly); tree-free rounds never touch
+///   it.  The caller keeps exclusive ownership;
 ///   nothing retains a pointer past the call.
 /// Determinism: (lockedTarget, targetRecords, table, config, rng state)
 ///   fully determines the result, including the auto-ml winner — model

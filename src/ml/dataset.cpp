@@ -1,5 +1,6 @@
 #include "ml/dataset.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <numeric>
 
@@ -182,15 +183,11 @@ KFoldAggregates Dataset::kFoldAggregated(int folds, support::Rng& rng) const {
 }
 
 Dataset Dataset::sampled(std::size_t maxRows, support::Rng& rng) const {
-  if (size() <= maxRows) return *this;
   Dataset result{featureCount_};
-  result.reserveRows(maxRows);
-  // Uniform row sample with weight rescaling keeps the total mass unbiased.
-  const auto indices = rng.sampleIndices(size(), maxRows);
-  const double scale = static_cast<double>(size()) / static_cast<double>(maxRows);
-  for (const std::size_t i : indices) {
+  result.reserveRows(std::min(size(), maxRows));
+  forEachSampledRow(size(), maxRows, rng, [this, &result](std::size_t i, double scale) {
     result.add(row(i), labels_[i], weights_[i] * scale);
-  }
+  });
   return result;
 }
 

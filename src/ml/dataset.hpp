@@ -32,6 +32,23 @@ using FeatureRow = std::vector<double>;
 class DatasetView;
 struct KFoldAggregates;
 
+/// Auto-ml's row cap — the one subsampling rule, shared by Dataset::sampled
+/// and the SnapShot attack's compact row store (attack/pool_relock.hpp),
+/// which materializes only the rows this rule keeps.  A table of `rows` rows
+/// within `maxRows` is kept whole: visit(i, 1.0) for every row in order, no
+/// draws.  A larger table keeps the uniform subset
+/// rng.sampleIndices(rows, maxRows) in draw order, each row's weight scaled
+/// by rows / maxRows so the total mass stays unbiased.
+template <typename Visit>
+void forEachSampledRow(std::size_t rows, std::size_t maxRows, support::Rng& rng, Visit&& visit) {
+  if (rows <= maxRows) {
+    for (std::size_t i = 0; i < rows; ++i) visit(i, 1.0);
+    return;
+  }
+  const double scale = static_cast<double>(rows) / static_cast<double>(maxRows);
+  for (const std::size_t i : rng.sampleIndices(rows, maxRows)) visit(i, scale);
+}
+
 class Dataset {
  public:
   explicit Dataset(int featureCount);
@@ -64,7 +81,8 @@ class Dataset {
   [[nodiscard]] Dataset aggregated() const;
 
   /// Weighted random subsample of at most `maxRows` rows (weights carried
-  /// over; aggregation-friendly).  Returns a copy of *this if small enough.
+  /// over; aggregation-friendly) under forEachSampledRow's rule: a copy of
+  /// *this if small enough.
   [[nodiscard]] Dataset sampled(std::size_t maxRows, support::Rng& rng) const;
 
   /// Random split into train/test by row (weights preserved).

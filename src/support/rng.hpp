@@ -56,12 +56,15 @@ class Rng {
   /// Uniform integer in [0, bound).  bound must be positive.
   [[nodiscard]] std::uint64_t below(std::uint64_t bound) {
     RTLOCK_REQUIRE(bound > 0, "Rng::below requires a positive bound");
-    // Lemire-style rejection to avoid modulo bias.
-    const std::uint64_t threshold = (0 - bound) % bound;
-    for (;;) {
-      const std::uint64_t r = (*this)();
-      if (r >= threshold) return r % bound;
+    // Rejection below threshold = 2^64 mod bound avoids modulo bias.  The
+    // threshold is always below `bound`, so a draw r >= bound is accepted
+    // without computing it: the second division runs only when r < bound.
+    std::uint64_t r = (*this)();
+    if (r < bound) {
+      const std::uint64_t threshold = (0 - bound) % bound;
+      while (r < threshold) r = (*this)();
     }
+    return r % bound;
   }
 
   /// Uniform integer in [lo, hi] inclusive.
@@ -126,7 +129,11 @@ class Rng {
   }
 
   /// k distinct indices drawn uniformly from [0, n) (partial Fisher-Yates).
+  /// Uses O(k) memory: only the positions a swap displaced are stored.
   [[nodiscard]] std::vector<std::size_t> sampleIndices(std::size_t n, std::size_t k);
+
+  /// Equal generator states: both produce the same stream from here on.
+  [[nodiscard]] bool operator==(const Rng&) const noexcept = default;
 
   /// Derive an independent child stream; children of distinct draws are
   /// statistically unrelated.

@@ -3,10 +3,32 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
 #include <set>
 
 namespace rtlock::support {
 namespace {
+
+/// The historical below(): threshold division on every call.
+std::uint64_t referenceBelow(Rng& rng, std::uint64_t bound) {
+  const std::uint64_t threshold = (0 - bound) % bound;
+  for (;;) {
+    const std::uint64_t r = rng();
+    if (r >= threshold) return r % bound;
+  }
+}
+
+/// The historical sampleIndices(): a dense n-slot pool, partially shuffled.
+std::vector<std::size_t> referenceSampleIndices(Rng& rng, std::size_t n, std::size_t k) {
+  std::vector<std::size_t> pool(n);
+  std::iota(pool.begin(), pool.end(), std::size_t{0});
+  for (std::size_t i = 0; i < k; ++i) {
+    const auto j = i + static_cast<std::size_t>(referenceBelow(rng, n - i));
+    std::swap(pool[i], pool[j]);
+  }
+  pool.resize(k);
+  return pool;
+}
 
 TEST(RngTest, SameSeedSameStream) {
   Rng a{42};
@@ -39,6 +61,26 @@ TEST(RngTest, BelowOneIsAlwaysZero) {
 TEST(RngTest, BelowZeroThrows) {
   Rng rng{7};
   EXPECT_THROW((void)rng.below(0), ContractViolation);
+}
+
+TEST(RngTest, BelowMatchesReferenceValuesAndDrawCounts) {
+  // 2^63 + 1 rejects almost half of all draws and 2^64 - 1 rejects r == 0,
+  // so both branches of the deferred threshold are exercised.
+  std::vector<std::uint64_t> bounds{1, 2, 3, 0x8000000000000000ULL, ~std::uint64_t{0}};
+  for (const int k : {2, 7, 8, 31, 32, 33, 62, 63}) {
+    const std::uint64_t power = std::uint64_t{1} << k;
+    bounds.insert(bounds.end(), {power - 1, power, power + 1});
+  }
+  for (const std::uint64_t seed : {1ULL, 2ULL, 99ULL}) {
+    Rng rng{seed};
+    Rng reference{seed};
+    for (int round = 0; round < 64; ++round) {
+      for (const std::uint64_t bound : bounds) {
+        ASSERT_EQ(rng.below(bound), referenceBelow(reference, bound)) << bound;
+        ASSERT_TRUE(rng == reference) << "draw count differs at bound " << bound;
+      }
+    }
+  }
 }
 
 TEST(RngTest, BelowCoversAllValues) {
@@ -158,6 +200,21 @@ TEST(RngTest, SampleIndicesFullPopulation) {
   const auto sample = rng.sampleIndices(10, 10);
   const std::set<std::size_t> unique(sample.begin(), sample.end());
   EXPECT_EQ(unique.size(), 10u);
+}
+
+TEST(RngTest, SampleIndicesMatchDenseReference) {
+  for (const std::uint64_t seed : {3ULL, 17ULL, 2024ULL}) {
+    for (const std::size_t n : {0, 1, 2, 7, 64, 1000, 100000}) {
+      for (const std::size_t k : {std::size_t{0}, std::size_t{1}, n / 3, n / 2, n - n / 10, n}) {
+        if (k > n) continue;
+        Rng rng{seed};
+        Rng reference{seed};
+        EXPECT_EQ(rng.sampleIndices(n, k), referenceSampleIndices(reference, n, k))
+            << "n=" << n << " k=" << k << " seed=" << seed;
+        EXPECT_TRUE(rng == reference) << "n=" << n << " k=" << k;
+      }
+    }
+  }
 }
 
 TEST(RngTest, SampleMoreThanPopulationThrows) {
