@@ -1,7 +1,11 @@
 // Performance microbenchmarks (google-benchmark): throughput of the pieces
 // that dominate experiment wall-clock — locking, undo, locality extraction,
-// Verilog parsing/writing, simulation, and classifier training.
+// Verilog parsing/writing, simulation, classifier training, and the fit of
+// each auto-ml portfolio candidate (BM_CandidateFit).
 #include <benchmark/benchmark.h>
+
+#include <string>
+#include <vector>
 
 #include "attack/locality.hpp"
 #include "core/algorithms.hpp"
@@ -184,6 +188,43 @@ void BM_AutoMlSelect(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AutoMlSelect)->Iterations(5);
+
+/// An aggregated CV train fold shaped like the SnapShot attack's: raw
+/// locality rows (2 basic or 6 extended-style features, both labels per
+/// tuple) folded 3 ways, fold 0's aggregated train set kept.
+ml::Dataset candidateFold(int features) {
+  support::Rng rng{11};
+  ml::Dataset raw{features};
+  std::vector<double> row(static_cast<std::size_t>(features));
+  for (int i = 0; i < 20000; ++i) {
+    for (std::size_t f = 0; f < row.size(); ++f) {
+      row[f] = static_cast<double>(rng.below(f < 2 ? 6 : 2));
+    }
+    raw.add(row, rng.chance(row[0] > row[1] ? 0.8 : 0.3) ? 1 : 0);
+  }
+  return std::move(raw.kFoldAggregated(3, rng).folds.front().first);
+}
+
+/// BM_CandidateFit/<portfolio index>/<features>: one defaultPortfolio()
+/// candidate's fit on a fixed fold, so each kernel's cost shows per
+/// candidate.
+void BM_CandidateFit(benchmark::State& state) {
+  const auto candidate =
+      std::move(ml::defaultPortfolio()[static_cast<std::size_t>(state.range(0))]);
+  const ml::Dataset fold = candidateFold(static_cast<int>(state.range(1)));
+  state.SetLabel(candidate->name() + ", " + std::to_string(fold.size()) + " rows");
+  for (auto _ : state) {
+    auto model = candidate->fresh();
+    support::Rng rng{12};
+    model->fit(fold, rng);
+    benchmark::DoNotOptimize(model->predictProba(fold.row(0)));
+  }
+}
+BENCHMARK(BM_CandidateFit)
+    ->ArgsProduct({benchmark::CreateDenseRange(
+                       0, static_cast<int>(ml::defaultPortfolio().size()) - 1, 1),
+                   {2, 6}})
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

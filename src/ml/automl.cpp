@@ -53,9 +53,9 @@ AutoMlResult autoSelect(const Dataset& rawData, const AutoMlConfig& config, supp
   }
   const Dataset& data = sampledStorage.has_value() ? *sampledStorage : rawData;
 
-  // Single-pass fold construction: per-fold aggregated (train, validation)
-  // pairs plus the full aggregate for the final refit, row-for-row identical
-  // to aggregating kFold() views one by one.
+  // Fused fold construction (one hash probe per row): per-fold aggregated
+  // (train, validation) pairs plus the full aggregate for the final refit,
+  // row-for-row identical to aggregating kFold() views one by one.
   KFoldAggregates aggregates = data.kFoldAggregated(config.folds, rng);
   const std::vector<std::pair<Dataset, Dataset>>& folds = aggregates.folds;
   std::size_t largestTrainFold = 0;

@@ -55,75 +55,102 @@ double Dataset::positiveFraction() const noexcept {
 
 namespace {
 
-/// Word-wise mix over a row's exact double bit patterns plus the label.
-/// Only equality (exact bytes) affects aggregation results — the hash merely
+[[nodiscard]] std::uint64_t mixHash(std::uint64_t h, std::uint64_t value) noexcept {
+  h ^= value + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
+  return h * 0xff51afd7ed558ccdull;
+}
+
+/// Word-wise mix over a row's exact double bit patterns.  Only equality
+/// (exact bytes) affects grouping and aggregation results — the hash merely
 /// routes probes, so grouping, first-seen order and accumulated weights are
 /// identical to the historical string-key map regardless of this function.
-[[nodiscard]] std::uint64_t hashRow(RowView row, int label) noexcept {
-  auto mix = [](std::uint64_t h, std::uint64_t value) noexcept {
-    h ^= value + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
-    return h * 0xff51afd7ed558ccdull;
-  };
+[[nodiscard]] std::uint64_t hashFeatures(RowView row) noexcept {
   std::uint64_t hash = 1469598103934665603ull;
   for (const double value : row) {
     std::uint64_t bits;
     std::memcpy(&bits, &value, sizeof bits);
-    hash = mix(hash, bits);
+    hash = mixHash(hash, bits);
   }
-  return mix(hash, static_cast<std::uint64_t>(label));
+  return hash;
+}
+
+[[nodiscard]] std::uint64_t hashRow(RowView row, int label) noexcept {
+  return mixHash(hashFeatures(row), static_cast<std::uint64_t>(label));
 }
 
 [[nodiscard]] bool sameRow(RowView a, RowView b) noexcept {
   return std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
 }
 
+/// Open-addressing index from hashed keys to dense ids in first-seen order.
+/// Grouping runs several times per auto-ml call over ~10^5 raw rows — it has
+/// to be a flat probe table, not a node-based map with a string key per row.
+/// The caller keeps the keys; `same(id)` tells whether the probed key equals
+/// the key of `id`.
+class ProbeTable {
+ public:
+  /// The id whose key `same` accepts; if there is none, the next fresh id
+  /// (== size() before the call), recorded under `hash`.
+  template <typename Same>
+  std::uint32_t intern(std::uint64_t hash, Same&& same) {
+    std::size_t slot = static_cast<std::size_t>(hash) & (capacity_ - 1);
+    for (;;) {
+      const std::uint32_t id = slots_[slot];
+      if (id == kEmpty) break;
+      if (hashes_[id] == hash && same(id)) return id;
+      slot = (slot + 1) & (capacity_ - 1);
+    }
+    const auto id = static_cast<std::uint32_t>(hashes_.size());
+    slots_[slot] = id;
+    hashes_.push_back(hash);
+    if (hashes_.size() * 2 >= capacity_) grow();
+    return id;
+  }
+
+ private:
+  static constexpr std::uint32_t kEmpty = UINT32_MAX;
+
+  void grow() {
+    capacity_ *= 2;
+    slots_.assign(capacity_, kEmpty);
+    for (std::uint32_t id = 0; id < hashes_.size(); ++id) {
+      std::size_t slot = static_cast<std::size_t>(hashes_[id]) & (capacity_ - 1);
+      while (slots_[slot] != kEmpty) slot = (slot + 1) & (capacity_ - 1);
+      slots_[slot] = id;
+    }
+  }
+
+  std::size_t capacity_ = 64;  // power of two; grown when half full
+  std::vector<std::uint32_t> slots_ = std::vector<std::uint32_t>(64, kEmpty);
+  std::vector<std::uint64_t> hashes_;  // per id
+};
+
 }  // namespace
 
-/// Open-addressing index from (features, label) to a result row, preserving
-/// first-seen order.  Aggregation runs several times per auto-ml call over
-/// ~10^5 raw rows — it has to be a flat probe table, not a node-based map
-/// with a string key per row.
+/// Merges (features, label) duplicates into one weighted result row each,
+/// in first-seen order; weights accumulate in consumption order.
 class Dataset::Aggregator {
  public:
   explicit Aggregator(int featureCount) : result_(featureCount) {}
 
-  void consume(RowView row, int label, double weight, std::uint64_t hash) {
-    std::size_t slot = static_cast<std::size_t>(hash) & (capacity_ - 1);
-    for (;;) {
-      const std::uint32_t candidate = slots_[slot];
-      if (candidate == UINT32_MAX) {
-        slots_[slot] = static_cast<std::uint32_t>(result_.size());
-        rowHashes_.push_back(hash);
-        result_.add(row, label, weight);
-        break;
-      }
-      if (rowHashes_[candidate] == hash && result_.labels_[candidate] == label &&
-          sameRow(result_.row(candidate), row)) {
-        result_.weights_[candidate] += weight;
-        break;
-      }
-      slot = (slot + 1) & (capacity_ - 1);
+  /// Adds one row; returns the id (= result row) of its (features, label).
+  std::uint32_t consume(RowView row, int label, double weight, std::uint64_t hash) {
+    const std::uint32_t id = table_.intern(hash, [&](std::uint32_t candidate) {
+      return result_.labels_[candidate] == label && sameRow(result_.row(candidate), row);
+    });
+    if (id == result_.size()) {
+      result_.add(row, label, weight);
+    } else {
+      result_.weights_[id] += weight;
     }
-    if (result_.size() * 2 >= capacity_) grow();
+    return id;
   }
 
   [[nodiscard]] Dataset take() && { return std::move(result_); }
 
  private:
-  void grow() {
-    capacity_ *= 2;
-    slots_.assign(capacity_, UINT32_MAX);
-    for (std::uint32_t r = 0; r < result_.size(); ++r) {
-      std::size_t slot = static_cast<std::size_t>(rowHashes_[r]) & (capacity_ - 1);
-      while (slots_[slot] != UINT32_MAX) slot = (slot + 1) & (capacity_ - 1);
-      slots_[slot] = r;
-    }
-  }
-
   Dataset result_;
-  std::size_t capacity_ = 64;  // power of two; grown when half full
-  std::vector<std::uint32_t> slots_ = std::vector<std::uint32_t>(64, UINT32_MAX);
-  std::vector<std::uint64_t> rowHashes_;  // per result row
+  ProbeTable table_;
 };
 
 template <typename Table>
@@ -150,36 +177,61 @@ KFoldAggregates Dataset::kFoldAggregated(int folds, support::Rng& rng) const {
     foldOf[order[i]] = static_cast<int>(i % static_cast<std::size_t>(folds));
   }
 
-  // One streaming pass: row i (ascending, exactly the view order) feeds its
-  // own fold's validation aggregate, every other fold's train aggregate, and
-  // the whole-dataset aggregate; the row hash is computed once.
-  std::vector<Aggregator> trains;
-  std::vector<Aggregator> validations;
-  for (int fold = 0; fold < folds; ++fold) {
-    trains.emplace_back(featureCount_);
-    validations.emplace_back(featureCount_);
-  }
+  // The whole-set aggregate names each row's distinct (features, label)
+  // tuple: one hash probe per row.
   Aggregator full{featureCount_};
+  std::vector<std::uint32_t> tupleOf(size());
   for (std::size_t i = 0; i < size(); ++i) {
     const RowView r = row(i);
-    const int label = labels_[i];
-    const double w = weights_[i];
-    const std::uint64_t hash = hashRow(r, label);
-    for (int fold = 0; fold < folds; ++fold) {
-      (foldOf[i] == fold ? validations : trains)[static_cast<std::size_t>(fold)].consume(
-          r, label, w, hash);
-    }
-    full.consume(r, label, w, hash);
+    tupleOf[i] = full.consume(r, labels_[i], weights_[i], hashRow(r, labels_[i]));
   }
 
   KFoldAggregates result;
+  result.all = std::move(full).take();
+  const Dataset& tuples = result.all;
+
+  // Each fold's pair then aggregates through dense tuple id -> result row
+  // tables, filled in ascending row order (exactly the view order), so
+  // first-seen order and the order of every weight sum are those of a
+  // separate aggregation of each fold view.
+  constexpr std::uint32_t kAbsent = UINT32_MAX;
+  std::vector<std::uint32_t> trainSlot;
+  std::vector<std::uint32_t> validationSlot;
   result.folds.reserve(static_cast<std::size_t>(folds));
   for (int fold = 0; fold < folds; ++fold) {
-    result.folds.emplace_back(std::move(trains[static_cast<std::size_t>(fold)]).take(),
-                              std::move(validations[static_cast<std::size_t>(fold)]).take());
+    Dataset train{featureCount_};
+    Dataset validation{featureCount_};
+    trainSlot.assign(tuples.size(), kAbsent);
+    validationSlot.assign(tuples.size(), kAbsent);
+    for (std::size_t i = 0; i < size(); ++i) {
+      const bool validates = foldOf[i] == fold;
+      Dataset& target = validates ? validation : train;
+      std::uint32_t& slot = (validates ? validationSlot : trainSlot)[tupleOf[i]];
+      if (slot == kAbsent) {
+        slot = static_cast<std::uint32_t>(target.size());
+        target.add(tuples.row(tupleOf[i]), labels_[i], weights_[i]);
+      } else {
+        target.weights_[slot] += weights_[i];
+      }
+    }
+    result.folds.emplace_back(std::move(train), std::move(validation));
   }
-  result.all = std::move(full).take();
   return result;
+}
+
+FeatureGroups Dataset::featureGroups() const {
+  FeatureGroups groups;
+  groups.groupOf.reserve(size());
+  ProbeTable table;
+  for (std::size_t i = 0; i < size(); ++i) {
+    const RowView r = row(i);
+    const std::uint32_t group = table.intern(hashFeatures(r), [&](std::uint32_t candidate) {
+      return sameRow(row(groups.firstRow[candidate]), r);
+    });
+    if (group == groups.size()) groups.firstRow.push_back(static_cast<std::uint32_t>(i));
+    groups.groupOf.push_back(group);
+  }
+  return groups;
 }
 
 Dataset Dataset::sampled(std::size_t maxRows, support::Rng& rng) const {

@@ -30,6 +30,7 @@ using RowView = std::span<const double>;
 using FeatureRow = std::vector<double>;
 
 class DatasetView;
+struct FeatureGroups;
 struct KFoldAggregates;
 
 /// Auto-ml's row cap — the one subsampling rule, shared by Dataset::sampled
@@ -80,6 +81,11 @@ class Dataset {
   /// accumulated weight.  Order is deterministic (first-seen order).
   [[nodiscard]] Dataset aggregated() const;
 
+  /// Groups the rows by feature tuple, labels and weights ignored.  Tuples
+  /// match on exact bit patterns, as in aggregated() (-0.0 and 0.0 are two
+  /// groups); group ids count up in first-seen row order.
+  [[nodiscard]] FeatureGroups featureGroups() const;
+
   /// Weighted random subsample of at most `maxRows` rows (weights carried
   /// over; aggregation-friendly) under forEachSampledRow's rule: a copy of
   /// *this if small enough.
@@ -96,12 +102,12 @@ class Dataset {
   [[nodiscard]] std::vector<std::pair<DatasetView, DatasetView>> kFold(int folds,
                                                                        support::Rng& rng) const;
 
-  /// kFold() composed with aggregation, in a single pass over the matrix:
-  /// per fold the aggregated (train, validation) pair, plus the aggregate of
-  /// the whole dataset (`all`) from the same scan.  Row-for-row identical to
-  /// aggregating each kFold() view and calling aggregated() separately —
-  /// same shuffle, same first-seen order — just one streaming pass instead
-  /// of four (the auto-ml fast path).
+  /// kFold() composed with aggregation: per fold the aggregated (train,
+  /// validation) pair, plus the aggregate of the whole dataset (`all`).
+  /// Row-for-row identical to aggregating each kFold() view and calling
+  /// aggregated() separately — same shuffle, same first-seen order, same
+  /// weight sums — but only the whole-set pass hashes rows; the folds
+  /// aggregate through dense tuple ids (the auto-ml fast path).
   [[nodiscard]] KFoldAggregates kFoldAggregated(int folds, support::Rng& rng) const;
 
  private:
@@ -116,6 +122,17 @@ class Dataset {
   std::vector<double> values_;  // row-major, size() * featureCount_
   std::vector<int> labels_;
   std::vector<double> weights_;
+};
+
+/// Result of Dataset::featureGroups: the distinct feature tuples of a
+/// dataset, for kernels whose per-row work depends on the features alone.
+struct FeatureGroups {
+  /// Per row, the id of its tuple's group.
+  std::vector<std::uint32_t> groupOf;
+  /// Per group, the first row carrying its tuple (ascending).
+  std::vector<std::uint32_t> firstRow;
+
+  [[nodiscard]] std::size_t size() const noexcept { return firstRow.size(); }
 };
 
 /// Result bundle of Dataset::kFoldAggregated.

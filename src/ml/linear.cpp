@@ -43,20 +43,38 @@ void LogisticRegression::fit(const Dataset& data, support::Rng& /*rng*/) {
     scale_[f] = std::sqrt(std::max(variance[f] / totalWeight, 1e-12));
   }
 
+  // Within an epoch the weights are fixed, so z and its sigmoid depend on a
+  // row's feature tuple alone: compute them once per distinct tuple, on
+  // inputs centered once per fit (the division by the scale stays in place:
+  // w * (x - mean) / scale rounds differently from w * ((x - mean) / scale)).
+  // Gradients still accumulate per row, in row order (src/ml/README.md,
+  // rule 5).
+  const FeatureGroups groups = data.featureGroups();
+  std::vector<double> centered(groups.size() * features);
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    const RowView row = data.row(groups.firstRow[g]);
+    for (std::size_t f = 0; f < features; ++f) centered[g * features + f] = row[f] - mean_[f];
+  }
+  std::vector<double> probabilities(groups.size());
+
   std::vector<double> gradient(features);
   for (int epoch = 0; epoch < hyper_.epochs; ++epoch) {
+    for (std::size_t g = 0; g < groups.size(); ++g) {
+      const double* x = &centered[g * features];
+      double z = bias_;
+      for (std::size_t f = 0; f < features; ++f) z += weights_[f] * x[f] / scale_[f];
+      probabilities[g] = sigmoid(z);
+    }
+
     std::fill(gradient.begin(), gradient.end(), 0.0);
     double biasGradient = 0.0;
     for (std::size_t i = 0; i < data.size(); ++i) {
-      const RowView row = data.row(i);
-      double z = bias_;
-      for (std::size_t f = 0; f < features; ++f) {
-        z += weights_[f] * (row[f] - mean_[f]) / scale_[f];
-      }
-      const double error = sigmoid(z) - static_cast<double>(data.label(i));
+      const std::size_t g = groups.groupOf[i];
+      const double* x = &centered[g * features];
+      const double error = probabilities[g] - static_cast<double>(data.label(i));
       const double scaledError = data.weight(i) * error / totalWeight;
       for (std::size_t f = 0; f < features; ++f) {
-        gradient[f] += scaledError * (row[f] - mean_[f]) / scale_[f];
+        gradient[f] += scaledError * x[f] / scale_[f];
       }
       biasGradient += scaledError;
     }

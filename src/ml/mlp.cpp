@@ -1,6 +1,8 @@
 #include "ml/mlp.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <span>
 
 namespace rtlock::ml {
 
@@ -19,7 +21,7 @@ struct Adam {
 
   explicit Adam(std::size_t size) : m(size, 0.0), v(size, 0.0) {}
 
-  void update(std::vector<double>& params, const std::vector<double>& gradient, double lr) {
+  void update(std::span<double> params, std::span<const double> gradient, double lr) {
     ++step;
     const double correction1 = 1.0 - std::pow(beta1, step);
     const double correction2 = 1.0 - std::pow(beta2, step);
@@ -85,48 +87,82 @@ void MlpClassifier::fit(const Dataset& data, support::Rng& rng) {
   std::vector<double> gradHiddenW(hiddenWeights_.size());
   std::vector<double> gradHiddenB(hiddenBias_.size());
   std::vector<double> gradOutputW(outputWeights_.size());
-  std::vector<double> gradOutputB(1);
-  std::vector<double> normalized(inputs);
-  std::vector<double> activations(hidden);
+  double gradOutputB = 0.0;
+
+  // Within an epoch the weights are fixed, so the forward pass (z, tanh,
+  // sigmoid) depends on a row's feature tuple alone: compute it once per
+  // distinct tuple, on inputs normalized once per fit.  Gradients still
+  // accumulate per row, in row order (src/ml/README.md, rule 5).
+  const FeatureGroups groups = data.featureGroups();
+  std::vector<double> normalized(groups.size() * inputs);
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    const RowView row = data.row(groups.firstRow[g]);
+    for (std::size_t f = 0; f < inputs; ++f) {
+      normalized[g * inputs + f] = (row[f] - mean_[f]) / scale_[f];
+    }
+  }
+  std::vector<double> activations(groups.size() * hidden);
+  std::vector<double> predictions(groups.size());
+
+  // Input-major copies of the hidden weights and of their gradient put the
+  // hidden units innermost: independent sums over contiguous memory, each
+  // still fed in the original order.
+  std::vector<double> weightsByInput(hidden * inputs);
+  std::vector<double> gradByInput(hidden * inputs);
+  std::vector<double> z(hidden);
+  std::vector<double> hiddenError(hidden);
 
   for (int epoch = 0; epoch < hyper_.epochs; ++epoch) {
-    std::fill(gradHiddenW.begin(), gradHiddenW.end(), 0.0);
-    std::fill(gradHiddenB.begin(), gradHiddenB.end(), 0.0);
-    std::fill(gradOutputW.begin(), gradOutputW.end(), 0.0);
-    gradOutputB[0] = 0.0;
-
-    for (std::size_t i = 0; i < data.size(); ++i) {
-      const RowView row = data.row(i);
+    for (std::size_t h = 0; h < hidden; ++h) {
       for (std::size_t f = 0; f < inputs; ++f) {
-        normalized[f] = (row[f] - mean_[f]) / scale_[f];
+        weightsByInput[f * hidden + h] = hiddenWeights_[h * inputs + f];
+      }
+    }
+    for (std::size_t g = 0; g < groups.size(); ++g) {
+      const double* x = &normalized[g * inputs];
+      double* a = &activations[g * hidden];
+      std::copy(hiddenBias_.begin(), hiddenBias_.end(), z.begin());
+      for (std::size_t f = 0; f < inputs; ++f) {
+        const double* w = &weightsByInput[f * hidden];
+        for (std::size_t h = 0; h < hidden; ++h) z[h] += w[h] * x[f];
       }
       double output = outputBias_;
       for (std::size_t h = 0; h < hidden; ++h) {
-        double z = hiddenBias_[h];
-        for (std::size_t f = 0; f < inputs; ++f) {
-          z += hiddenWeights_[h * inputs + f] * normalized[f];
-        }
-        activations[h] = std::tanh(z);
-        output += outputWeights_[h] * activations[h];
+        a[h] = std::tanh(z[h]);
+        output += outputWeights_[h] * a[h];
       }
-      const double prediction = sigmoid(output);
-      const double error =
-          data.weight(i) * (prediction - static_cast<double>(data.label(i))) / totalWeight;
+      predictions[g] = sigmoid(output);
+    }
 
-      gradOutputB[0] += error;
+    std::fill(gradByInput.begin(), gradByInput.end(), 0.0);
+    std::fill(gradHiddenB.begin(), gradHiddenB.end(), 0.0);
+    std::fill(gradOutputW.begin(), gradOutputW.end(), 0.0);
+    gradOutputB = 0.0;
+
+    for (std::size_t i = 0; i < data.size(); ++i) {
+      const std::size_t g = groups.groupOf[i];
+      const double* x = &normalized[g * inputs];
+      const double* a = &activations[g * hidden];
+      const double error =
+          data.weight(i) * (predictions[g] - static_cast<double>(data.label(i))) / totalWeight;
+
+      gradOutputB += error;
       for (std::size_t h = 0; h < hidden; ++h) {
-        gradOutputW[h] += error * activations[h];
-        const double hiddenError =
-            error * outputWeights_[h] * (1.0 - activations[h] * activations[h]);
-        gradHiddenB[h] += hiddenError;
-        for (std::size_t f = 0; f < inputs; ++f) {
-          gradHiddenW[h * inputs + f] += hiddenError * normalized[f];
-        }
+        gradOutputW[h] += error * a[h];
+        hiddenError[h] = error * outputWeights_[h] * (1.0 - a[h] * a[h]);
+        gradHiddenB[h] += hiddenError[h];
+      }
+      for (std::size_t f = 0; f < inputs; ++f) {
+        double* gradient = &gradByInput[f * hidden];
+        for (std::size_t h = 0; h < hidden; ++h) gradient[h] += hiddenError[h] * x[f];
       }
     }
 
-    for (std::size_t j = 0; j < hiddenWeights_.size(); ++j) {
-      gradHiddenW[j] += hyper_.l2 * hiddenWeights_[j];
+    for (std::size_t h = 0; h < hidden; ++h) {
+      for (std::size_t f = 0; f < inputs; ++f) {
+        gradHiddenW[h * inputs + f] =
+            gradByInput[f * hidden + h] + hyper_.l2 * hiddenWeights_[h * inputs + f];
+      }
     }
     for (std::size_t j = 0; j < outputWeights_.size(); ++j) {
       gradOutputW[j] += hyper_.l2 * outputWeights_[j];
@@ -135,9 +171,7 @@ void MlpClassifier::fit(const Dataset& data, support::Rng& rng) {
     adamHiddenW.update(hiddenWeights_, gradHiddenW, hyper_.learningRate);
     adamHiddenB.update(hiddenBias_, gradHiddenB, hyper_.learningRate);
     adamOutputW.update(outputWeights_, gradOutputW, hyper_.learningRate);
-    std::vector<double> biasVec{outputBias_};
-    adamOutputB.update(biasVec, gradOutputB, hyper_.learningRate);
-    outputBias_ = biasVec[0];
+    adamOutputB.update({&outputBias_, 1}, {&gradOutputB, 1}, hyper_.learningRate);
   }
 }
 

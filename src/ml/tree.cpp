@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
-#include <set>
 
 namespace rtlock::ml {
 
@@ -38,11 +37,12 @@ void DecisionTree::fit(const Dataset& data, support::Rng& rng) {
     nodes_.push_back(Node{});
     return;
   }
-  buildNode(data, rows, 0, rng);
+  std::vector<double> values;  // threshold scratch, reused by every node
+  buildNode(data, rows, 0, rng, values);
 }
 
 int DecisionTree::buildNode(const Dataset& data, const std::vector<std::size_t>& rows, int depth,
-                            support::Rng& rng) {
+                            support::Rng& rng, std::vector<double>& values) {
   ClassMass mass;
   for (const std::size_t row : rows) {
     if (data.label(row) == 1) {
@@ -78,21 +78,21 @@ int DecisionTree::buildNode(const Dataset& data, const std::vector<std::size_t>&
 
   for (const int feature : featureIds) {
     // Candidate thresholds: midpoints between distinct sorted values
-    // (subsampled to maxThresholds).
-    std::set<double> values;
+    // (subsampled to maxThresholds).  Only -0.0 and 0.0 compare equal
+    // without being the same bits, and either one gives the same midpoint,
+    // so which of the two unique() keeps never shows.
+    values.clear();
     for (const std::size_t row : rows) {
-      values.insert(data.row(row)[static_cast<std::size_t>(feature)]);
+      values.push_back(data.row(row)[static_cast<std::size_t>(feature)]);
     }
+    std::sort(values.begin(), values.end());
+    values.erase(std::unique(values.begin(), values.end()), values.end());
     if (values.size() < 2) continue;
-    std::vector<double> sorted(values.begin(), values.end());
-    std::vector<double> thresholds;
     const std::size_t step =
-        std::max<std::size_t>(1, sorted.size() / static_cast<std::size_t>(hyper_.maxThresholds));
-    for (std::size_t i = 0; i + 1 < sorted.size(); i += step) {
-      thresholds.push_back(0.5 * (sorted[i] + sorted[i + 1]));
-    }
+        std::max<std::size_t>(1, values.size() / static_cast<std::size_t>(hyper_.maxThresholds));
 
-    for (const double threshold : thresholds) {
+    for (std::size_t i = 0; i + 1 < values.size(); i += step) {
+      const double threshold = 0.5 * (values[i] + values[i + 1]);
       ClassMass left;
       ClassMass right;
       for (const std::size_t row : rows) {
@@ -128,8 +128,8 @@ int DecisionTree::buildNode(const Dataset& data, const std::vector<std::size_t>&
     }
   }
 
-  const int left = buildNode(data, leftRows, depth + 1, rng);
-  const int right = buildNode(data, rightRows, depth + 1, rng);
+  const int left = buildNode(data, leftRows, depth + 1, rng, values);
+  const int right = buildNode(data, rightRows, depth + 1, rng, values);
   Node& node = nodes_[static_cast<std::size_t>(nodeIndex)];
   node.feature = bestFeature;
   node.threshold = bestThreshold;

@@ -36,8 +36,9 @@ class DecisionTree final : public Classifier {
     double probability = 0.5;  // leaf P(label == 1)
   };
 
+  /// `values` is caller-owned scratch for the threshold candidates.
   int buildNode(const Dataset& data, const std::vector<std::size_t>& rows, int depth,
-                support::Rng& rng);
+                support::Rng& rng, std::vector<double>& values);
 
   Hyper hyper_;
   std::vector<Node> nodes_;

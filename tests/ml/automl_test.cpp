@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace rtlock::ml {
 namespace {
 
@@ -40,15 +42,40 @@ TEST(AutoMlTest, RandomLabelsYieldChanceAccuracy) {
   EXPECT_NEAR(accuracy(*result.model, test), 0.5, 0.07);
 }
 
-TEST(AutoMlTest, LeaderboardSortedInsertion) {
+/// Name of the first leaderboard entry with the highest CV accuracy: the
+/// winner under auto-ml's tie rule (portfolio order breaks ties).
+std::string firstBest(const AutoMlResult& result) {
+  const LeaderboardEntry* best = nullptr;
+  for (const auto& entry : result.leaderboard) {
+    if (best == nullptr || entry.cvAccuracy > best->cvAccuracy) best = &entry;
+  }
+  return best == nullptr ? std::string{} : best->model;
+}
+
+TEST(AutoMlTest, WinnerIsLeaderboardMaximum) {
   support::Rng rng{3};
   const Dataset train = localityLikeData(rng, 800, 0.9);
   AutoMlConfig config;
   const AutoMlResult result = autoSelect(train, config, rng);
-  // Winner's accuracy must equal the leaderboard maximum.
   double best = 0.0;
   for (const auto& entry : result.leaderboard) best = std::max(best, entry.cvAccuracy);
-  EXPECT_DOUBLE_EQ(result.bestCvAccuracy, best);
+  EXPECT_EQ(result.bestCvAccuracy, best);
+  EXPECT_EQ(result.bestName, firstBest(result));
+}
+
+TEST(AutoMlTest, TiesGoToTheFirstCandidateInPortfolioOrder) {
+  // One label only: every candidate predicts it everywhere, so all CV
+  // accuracies tie at 1 and the portfolio's first candidate must win.
+  Dataset train{2};
+  for (int i = 0; i < 60; ++i) {
+    train.add({static_cast<double>(i % 4), static_cast<double>(i % 3)}, 1);
+  }
+  support::Rng rng{4};
+  const AutoMlResult result = autoSelect(train, {}, rng);
+  ASSERT_GE(result.leaderboard.size(), 2u);
+  for (const auto& entry : result.leaderboard) EXPECT_EQ(entry.cvAccuracy, 1.0) << entry.model;
+  EXPECT_EQ(result.bestName, defaultPortfolio().front()->name());
+  EXPECT_EQ(result.bestName, firstBest(result));
 }
 
 TEST(AutoMlTest, EmptyDatasetRejected) {

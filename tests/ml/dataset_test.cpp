@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <numeric>
 
 #include "support/diagnostics.hpp"
@@ -122,13 +126,16 @@ std::vector<std::pair<Dataset, Dataset>> referenceKFold(const Dataset& data, int
   return result;
 }
 
+/// Exact equality: same rows in the same order, compared bit for bit (so
+/// -0.0 differs from 0.0 and weights must match to the last ulp).
 void expectSameRows(const Dataset& a, const Dataset& b) {
   ASSERT_EQ(a.size(), b.size());
   ASSERT_EQ(a.featureCount(), b.featureCount());
   for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_TRUE(std::equal(a.row(i).begin(), a.row(i).end(), b.row(i).begin())) << i;
+    EXPECT_EQ(std::memcmp(a.row(i).data(), b.row(i).data(), a.row(i).size_bytes()), 0) << i;
     EXPECT_EQ(a.label(i), b.label(i)) << i;
-    EXPECT_DOUBLE_EQ(a.weight(i), b.weight(i)) << i;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a.weight(i)), std::bit_cast<std::uint64_t>(b.weight(i)))
+        << i;
   }
 }
 
@@ -172,26 +179,81 @@ TEST(DatasetTest, ViewAggregationMatchesMaterializedAggregation) {
   }
 }
 
-TEST(DatasetTest, KFoldAggregatedMatchesPerViewAggregation) {
-  support::Rng dataRng{14};
-  Dataset data{2};
+/// One fused-aggregation case: a dataset and a fold count.
+struct FoldCase {
+  const char* name;
+  Dataset data;
+  int folds;
+};
+
+std::vector<FoldCase> foldCases() {
+  std::vector<FoldCase> cases;
+  support::Rng rng{14};
+  Dataset codes{2};
   for (int i = 0; i < 600; ++i) {
-    data.add({static_cast<double>(dataRng.below(4)), static_cast<double>(dataRng.below(4))},
-             static_cast<int>(dataRng.below(2)), 1.0 + (i % 3));
+    codes.add({static_cast<double>(rng.below(4)), static_cast<double>(rng.below(4))},
+              static_cast<int>(rng.below(2)), 1.0 + (i % 3));
   }
-  // Same seed for both paths: kFoldAggregated consumes the Rng exactly like
-  // kFold (one shuffle), so downstream draws cannot shift.
-  support::Rng rngA{15};
-  support::Rng rngB{15};
-  const auto fused = data.kFoldAggregated(3, rngA);
-  const auto views = data.kFold(3, rngB);
-  EXPECT_EQ(rngA(), rngB());  // identical Rng state afterwards
-  ASSERT_EQ(fused.folds.size(), views.size());
-  for (std::size_t fold = 0; fold < views.size(); ++fold) {
-    expectSameRows(fused.folds[fold].first, views[fold].first.aggregated());
-    expectSameRows(fused.folds[fold].second, views[fold].second.aggregated());
+  cases.push_back({"integer weights", std::move(codes), 3});
+
+  // Counts scaled by rows/maxRows, as auto-ml's row cap does: weight sums
+  // round, so their order shows.
+  Dataset scaled{2};
+  for (int i = 0; i < 500; ++i) {
+    scaled.add({static_cast<double>(rng.below(3)), static_cast<double>(rng.below(5))},
+               static_cast<int>(rng.below(2)), static_cast<double>(1 + rng.below(9)) * 1.37);
   }
-  expectSameRows(fused.all, data.aggregated());
+  cases.push_back({"non-integer weights", std::move(scaled), 3});
+
+  Dataset extended{6};
+  for (int i = 0; i < 700; ++i) {
+    const double row[] = {static_cast<double>(rng.below(4)), static_cast<double>(rng.below(4)),
+                          static_cast<double>(1 + rng.below(2)), static_cast<double>(rng.below(3)),
+                          static_cast<double>(rng.below(2)), static_cast<double>(rng.below(2))};
+    extended.add(row, static_cast<int>(rng.below(2)), 0.5 + static_cast<double>(rng.below(4)));
+  }
+  cases.push_back({"6-feature rows", std::move(extended), 4});
+
+  // 16 x 16 tuples x 2 labels: far past the probe tables' initial 64 slots.
+  Dataset wide{2};
+  for (int i = 0; i < 2000; ++i) {
+    wide.add({static_cast<double>(rng.below(16)), static_cast<double>(rng.below(16))},
+             static_cast<int>(rng.below(2)), 1.0);
+  }
+  cases.push_back({"more than 64 distinct tuples", std::move(wide), 3});
+
+  Dataset signedZero{2};
+  for (int i = 0; i < 200; ++i) {
+    signedZero.add({rng.below(2) == 0 ? -0.0 : 0.0, static_cast<double>(rng.below(2))},
+                   static_cast<int>(rng.below(2)), 1.0 + (i % 2));
+  }
+  cases.push_back({"-0.0 against 0.0", std::move(signedZero), 3});
+
+  // Fewer rows than folds: one validation fold stays empty.
+  Dataset tiny{2};
+  tiny.add({1.0, 2.0}, 1, 1.5);
+  tiny.add({1.0, 2.0}, 1, 2.5);
+  cases.push_back({"fewer rows than folds", std::move(tiny), 3});
+  return cases;
+}
+
+TEST(DatasetTest, KFoldAggregatedMatchesPerViewAggregation) {
+  for (const auto& [name, data, folds] : foldCases()) {
+    SCOPED_TRACE(name);
+    // Same seed for both paths: kFoldAggregated consumes the Rng exactly
+    // like kFold (one shuffle), so downstream draws cannot shift.
+    support::Rng rngA{15};
+    support::Rng rngB{15};
+    const auto fused = data.kFoldAggregated(folds, rngA);
+    const auto views = data.kFold(folds, rngB);
+    EXPECT_EQ(rngA, rngB);  // identical Rng state afterwards
+    ASSERT_EQ(fused.folds.size(), views.size());
+    for (std::size_t fold = 0; fold < views.size(); ++fold) {
+      expectSameRows(fused.folds[fold].first, views[fold].first.aggregated());
+      expectSameRows(fused.folds[fold].second, views[fold].second.aggregated());
+    }
+    expectSameRows(fused.all, data.aggregated());
+  }
 }
 
 TEST(DatasetTest, SampledIsDeterministicPerSeed) {
@@ -214,6 +276,46 @@ TEST(DatasetTest, AddingARowViewOfItselfIsSafeAcrossReallocation) {
     EXPECT_DOUBLE_EQ(data.row(i)[0], 1.0) << i;
     EXPECT_DOUBLE_EQ(data.row(i)[1], 2.0) << i;
   }
+}
+
+TEST(DatasetTest, FeatureGroupsIgnoreLabelsAndWeights) {
+  const FeatureGroups groups = sample().featureGroups();
+  EXPECT_EQ(groups.groupOf, (std::vector<std::uint32_t>{0, 0, 0, 1}));
+  EXPECT_EQ(groups.firstRow, (std::vector<std::uint32_t>{0, 3}));
+}
+
+TEST(DatasetTest, FeatureGroupsMatchOnExactBits) {
+  Dataset data{2};
+  data.add({0.0, 1.0}, 0);
+  data.add({-0.0, 1.0}, 0);                      // differs only in the sign bit
+  data.add({0.0, std::nextafter(1.0, 2.0)}, 1);  // one ulp away
+  data.add({0.0, 1.0}, 1);
+  const FeatureGroups groups = data.featureGroups();
+  EXPECT_EQ(groups.size(), 3u);
+  EXPECT_EQ(groups.groupOf, (std::vector<std::uint32_t>{0, 1, 2, 0}));
+}
+
+TEST(DatasetTest, FeatureGroupsComeInFirstSeenOrder) {
+  Dataset data{1};
+  for (const double value : {5.0, 2.0, 5.0, 9.0, 2.0, 2.0}) data.add({value}, 0);
+  const FeatureGroups groups = data.featureGroups();
+  EXPECT_EQ(groups.groupOf, (std::vector<std::uint32_t>{0, 1, 0, 2, 1, 1}));
+  EXPECT_EQ(groups.firstRow, (std::vector<std::uint32_t>{0, 1, 3}));
+
+  // Past the probe table's first growth, ids still follow first appearance.
+  Dataset many{1};
+  for (int i = 0; i < 300; ++i) many.add({static_cast<double>((i * 7) % 150)}, i % 2);
+  const FeatureGroups manyGroups = many.featureGroups();
+  ASSERT_EQ(manyGroups.size(), 150u);
+  for (std::uint32_t row = 0; row < 300; ++row) {
+    EXPECT_EQ(manyGroups.groupOf[row], row % 150) << row;
+  }
+}
+
+TEST(DatasetTest, FeatureGroupsOfEmptyDatasetAreEmpty) {
+  const FeatureGroups groups = Dataset{3}.featureGroups();
+  EXPECT_EQ(groups.size(), 0u);
+  EXPECT_TRUE(groups.groupOf.empty());
 }
 
 TEST(DatasetTest, AggregationDistinguishesLabelsAndBitPatterns) {
