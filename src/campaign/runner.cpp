@@ -3,12 +3,14 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <csignal>
 #include <cstdlib>
 #include <mutex>
 #include <thread>
 #include <utility>
 
+#include "campaign/manifest.hpp"
 #include "support/task_pool.hpp"
 
 namespace rtlock::campaign {
@@ -71,8 +73,9 @@ void onShutdownSignal(int signo) {
   }
 }
 
-}  // namespace
-
+/// Runs one cell with the full retry/backoff/deadline/fault machinery;
+/// never lets a cell exception escape.  (An injected crash fault does not
+/// return at all.)
 CellOutcome executeCell(const Cell& cell, std::size_t index, const CampaignOptions& options,
                         const CellFn& compute) {
   const std::optional<FaultKind> fault = options.faults.at(index);
@@ -137,6 +140,8 @@ CellOutcome executeCell(const Cell& cell, std::size_t index, const CampaignOptio
   return outcome;
 }
 
+}  // namespace
+
 JournalRow rowFromOutcome(const Cell& cell, const CellOutcome& outcome) {
   JournalRow row;
   row.id = cell.id;
@@ -185,14 +190,17 @@ void CellContext::checkDeadline() const {
 }
 
 CampaignResult runCampaign(const std::vector<Cell>& cells, const CampaignOptions& options,
-                           Journal* journal, const CellFn& compute) {
-  const std::chrono::steady_clock::time_point campaignStart = std::chrono::steady_clock::now();
+                           Journal* journal, const CellFn& compute, const ClaimGate* gate) {
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point campaignStart = Clock::now();
   CampaignResult result;
   result.outcomes.resize(cells.size());
 
   // Satisfy cells from the journal first.  Error/timeout rows are re-run
   // unless keepErrors asked to preserve them (e.g. to inspect a failure
-  // without burning compute on a known-bad cell).
+  // without burning compute on a known-bad cell).  With a gate, a kept row's
+  // done marker is republished: the claim board may have been wiped, or the
+  // worker may have died between journal append and marker.
   std::vector<std::size_t> pending;
   pending.reserve(cells.size());
   for (std::size_t i = 0; i < cells.size(); ++i) {
@@ -202,6 +210,7 @@ CampaignResult runCampaign(const std::vector<Cell>& cells, const CampaignOptions
       if (it != journal->rows().end()) row = &it->second;
     }
     if (row != nullptr && (row->ok() || options.keepErrors)) {
+      if (gate != nullptr) gate->board.markDone(i, row->status);
       result.outcomes[i] = outcomeFromRow(*row);
       ++result.journaledCells;
       if (options.onCell) options.onCell(i, result.outcomes[i]);
@@ -210,22 +219,114 @@ CampaignResult runCampaign(const std::vector<Cell>& cells, const CampaignOptions
     }
   }
 
+  std::mutex mutex;  // guards result and the gate bookkeeping below
+  std::condition_variable settled;
+  std::size_t outstanding = 0;       // submitted cells not yet returned
+  std::vector<std::size_t> busy;     // cells a rival held when we tried them
+  std::vector<std::size_t> running;  // cells whose claim we hold while they run
+  bool progressed = false;           // the fleet moved since the gate last looked
+
+  // Claims cell `index` for this worker; false when it is not ours to run.
+  const auto claim = [&](std::size_t index) {
+    const ClaimOutcome claimed = gate->board.tryClaim(index);
+    if (claimed.status == ClaimStatus::Acquired && shutdownRequested()) {
+      // Drain: hand the cell straight back to the fleet instead of leaving a
+      // claim that rivals would have to wait out.
+      gate->board.release(index);
+      return false;
+    }
+    const std::lock_guard<std::mutex> lock{mutex};
+    if (claimed.status == ClaimStatus::Busy) {
+      busy.push_back(index);
+      return false;
+    }
+    progressed = true;
+    if (claimed.status == ClaimStatus::Done) {
+      ++result.doneElsewhere;
+      return false;
+    }
+    if (claimed.stolen) ++result.steals;
+    running.push_back(index);
+    return true;
+  };
+
+  const auto runCell = [&](std::size_t index) {
+    // Shutdown drain: stop starting cells; this one stays Skipped.
+    if (shutdownRequested()) return;
+    if (gate != nullptr && !claim(index)) return;
+    CellOutcome outcome = executeCell(cells[index], index, options, compute);
+    if (journal != nullptr) journal->append(rowFromOutcome(cells[index], outcome));
+    // Journal first, done marker second: a crash in between leaves the cell
+    // claimable, and the recompute's byte-identical row dedups at merge.
+    if (gate != nullptr) gate->board.markDone(index, statusName(outcome.status));
+    const std::lock_guard<std::mutex> lock{mutex};
+    std::erase(running, index);
+    progressed = true;
+    ++result.computedCells;
+    result.outcomes[index] = std::move(outcome);
+    if (options.onCell) options.onCell(index, result.outcomes[index]);
+  };
+
+  const auto settle = [&] {
+    const std::lock_guard<std::mutex> lock{mutex};
+    --outstanding;
+    settled.notify_all();
+  };
+
+  // Declared after everything its tasks touch, so an exception unwinding
+  // this frame drains the pool while that state is still alive.
   support::TaskPool pool{support::threadsForTasks(options.threads, pending.size())};
-  std::mutex resultMutex;
-  for (const std::size_t index : pending) {
+  // threads == 1 runs each task inline inside submit(), so a serial
+  // campaign walks (and claims) the grid strictly in index order.
+  const auto submit = [&](std::size_t index) {
+    {
+      const std::lock_guard<std::mutex> lock{mutex};
+      ++outstanding;
+    }
     pool.submit([&, index] {
-      if (shutdownRequested()) {
-        // Stop claiming cells: this one stays Skipped, and the pool drops
-        // everything still queued without running these lambdas at all.
-        pool.requestStop();
-        return;
+      try {
+        runCell(index);
+      } catch (...) {
+        settle();
+        throw;  // infrastructure error: rethrown by pool.wait()
       }
-      CellOutcome outcome = executeCell(cells[index], index, options, compute);
-      if (journal != nullptr) journal->append(rowFromOutcome(cells[index], outcome));
-      const std::lock_guard<std::mutex> lock{resultMutex};
-      result.outcomes[index] = std::move(outcome);
-      if (options.onCell) options.onCell(index, result.outcomes[index]);
+      settle();
     });
+  };
+  for (const std::size_t index : pending) submit(index);
+
+  if (gate != nullptr) {
+    // Until every submitted cell returned and no rival holds a cell we
+    // still need: refresh the claims of running cells and retry busy cells
+    // once per poll interval.
+    const auto poll = std::chrono::microseconds{static_cast<long long>(gate->pollMs * 1000.0)};
+    Clock::time_point lastProgress = Clock::now();
+    std::unique_lock<std::mutex> lock{mutex};
+    for (;;) {
+      const bool drained = settled.wait_for(lock, poll, [&] { return outstanding == 0; });
+      if (progressed) {
+        progressed = false;
+        lastProgress = Clock::now();
+      }
+      if (shutdownRequested()) busy.clear();  // the drain leaves them Skipped
+      if (drained && busy.empty()) break;
+      const std::chrono::duration<double, std::milli> idle = Clock::now() - lastProgress;
+      if (drained && gate->maxWaitMs > 0.0 && idle.count() > gate->maxWaitMs) {
+        result.timedOut = true;
+        break;
+      }
+      std::vector<std::size_t> retry;
+      retry.swap(busy);
+      const std::vector<std::size_t> beats = running;
+      lock.unlock();
+      for (const std::size_t index : beats) gate->board.heartbeat(index);
+      // Nothing runs here: give the rivals holding the remaining cells one
+      // poll interval to finish them or let their leases lapse.
+      if (drained && !backoffSleep(gate->pollMs)) retry.clear();
+      std::sort(retry.begin(), retry.end());
+      for (const std::size_t index : retry) submit(index);
+      lock.lock();
+    }
   }
   pool.wait();
 
@@ -245,9 +346,9 @@ CampaignResult runCampaign(const std::vector<Cell>& cells, const CampaignOptions
         break;
     }
   }
+  result.skippedCells -= result.doneElsewhere;  // their outcomes live in other journals
   result.interrupted = shutdownRequested();
-  const std::chrono::duration<double, std::milli> wall =
-      std::chrono::steady_clock::now() - campaignStart;
+  const std::chrono::duration<double, std::milli> wall = Clock::now() - campaignStart;
   result.wallMs = wall.count();
   return result;
 }

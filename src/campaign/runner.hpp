@@ -1,8 +1,9 @@
-// Fault-isolated, checkpointed campaign runner.
+// Fault-isolated, checkpointed campaign runner — the one loop that
+// schedules campaign cells.
 //
-// `rtlock eval` (and, later, `rtlock serve`) drives grids of pure cells
-// through this layer instead of a bare TaskPool loop.  What it adds on top
-// of the pool:
+// `rtlock eval`, `rtlock work` and `POST /v1/eval` all drive their grids of
+// pure cells through runCampaign instead of a bare TaskPool loop.  What it
+// adds on top of the pool:
 //
 //  * per-cell fault isolation — a cell that throws is *captured* as a
 //    structured error outcome (code, what(), attempt count) instead of
@@ -15,15 +16,31 @@
 //    CellTimeout where the cell polls, post-hoc otherwise);
 //  * crash-safe checkpointing — each completed cell is appended to the
 //    Journal the moment it finishes, and journaled cells are skipped on the
-//    next run (error/timeout rows re-run unless options.keepErrors);
+//    next run.  One resume rule: error/timeout rows re-run unless
+//    options.keepErrors (manifest-mode eval sets it, so a deterministic
+//    failure never ping-pongs between the hosts of a fleet);
 //  * graceful shutdown — on SIGINT/SIGTERM (or requestShutdown()) the
-//    runner stops claiming cells, drains in-flight workers, leaves the
-//    journal flushed, and reports interrupted=true.
+//    runner stops starting cells, drains in-flight workers, leaves the
+//    journal flushed, and reports interrupted=true;
+//  * an optional claim gate for multi-host campaigns (ClaimGate, see
+//    manifest.hpp for the lease protocol).  Without one the runner submits
+//    every pending cell to the pool and waits once.  With one, a pool
+//    thread claims each cell right before running it; cells that rivals
+//    finished are skipped, cells a rival holds are retried every pollMs,
+//    claims of running cells are heartbeated every pollMs (a serial runner
+//    runs cells inline, so it refreshes nothing mid-cell: size the lease
+//    above the slowest cell), each result is journaled before its done
+//    marker is written, journaled rows get their done markers republished,
+//    a drain releases claims that were taken but not started, and maxWaitMs
+//    bounds the wait when nothing anywhere in the fleet makes progress.
+//    With threads == 1 cells are claimed strictly in grid order.
 //
 // Determinism contract: compute must be a pure function of the cell
 // identity (derive all randomness from the cell's seed/substream, never
 // from execution order).  Under that contract a resumed campaign merges to
-// outcomes bit-identical to an uninterrupted run at any thread count.
+// outcomes bit-identical to an uninterrupted run at any thread count, and
+// the cells of a fleet merge (mergeJournals) to the same bytes as one
+// process running the whole grid.
 #pragma once
 
 #include <chrono>
@@ -37,6 +54,8 @@
 #include "support/diagnostics.hpp"
 
 namespace rtlock::campaign {
+
+class ClaimBoard;  // manifest.hpp
 
 /// Raised (by cooperative deadline checks and the hang fault) when a cell
 /// exceeds its wall-clock deadline; the runner records a timeout outcome.
@@ -99,32 +118,49 @@ struct CellContext {
 /// the cell identity (see the determinism contract above).
 using CellFn = std::function<support::JsonValue(const Cell&, const CellContext&)>;
 
+/// The multi-host gate: cells are claimed through `board` (one worker's view
+/// of a shared manifest's claim directory) before they run.
+struct ClaimGate {
+  ClaimBoard& board;
+  double pollMs = 50.0;  // busy-cell retry and heartbeat interval
+  /// Give up after this long without progress anywhere in the fleet (no
+  /// claim won, no cell finished, no done marker appeared) while nothing
+  /// runs locally; 0 = wait forever.  A safety net against a wedged rival
+  /// holding a lease with a heartbeat that never finishes.
+  double maxWaitMs = 0.0;
+};
+
+/// Counters partition the grid in every mode:
+/// ok + error + timeout + skipped + doneElsewhere == outcomes.size().
 struct CampaignResult {
   std::vector<CellOutcome> outcomes;  // one per cell, grid order
   std::size_t okCells = 0;
   std::size_t errorCells = 0;
   std::size_t timeoutCells = 0;
-  std::size_t skippedCells = 0;    // not run: shutdown drain
-  std::size_t journaledCells = 0;  // satisfied from the journal
-  bool interrupted = false;
+  std::size_t skippedCells = 0;    // not run: drain, maxWaitMs, or held by a rival
+  std::size_t doneElsewhere = 0;   // done markers other workers published (outcome Skipped)
+  std::size_t journaledCells = 0;  // of ok/error/timeout: satisfied from the journal
+  std::size_t computedCells = 0;   // of ok/error/timeout: executed this run
+  std::size_t steals = 0;          // stale leases reclaimed
+  bool interrupted = false;        // a shutdown drain cut the campaign short
+  bool timedOut = false;           // maxWaitMs elapsed with no fleet progress
   double wallMs = 0.0;
+
+  /// Every cell is settled, here or by another worker.
+  [[nodiscard]] bool allDone() const noexcept { return skippedCells == 0; }
 };
 
-/// Runs the campaign.  `journal` may be null (no checkpointing).  Never
-/// throws for cell failures — only for infrastructure errors (journal I/O).
+/// Runs the campaign.  `journal` may be null (no checkpointing); `gate` may
+/// be null (the process owns the whole grid).  With a gate, `journal` should
+/// be this worker's own journal, opened against the manifest's identity.
+/// Never throws for cell failures — only for infrastructure errors (journal
+/// I/O, claim directory).
 [[nodiscard]] CampaignResult runCampaign(const std::vector<Cell>& cells,
                                          const CampaignOptions& options, Journal* journal,
-                                         const CellFn& compute);
+                                         const CellFn& compute, const ClaimGate* gate = nullptr);
 
-/// Runs one cell with the runner's full retry/backoff/deadline/fault
-/// machinery; never lets a cell exception escape.  (An injected crash fault
-/// does not return at all.)  Exposed for the distributed worker, which
-/// claims cells itself instead of going through runCampaign.
-[[nodiscard]] CellOutcome executeCell(const Cell& cell, std::size_t index,
-                                      const CampaignOptions& options, const CellFn& compute);
-
-/// Outcome <-> journal-row conversion, shared by the runner, the worker and
-/// the merge-driven report builders.
+/// Outcome <-> journal-row conversion, shared by the runner and the
+/// merge-driven report builders.
 [[nodiscard]] JournalRow rowFromOutcome(const Cell& cell, const CellOutcome& outcome);
 [[nodiscard]] CellOutcome outcomeFromRow(const JournalRow& row);
 

@@ -23,6 +23,11 @@
 #include "support/diagnostics.hpp"
 #include "support/json.hpp"
 
+namespace rtlock::service {
+struct EvalRequest;
+struct EvalResponse;
+}  // namespace rtlock::service
+
 namespace rtlock::cli {
 
 /// Usage-class failure (unknown flag, malformed flag value, missing
@@ -104,6 +109,27 @@ using service::parseBudget;
 [[nodiscard]] inline sim::SimBackend simBackendFromFlag(const std::string& name) {
   return service::simBackendFromName(name);
 }
+
+// ---- eval / work ----------------------------------------------------------
+
+/// Parses `args` for `rtlock eval` or `rtlock work`: the flags both share
+/// (the grid, the campaign knobs, the report outputs, --journal) plus the
+/// command's `ownFlags`.  Fills the shared fields of `request`, bound-checked,
+/// with RTLOCK_FAULT_INJECT as the fault plan, and returns the flags for the
+/// command's own.  Reads no file, so a usage error exits before the input
+/// netlist is touched.
+[[nodiscard]] support::CliArgs parseEvalFlags(const std::vector<std::string>& args,
+                                              const std::vector<std::string>& ownFlags,
+                                              service::EvalRequest& request);
+
+/// Writes --report / --report-csv and prints the report rows (--csv) on
+/// `io.out`.
+void emitEvalReport(const support::CliArgs& flags, const service::EvalResponse& response,
+                    const std::string& inputPath, CommandIo& io);
+
+/// kExitPartial (with a summary on `io.err`) when any cell ended in an error
+/// or timeout, else kExitOk.
+[[nodiscard]] int evalExitCode(const service::EvalResponse& response, CommandIo& io);
 
 // ---- file I/O -------------------------------------------------------------
 

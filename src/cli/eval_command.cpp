@@ -10,7 +10,8 @@
 // instead of aborting the grid; campaigns with failed cells exit with
 // kExitPartial, an interrupted (SIGINT/SIGTERM) drain with
 // kExitInterrupted.  docs/CAMPAIGNS.md covers the journal format and the
-// fault-injection harness.
+// fault-injection harness.  The flag parsing and report output it shares
+// with `rtlock work` live here too.
 #include <fstream>
 
 #include "campaign/runner.hpp"
@@ -20,19 +21,18 @@
 
 namespace rtlock::cli {
 
-int runEvalCommand(const std::vector<std::string>& args, CommandIo& io) {
-  const support::CliArgs flags = parseFlags(
-      args, {"algos", "seeds", "samples", "rounds", "budget", "folds", "module", "key-port",
-             "threads", "extended-features", "report", "report-csv", "csv", "no-wall", "journal",
-             "keep-errors", "check", "check-cells", "retries", "deadline-ms", "sim-backend",
-             "verify-functional"});
-  const std::string inputPath = onePositional(flags, "input netlist (input.v)");
-  const bool noWall = flags.getBool("no-wall", false);
+support::CliArgs parseEvalFlags(const std::vector<std::string>& args,
+                                const std::vector<std::string>& ownFlags,
+                                service::EvalRequest& request) {
+  std::vector<std::string> known = ownFlags;
+  known.insert(known.end(), {"algos", "seeds", "samples", "rounds", "budget", "folds", "module",
+                             "key-port", "threads", "extended-features", "report", "report-csv",
+                             "csv", "no-wall", "journal", "retries", "deadline-ms", "sim-backend",
+                             "verify-functional"});
+  support::CliArgs flags = parseFlags(args, std::move(known));
 
-  service::EvalRequest request;
   request.algorithms = service::algorithmListFromNames(flags.get("algos", "serial,hra,era"));
   request.seeds = service::parseSeedList(flags.get("seeds", "1"));
-
   const std::uint64_t samples = u64Flag(flags, "samples", 10);
   if (samples < 1 || samples > 1'000'000) throw UsageError{"--samples must be in [1, 1000000]"};
   request.samples = static_cast<int>(samples);
@@ -49,7 +49,10 @@ int runEvalCommand(const std::vector<std::string>& args, CommandIo& io) {
   request.extendedFeatures = flags.getBool("extended-features", false);
   request.verifyFunctional = flags.getBool("verify-functional", false);
   request.simBackend = simBackendFromFlag(flags.get("sim-backend", "sliced"));
-  request.includeWall = !noWall;
+  request.includeWall = !flags.getBool("no-wall", false);
+  request.session.keyPortName = flags.get("key-port", request.session.keyPortName);
+  request.moduleName = flags.get("module", "");
+  request.journalPath = flags.get("journal", "");
 
   request.campaign.threads = support::requestedThreads(flags);
   const std::uint64_t retries = u64Flag(flags, "retries", 1);
@@ -57,21 +60,48 @@ int runEvalCommand(const std::vector<std::string>& args, CommandIo& io) {
   request.campaign.retry.maxAttempts = 1 + static_cast<int>(retries);
   request.campaign.cellDeadlineMs = flags.getDouble("deadline-ms", 0.0);
   if (request.campaign.cellDeadlineMs < 0.0) throw UsageError{"--deadline-ms must be >= 0"};
-  request.campaign.keepErrors = flags.getBool("keep-errors", false);
   try {
     request.campaign.faults = campaign::FaultPlan::fromEnv();
   } catch (const support::Error& error) {
     throw UsageError{std::string{"RTLOCK_FAULT_INJECT: "} + error.what()};
   }
+  return flags;
+}
+
+void emitEvalReport(const support::CliArgs& flags, const service::EvalResponse& response,
+                    const std::string& inputPath, CommandIo& io) {
+  if (flags.has("report")) {
+    writeTextFile(flags.get("report", ""),
+                  service::evalReportDocument(response, inputPath).dump());
+    io.err << "report: " << flags.get("report", "") << "\n";
+  }
+  if (flags.has("report-csv")) {
+    std::ofstream csv{flags.get("report-csv", "")};
+    if (!csv) throw support::Error{"cannot open " + flags.get("report-csv", "") + " for writing"};
+    emitRows(csv, response.rows, /*csv=*/true);
+    io.err << "CSV report: " << flags.get("report-csv", "") << "\n";
+  }
+  emitRows(io.out, response.rows, flags.getBool("csv", false));
+}
+
+int evalExitCode(const service::EvalResponse& response, CommandIo& io) {
+  if (response.campaign.errorCells == 0 && response.campaign.timeoutCells == 0) return kExitOk;
+  io.err << "partial campaign: " << response.campaign.errorCells << " error cell(s), "
+         << response.campaign.timeoutCells << " timeout cell(s)\n";
+  return kExitPartial;
+}
+
+int runEvalCommand(const std::vector<std::string>& args, CommandIo& io) {
+  service::EvalRequest request;
+  const support::CliArgs flags =
+      parseEvalFlags(args, {"keep-errors", "check", "check-cells"}, request);
+  const std::string inputPath = onePositional(flags, "input netlist (input.v)");
+  request.campaign.keepErrors = flags.getBool("keep-errors", false);
   const bool check = flags.getBool("check", false);
   const std::size_t checkCells = static_cast<std::size_t>(u64Flag(flags, "check-cells", 3));
   if (check && !flags.has("journal")) throw UsageError{"--check requires --journal"};
-  request.journalPath = flags.get("journal", "");
   request.checkCells = check ? checkCells : 0;
-
   request.source = readTextFile(inputPath);
-  request.session.keyPortName = flags.get("key-port", request.session.keyPortName);
-  request.moduleName = flags.get("module", "");
 
   // From here on SIGINT/SIGTERM request a graceful drain (finish in-flight
   // cells, flush the journal, exit kExitInterrupted) instead of killing the
@@ -101,19 +131,7 @@ int runEvalCommand(const std::vector<std::string>& args, CommandIo& io) {
     return kExitInterrupted;
   }
 
-  if (flags.has("report")) {
-    writeTextFile(flags.get("report", ""),
-                  service::evalReportDocument(response, inputPath).dump());
-    io.err << "report: " << flags.get("report", "") << "\n";
-  }
-  if (flags.has("report-csv")) {
-    std::ofstream csv{flags.get("report-csv", "")};
-    if (!csv) throw support::Error{"cannot open " + flags.get("report-csv", "") + " for writing"};
-    emitRows(csv, response.rows, /*csv=*/true);
-    io.err << "CSV report: " << flags.get("report-csv", "") << "\n";
-  }
-
-  emitRows(io.out, response.rows, flags.getBool("csv", false));
+  emitEvalReport(flags, response, inputPath, io);
   io.err << response.cells.size() << " grid cell(s) (" << response.campaign.journaledCells
          << " from journal) in " << support::formatDouble(response.campaign.wallMs, 0) << " ms\n";
 
@@ -128,13 +146,7 @@ int runEvalCommand(const std::vector<std::string>& args, CommandIo& io) {
     }
     io.err << "check: " << response.checkedCells << " cell(s) recomputed, all byte-identical\n";
   }
-
-  if (response.campaign.errorCells > 0 || response.campaign.timeoutCells > 0) {
-    io.err << "partial campaign: " << response.campaign.errorCells << " error cell(s), "
-           << response.campaign.timeoutCells << " timeout cell(s)\n";
-    return kExitPartial;
-  }
-  return kExitOk;
+  return evalExitCode(response, io);
 }
 
 }  // namespace rtlock::cli

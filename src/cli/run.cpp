@@ -67,7 +67,7 @@ exit codes: 0 all cells ok, 3 some cells failed/timed out, 4 interrupted
 
 flags:
   --algos=LIST           comma-separated algorithms (default serial,hra,era)
-  --seeds=LIST           seeds: 1,2,7 or ranges 1..5 (default 1)
+  --seeds=LIST           seeds: 1,2,7 or ranges 1..5, at most 10000 (default 1)
   --samples=N            locked samples per cell (default 10, paper setup)
   --rounds=N             training relock rounds (default 1000)
   --budget=SPEC          key budget fraction, e.g. 75% (default 75%)
@@ -117,7 +117,8 @@ flags:
                          <manifest>.journals/<owner>.jsonl)
   --lease-ms=N           claim lease: older claims count as orphaned and are
                          reclaimed (default 60000; 0 disables reclaim)
-  --poll-ms=N            sweep sleep while other workers hold cells (default 50)
+  --poll-ms=N            retry and heartbeat interval while cells are held or
+                         running (default 50)
   --max-wait-ms=N        give up when the whole fleet makes no progress for
                          this long (default: wait forever)
   eval grid flags        --algos --seeds --samples --rounds --budget --folds

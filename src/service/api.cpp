@@ -4,9 +4,11 @@
 #include <chrono>
 #include <filesystem>
 #include <memory>
+#include <optional>
 #include <utility>
 
 #include "attack/pipeline.hpp"
+#include "campaign/manifest.hpp"
 #include "campaign/merge.hpp"
 #include "core/algorithms.hpp"
 #include "service/build_info.hpp"
@@ -271,12 +273,12 @@ AttackResponse runAttack(SessionCache& cache, const AttackRequest& request,
 
 namespace {
 
-/// The manifest-mode body of runEval: create-or-validate the shared
-/// manifest, work it through runWorker, and — once the whole fleet is done —
-/// merge every per-worker journal into the full campaign view so *any*
-/// finishing worker can emit the complete report.
-void runEvalOnManifest(const EvalRequest& request, const campaign::CampaignIdentity& identity,
-                       const campaign::CellFn& compute, EvalResponse& response) {
+/// Manifest mode: creates or validates the shared manifest for this
+/// request's grid and returns the worker's journal path (the explicit
+/// journalPath, else `<manifest>.journals/<workerId>.jsonl`).
+[[nodiscard]] std::string openManifest(const EvalRequest& request,
+                                       const campaign::CampaignIdentity& identity,
+                                       const EvalResponse& response, const std::string& workerId) {
   campaign::Manifest manifest;
   manifest.identity = identity;
   manifest.setup = response.setup;
@@ -310,47 +312,20 @@ void runEvalOnManifest(const EvalRequest& request, const campaign::CampaignIdent
                          "grid"};
   }
 
-  const std::string workerId =
-      request.workerId.empty() ? campaign::defaultWorkerId() : request.workerId;
-  std::string journalPath = request.journalPath;
-  if (journalPath.empty()) {
-    const std::string dir = campaign::journalsDirFor(request.manifestPath);
-    std::filesystem::create_directories(dir, ec);
-    if (ec && !std::filesystem::is_directory(dir)) {
-      throw support::Error{"cannot create journal directory " + dir + ": " + ec.message()};
-    }
-    journalPath = dir + "/" + workerId + ".jsonl";
+  if (!request.journalPath.empty()) return request.journalPath;
+  const std::string dir = campaign::journalsDirFor(request.manifestPath);
+  std::filesystem::create_directories(dir, ec);
+  if (ec && !std::filesystem::is_directory(dir)) {
+    throw support::Error{"cannot create journal directory " + dir + ": " + ec.message()};
   }
-  campaign::Journal journal{journalPath, identity};
-  response.journaled = true;
-  response.journalReloadedRows = journal.reloadedRows();
-  response.journalTornTail = journal.recoveredTornTail();
+  return dir + "/" + workerId + ".jsonl";
+}
 
-  campaign::WorkerOptions workerOptions;
-  workerOptions.campaign = request.campaign;
-  workerOptions.ownerId = workerId;
-  workerOptions.leaseMs = request.leaseMs;
-  workerOptions.pollMs = request.pollMs;
-  workerOptions.maxWaitMs = request.maxWaitMs;
-  response.distributed = true;
-  response.worker = campaign::runWorker(manifest, request.manifestPath, journal, workerOptions,
-                                        compute);
-
-  response.campaign.outcomes.resize(response.cells.size());
-  response.campaign.interrupted = response.worker.interrupted;
-  response.campaign.journaledCells = response.worker.journaledCells;
-  response.campaign.wallMs = response.worker.wallMs;
-  if (!response.worker.allDone) {
-    // The fleet has not converged (drain or no-progress timeout): report
-    // only this worker's counters, no rows.
-    response.campaign.okCells = response.worker.okCells;
-    response.campaign.errorCells = response.worker.errorCells;
-    response.campaign.timeoutCells = response.worker.timeoutCells;
-    response.campaign.skippedCells =
-        response.cells.size() - response.worker.computedCells - response.worker.journaledCells;
-    return;
-  }
-
+/// Once the fleet has converged: unions every per-worker journal into the
+/// full campaign view, so *any* finishing worker can emit the complete
+/// report.  The status counters then describe the whole fleet.
+void adoptFleetOutcomes(const EvalRequest& request, const std::string& journalPath,
+                        EvalResponse& response) {
   std::vector<std::string> journals =
       campaign::listJournals(campaign::journalsDirFor(request.manifestPath));
   if (std::find(journals.begin(), journals.end(), journalPath) == journals.end()) {
@@ -359,6 +334,8 @@ void runEvalOnManifest(const EvalRequest& request, const campaign::CampaignIdent
   }
   const campaign::MergeResult merged = campaign::mergeJournals(journals);
   response.mergedJournals = journals;
+  campaign::CampaignResult& fleet = response.campaign;
+  fleet.okCells = fleet.errorCells = fleet.timeoutCells = fleet.doneElsewhere = 0;
   for (std::size_t i = 0; i < response.cells.size(); ++i) {
     const auto it = merged.rows.find(response.cells[i].id.key());
     if (it == merged.rows.end()) {
@@ -367,16 +344,16 @@ void runEvalOnManifest(const EvalRequest& request, const campaign::CampaignIdent
                            "from " +
                            campaign::journalsDirFor(request.manifestPath) + "?"};
     }
-    response.campaign.outcomes[i] = campaign::outcomeFromRow(it->second);
-    switch (response.campaign.outcomes[i].status) {
+    fleet.outcomes[i] = campaign::outcomeFromRow(it->second);
+    switch (fleet.outcomes[i].status) {
       case campaign::CellStatus::Ok:
-        ++response.campaign.okCells;
+        ++fleet.okCells;
         break;
       case campaign::CellStatus::Timeout:
-        ++response.campaign.timeoutCells;
+        ++fleet.timeoutCells;
         break;
       default:
-        ++response.campaign.errorCells;
+        ++fleet.errorCells;
         break;
     }
   }
@@ -479,15 +456,6 @@ EvalResponse runEval(SessionCache& cache, const EvalRequest& request) {
   identity.design = original.name();
   identity.config = response.configText;
 
-  std::unique_ptr<campaign::Journal> journalHolder;
-  if (!request.journalPath.empty() && request.manifestPath.empty()) {
-    journalHolder = std::make_unique<campaign::Journal>(request.journalPath, identity);
-    response.journaled = true;
-    response.journalReloadedRows = journalHolder->reloadedRows();
-    response.journalTornTail = journalHolder->recoveredTornTail();
-  }
-  campaign::Journal* journal = journalHolder.get();
-
   response.cells.reserve(request.algorithms.size() * request.seeds.size());
   for (std::size_t a = 0; a < request.algorithms.size(); ++a) {
     const std::string algoName = service::algorithmName(request.algorithms[a]);
@@ -498,6 +466,31 @@ EvalResponse runEval(SessionCache& cache, const EvalRequest& request) {
       response.cells.push_back(std::move(cell));
     }
   }
+
+  // Manifest mode: claim cells through the shared manifest's board.  A fleet
+  // has no operator watching individual workers, so a journaled failure is
+  // final (keepErrors): a deterministic failure must not ping-pong between
+  // hosts forever.
+  campaign::CampaignOptions options = request.campaign;
+  std::string journalPath = request.journalPath;
+  std::optional<campaign::ClaimBoard> board;
+  std::optional<campaign::ClaimGate> gate;
+  if (!request.manifestPath.empty()) {
+    const std::string workerId =
+        request.workerId.empty() ? campaign::defaultWorkerId() : request.workerId;
+    journalPath = openManifest(request, identity, response, workerId);
+    board.emplace(request.manifestPath, workerId, request.leaseMs);
+    gate.emplace(campaign::ClaimGate{*board, request.pollMs, request.maxWaitMs});
+    options.keepErrors = true;
+  }
+  std::unique_ptr<campaign::Journal> journalHolder;
+  if (!journalPath.empty()) {
+    journalHolder = std::make_unique<campaign::Journal>(journalPath, identity);
+    response.journaled = true;
+    response.journalReloadedRows = journalHolder->reloadedRows();
+    response.journalTornTail = journalHolder->recoveredTornTail();
+  }
+  campaign::Journal* journal = journalHolder.get();
 
   // The cell body: pure in the cell identity (algorithm index recovered from
   // the grid position, rng derived from seed substream), so resumed and
@@ -522,14 +515,10 @@ EvalResponse runEval(SessionCache& cache, const EvalRequest& request) {
     return payloadFromResult(result);
   };
 
-  bool reportReady = false;
-  if (request.manifestPath.empty()) {
-    response.campaign = campaign::runCampaign(response.cells, request.campaign, journal, compute);
-    reportReady = !response.campaign.interrupted;
-  } else {
-    runEvalOnManifest(request, identity, compute, response);
-    reportReady = response.worker.allDone && !response.campaign.interrupted;
-  }
+  response.campaign = campaign::runCampaign(response.cells, options, journal, compute,
+                                            gate.has_value() ? &*gate : nullptr);
+  const bool reportReady = response.campaign.allDone() && !response.campaign.interrupted;
+  if (reportReady && gate.has_value()) adoptFleetOutcomes(request, journalPath, response);
 
   for (std::size_t i = 0; i < response.cells.size(); ++i) {
     const campaign::CellOutcome& outcome = response.campaign.outcomes[i];

@@ -24,7 +24,6 @@
 
 #include "attack/snapshot.hpp"
 #include "campaign/runner.hpp"
-#include "campaign/worker.hpp"
 #include "service/session.hpp"
 #include "service/types.hpp"
 
@@ -132,8 +131,8 @@ struct EvalRequest {
   // non-empty manifestPath switches runEval from owning the whole grid to
   // claiming cells from the shared manifest (created atomically on first
   // use, validated against the request on every use).  journalPath then
-  // defaults to `<manifest>.journals/<workerId>.jsonl`; checkCells is
-  // ignored (a worker's journal holds only its own cells).
+  // defaults to `<manifest>.journals/<workerId>.jsonl`, and journaled
+  // error/timeout rows are kept (campaign.keepErrors is forced on).
   std::string manifestPath;
   std::string workerId;       // empty = "<hostname>-<pid>"
   double leaseMs = 60000.0;   // claim lease; <= 0 disables stale-claim steals
@@ -157,10 +156,9 @@ struct EvalResponse {
   std::size_t checkedCells = 0;
   std::vector<std::string> checkMismatches;
 
-  // Manifest mode only.
-  bool distributed = false;
-  campaign::WorkerReport worker;
-  std::vector<std::string> mergedJournals;  // journals unioned for the report
+  // Manifest mode: the journals unioned for the report once the fleet
+  // converged (campaign.allDone()); campaign's counters then cover the fleet.
+  std::vector<std::string> mergedJournals;
 };
 
 /// Runs the (algorithm x seed) grid through the campaign runner.  With a

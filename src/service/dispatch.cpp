@@ -70,6 +70,9 @@ namespace {
   if (value == nullptr) return {1};
   if (value->isString()) return parseSeedList(value->asString());
   if (value->isArray()) {
+    if (value->asArray().size() > kMaxSeeds) {
+      throw BadRequest{"field 'seeds' lists more than " + std::to_string(kMaxSeeds) + " seeds"};
+    }
     std::vector<std::uint64_t> seeds;
     for (const support::JsonValue& entry : value->asArray()) {
       try {
@@ -283,7 +286,7 @@ HttpResponse Dispatcher::route(const HttpRequest& request) {
   if (result.campaign.interrupted) {
     return errorResponse(503, "campaign interrupted by server shutdown");
   }
-  if (result.distributed && !result.worker.allDone) {
+  if (!result.campaign.allDone()) {
     return errorResponse(504, "fleet not converged: manifest cells still unfinished after " +
                                   std::to_string(static_cast<long long>(evalRequest.maxWaitMs)) +
                                   " ms without progress");

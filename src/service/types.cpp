@@ -49,6 +49,9 @@ std::vector<lock::Algorithm> algorithmListFromNames(const std::string& text) {
 
 std::vector<std::uint64_t> parseSeedList(const std::string& text) {
   std::vector<std::uint64_t> seeds;
+  const auto tooMany = [] {
+    return BadRequest{"seeds list expands to more than " + std::to_string(kMaxSeeds) + " seeds"};
+  };
   for (const std::string& piece : support::split(text, ',')) {
     const std::string item{support::trim(piece)};
     if (item.empty()) continue;
@@ -59,15 +62,17 @@ std::vector<std::uint64_t> parseSeedList(const std::string& text) {
     if (dots == std::string::npos) {
       const std::optional<std::uint64_t> seed = support::parseU64(item);
       if (!seed.has_value()) throw malformed();
+      if (seeds.size() == kMaxSeeds) throw tooMany();
       seeds.push_back(*seed);
       continue;
     }
     const std::optional<std::uint64_t> first = support::parseU64(item.substr(0, dots));
     const std::optional<std::uint64_t> last = support::parseU64(item.substr(dots + 2));
     if (!first.has_value() || !last.has_value()) throw malformed();
-    if (*last < *first || *last - *first > 10'000) {
-      throw BadRequest{"seeds range '" + item + "' must ascend and span at most 10000 seeds"};
-    }
+    if (*last < *first) throw BadRequest{"seeds range '" + item + "' must ascend"};
+    // The range holds last - first + 1 seeds; compared without the +1 so a
+    // 0..2^64-1 range cannot wrap.
+    if (*last - *first >= kMaxSeeds - seeds.size()) throw tooMany();
     for (std::uint64_t s = *first; s <= *last; ++s) seeds.push_back(s);
   }
   if (seeds.empty()) throw BadRequest{"no seeds listed"};

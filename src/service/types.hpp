@@ -8,6 +8,7 @@
 // unchanged.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -45,9 +46,15 @@ class BadRequest : public support::Error {
 /// or any name is unknown.
 [[nodiscard]] std::vector<lock::Algorithm> algorithmListFromNames(const std::string& text);
 
-/// Seed list: "1,2,7" and inclusive ranges "1..5" (span capped at 10000).
-/// Every token goes through support::parseU64 — trailing junk and negative
-/// values are BadRequest, never silently misread.
+/// Most seeds one request may list: every seed becomes a grid cell per
+/// algorithm, so an unbounded list lets a few bytes of request allocate
+/// without limit.
+inline constexpr std::size_t kMaxSeeds = 10'000;
+
+/// Seed list: "1,2,7" and inclusive ranges "1..5", at most kMaxSeeds seeds
+/// in total (checked while the list expands).  Every token goes through
+/// support::parseU64 — trailing junk and negative values are BadRequest,
+/// never silently misread.
 [[nodiscard]] std::vector<std::uint64_t> parseSeedList(const std::string& text);
 
 // ---- key budgets -----------------------------------------------------------

@@ -92,6 +92,9 @@ TEST(CliDispatchTest, SeedsRejectTrailingJunkAndNegatives) {
   EXPECT_EQ(runCli({"eval", "in.v", "--seeds=1,2x,3"}).exitCode, cli::kExitUsage);
   EXPECT_EQ(runCli({"eval", "in.v", "--seeds=5..1x"}).exitCode, cli::kExitUsage);
   EXPECT_EQ(runCli({"eval", "in.v", "--seeds=9..1"}).exitCode, cli::kExitUsage);
+  // The whole list is capped, not just each range.
+  EXPECT_EQ(runCli({"eval", "in.v", "--seeds=1..6000,7001..13000"}).exitCode, cli::kExitUsage);
+  EXPECT_EQ(runCli({"work", "in.v", "--manifest=m", "--seeds=0..10000"}).exitCode, cli::kExitUsage);
 }
 
 TEST(CliDispatchTest, IntegerFlagsRejectMalformedValues) {

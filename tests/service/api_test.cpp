@@ -10,8 +10,11 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <filesystem>
 #include <string>
 
+#include "campaign/fault.hpp"
+#include "campaign/manifest.hpp"
 #include "campaign/runner.hpp"
 #include "support/diagnostics.hpp"
 
@@ -211,6 +214,85 @@ TEST(RunEvalTest, ParseFailureSurfacesAsError) {
   EvalRequest request = evalRequest();
   request.source = "module broken (";
   EXPECT_THROW((void)runEval(cache, request), support::Error);
+}
+
+[[nodiscard]] std::string freshDir(const std::string& tag) {
+  const std::string dir = ::testing::TempDir() + "api_" + tag;
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  return dir;
+}
+
+void expectPartition(const campaign::CampaignResult& result) {
+  EXPECT_EQ(result.okCells + result.errorCells + result.timeoutCells + result.skippedCells +
+                result.doneElsewhere,
+            result.outcomes.size());
+}
+
+TEST(RunEvalTest, ErrorRowsRerunOnResumeExceptInManifestMode) {
+  const std::string dir = freshDir("resume_rule");
+  SessionCache cache;
+  EvalRequest failing = evalRequest();
+  failing.campaign.retry.maxAttempts = 1;
+  failing.campaign.faults = campaign::FaultPlan::parse("cell:0:throw");
+  EvalRequest resumed = evalRequest();
+
+  // Single process: the journaled error row is re-run on resume.
+  failing.journalPath = resumed.journalPath = dir + "/eval.jsonl";
+  EXPECT_EQ(runEval(cache, failing).campaign.errorCells, 1u);
+  const EvalResponse rerun = runEval(cache, resumed);
+  EXPECT_EQ(rerun.campaign.computedCells, 1u);
+  EXPECT_EQ(rerun.campaign.okCells, 2u);
+  EXPECT_EQ(rerun.campaign.errorCells, 0u);
+
+  // Manifest mode: the error row is final, even against a wiped claim board.
+  failing.journalPath.clear();
+  resumed.journalPath.clear();
+  failing.manifestPath = resumed.manifestPath = dir + "/c.manifest";
+  failing.workerId = resumed.workerId = "w";
+  const EvalResponse first = runEval(cache, failing);
+  EXPECT_TRUE(first.campaign.allDone());
+  EXPECT_EQ(first.campaign.errorCells, 1u);
+  std::filesystem::remove_all(dir + "/c.manifest.claims");
+  const EvalResponse kept = runEval(cache, resumed);
+  EXPECT_TRUE(kept.campaign.allDone());
+  EXPECT_EQ(kept.campaign.computedCells, 0u);
+  EXPECT_EQ(kept.campaign.journaledCells, 2u);
+  EXPECT_EQ(kept.campaign.errorCells, 1u);
+  EXPECT_EQ(kept.cellErrors.size(), 1u);
+}
+
+TEST(RunEvalTest, UnconvergedManifestCountersPartitionTheGrid) {
+  const std::string dir = freshDir("unconverged");
+  const std::string manifestPath = dir + "/c.manifest";
+  // Cell 1 was finished by a rival; cell 2 is held by a wedged rival whose
+  // lease never expires.
+  campaign::ClaimBoard rival{manifestPath, "rival", 0.0};
+  rival.markDone(1, "ok");
+  ASSERT_EQ(rival.tryClaim(2).status, campaign::ClaimStatus::Acquired);
+
+  EvalRequest request = evalRequest();
+  request.seeds = {1, 2, 3};
+  request.manifestPath = manifestPath;
+  request.workerId = "w";
+  request.pollMs = 5.0;
+  request.maxWaitMs = 100.0;
+  SessionCache cache;
+  for (const bool resumed : {false, true}) {
+    const EvalResponse response = runEval(cache, request);
+    const campaign::CampaignResult& run = response.campaign;
+    EXPECT_TRUE(run.timedOut);
+    EXPECT_FALSE(run.allDone());
+    EXPECT_TRUE(response.rows.empty());
+    // Cell 0 counts as ok whether computed now or reloaded from the journal;
+    // the rival's cell is done elsewhere, not "not run".
+    EXPECT_EQ(run.okCells, 1u);
+    EXPECT_EQ(run.computedCells, resumed ? 0u : 1u);
+    EXPECT_EQ(run.journaledCells, resumed ? 1u : 0u);
+    EXPECT_EQ(run.doneElsewhere, 1u);
+    EXPECT_EQ(run.skippedCells, 1u);
+    expectPartition(run);
+  }
 }
 
 }  // namespace

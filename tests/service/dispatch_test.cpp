@@ -171,5 +171,26 @@ TEST_F(DispatchTest, EvalRejectsEmptyAxes) {
   EXPECT_NE(response.body.find("seeds"), std::string::npos);
 }
 
+TEST_F(DispatchTest, EvalRejectsOversizedSeedLists) {
+  // 900 bytes of "0..10000," used to expand to a million seeds (three
+  // million grid cells) before any check ran.
+  std::string ranges;
+  for (int i = 0; i < 100; ++i) ranges += "0..10000,";
+  support::JsonArray many;
+  for (std::int64_t seed = 0; seed <= static_cast<std::int64_t>(kMaxSeeds); ++seed) {
+    many.emplace_back(seed);
+  }
+  const auto expectRejected = [this](support::JsonValue seeds) {
+    support::JsonValue body;
+    body.set("source", kMixer);
+    body.set("seeds", std::move(seeds));
+    const HttpResponse response = dispatcher_.handle(makeRequest("POST", "/v1/eval", body.dump()));
+    EXPECT_EQ(response.status, 400);
+    EXPECT_NE(response.body.find("10000 seeds"), std::string::npos) << response.body;
+  };
+  expectRejected(support::JsonValue{ranges});
+  expectRejected(support::JsonValue{std::move(many)});
+}
+
 }  // namespace
 }  // namespace rtlock::service
