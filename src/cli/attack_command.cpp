@@ -12,48 +12,19 @@
 // --seed root and repeats shard across --threads workers, so the quality
 // rows (and with --no-wall the whole report file) are bit-identical at every
 // thread count.
-#include <fstream>
-
 #include "cli/common.hpp"
 #include "service/api.hpp"
 #include "support/strings.hpp"
 
 namespace rtlock::cli {
 
-int runAttackCommand(const std::vector<std::string>& args, CommandIo& io) {
-  const support::CliArgs flags = parseFlags(
-      args, {"key", "module", "key-port", "rounds", "relock-budget", "folds", "repeats", "seed",
-             "threads", "extended-features", "report", "report-csv", "csv", "no-wall"});
-  const std::string inputPath = onePositional(flags, "locked netlist (locked.v)");
+int runAttackCommand(const service::FieldValues& flags, CommandIo& io) {
+  const std::string inputPath = flags.positional().front();
 
-  service::AttackRequest request;
-  request.seed = u64Flag(flags, "seed", 1);
-  const std::uint64_t repeatsRaw = u64Flag(flags, "repeats", 1);
-  if (repeatsRaw < 1 || repeatsRaw > 1'000'000) {
-    throw UsageError{"--repeats must be in [1, 1000000]"};
-  }
-  request.repeats = static_cast<int>(repeatsRaw);
-  request.threads = support::requestedThreads(flags);
-  request.includeWall = !flags.getBool("no-wall", false);
-  const std::uint64_t rounds = u64Flag(flags, "rounds", 1000);
-  if (rounds < 1 || rounds > 1'000'000'000) {
-    throw UsageError{"--rounds must be in [1, 1000000000]"};
-  }
-  request.rounds = static_cast<int>(rounds);
-  request.relockBudget = parseBudget(flags.get("relock-budget", "75%"));
-  if (!request.relockBudget.isFraction) {
-    throw UsageError{"--relock-budget takes a fraction of the target's operations (e.g. 75%)"};
-  }
-  const std::uint64_t folds = u64Flag(flags, "folds", 3);
-  if (folds < 2 || folds > 1000) throw UsageError{"--folds must be in [2, 1000]"};
-  request.folds = static_cast<int>(folds);
-  request.extendedFeatures = flags.getBool("extended-features", false);
-
+  service::AttackRequest request = service::attackRequestFrom(flags);
   request.source = readTextFile(inputPath);
-  request.session.keyPortName = flags.get("key-port", request.session.keyPortName);
-  request.moduleName = flags.get("module", "");
   if (flags.has("key")) {
-    request.key = keyFileFromJson(support::parseJson(readTextFile(flags.get("key", ""))));
+    request.key = keyFileFromJson(support::parseJson(readTextFile(flags.text("key"))));
   } else {
     io.err << "note: no --key file — KPA cannot be scored, reporting raw predictions\n";
   }
@@ -61,19 +32,9 @@ int runAttackCommand(const std::vector<std::string>& args, CommandIo& io) {
   service::SessionCache cache;
   const service::AttackResponse response = service::runAttack(cache, request);
 
-  if (flags.has("report")) {
-    writeTextFile(flags.get("report", ""),
-                  service::attackReportDocument(request, response, inputPath).dump());
-    io.err << "report: " << flags.get("report", "") << "\n";
-  }
-  if (flags.has("report-csv")) {
-    std::ofstream csv{flags.get("report-csv", "")};
-    if (!csv) throw support::Error{"cannot open " + flags.get("report-csv", "") + " for writing"};
-    emitRows(csv, response.rows, /*csv=*/true);
-    io.err << "CSV report: " << flags.get("report-csv", "") << "\n";
-  }
-
-  emitRows(io.out, response.rows, flags.getBool("csv", false));
+  writeReports(flags, service::attackReportDocument(request, response, inputPath), response.rows,
+               io);
+  emitRows(io.out, response.rows, flags.flag("csv"));
   const attack::SnapshotResult& first = response.repeats.front().result;
   io.err << "model: " << first.modelName << " (cv "
          << support::formatDouble(100.0 * first.cvAccuracy, 1) << "%)";

@@ -1,13 +1,6 @@
-// rtlock — the end-to-end command-line tool over the library.
-//
-// One binary, five subcommands, covering the paper's whole workflow on
-// arbitrary user-supplied Verilog (docs/CLI.md is the reference manual):
-//
-//   rtlock lock input.v --algo=hra --budget=50%   # lock, emit netlist + key
-//   rtlock attack locked.v --key=key.json         # SnapShot attack + KPA
-//   rtlock eval input.v --algos=hra,era           # lock+attack seed grids
-//   rtlock report report.json                     # render any report JSON
-//   rtlock designs                                # the built-in registry
+// rtlock — the end-to-end command-line tool over the library: one binary
+// whose subcommands (cli/run.cpp's table) cover the paper's whole workflow
+// on arbitrary user-supplied Verilog; docs/CLI.md is the manual.
 //
 // The entry point is a function, not main(): tests drive the CLI in-process
 // through runCli with captured streams, and bin/main.cpp is a two-line shim.

@@ -8,36 +8,6 @@
 
 namespace rtlock::cli {
 
-support::CliArgs parseFlags(const std::vector<std::string>& args,
-                            std::vector<std::string> knownFlags) {
-  std::vector<const char*> argv;
-  argv.reserve(args.size() + 1);
-  argv.push_back("rtlock");
-  for (const std::string& arg : args) argv.push_back(arg.c_str());
-  try {
-    return support::CliArgs(static_cast<int>(argv.size()), argv.data(), std::move(knownFlags));
-  } catch (const support::Error& error) {
-    throw UsageError{error.what()};
-  }
-}
-
-std::string onePositional(const support::CliArgs& args, const char* what) {
-  if (args.positional().empty()) throw UsageError{std::string{"missing "} + what};
-  if (args.positional().size() > 1) {
-    throw UsageError{"unexpected extra argument '" + args.positional()[1] + "'"};
-  }
-  return args.positional().front();
-}
-
-std::uint64_t u64Flag(const support::CliArgs& args, std::string_view name,
-                      std::uint64_t fallback) {
-  try {
-    return args.getU64(name, fallback);
-  } catch (const support::Error& error) {
-    throw UsageError{error.what()};
-  }
-}
-
 std::string readTextFile(const std::string& path) {
   std::ifstream in{path, std::ios::binary};
   if (!in) throw support::Error{"cannot open " + path};
@@ -53,6 +23,20 @@ void writeTextFile(const std::string& path, const std::string& text) {
   if (!out) throw support::Error{"failed writing " + path};
 }
 
+void writeReports(const service::FieldValues& flags, const support::JsonValue& document,
+                  const std::vector<ReportRow>& rows, CommandIo& io) {
+  if (flags.has("report")) {
+    writeTextFile(flags.text("report"), document.dump());
+    io.err << "report: " << flags.text("report") << "\n";
+  }
+  if (flags.has("report-csv")) {
+    std::ostringstream csv;
+    emitRows(csv, rows, /*csv=*/true);
+    writeTextFile(flags.text("report-csv"), csv.str());
+    io.err << "CSV report: " << flags.text("report-csv") << "\n";
+  }
+}
+
 void emitRows(std::ostream& out, const std::vector<ReportRow>& rows, bool csv) {
   support::Table table{{"bench", "config", "metric", "value", "wall_ms"}};
   for (const ReportRow& row : rows) {
@@ -64,39 +48,6 @@ void emitRows(std::ostream& out, const std::vector<ReportRow>& rows, bool csv) {
   } else {
     table.renderText(out);
   }
-}
-
-rtl::Module& selectModule(rtl::Design& design, const support::CliArgs& args, bool requireKey) {
-  std::vector<std::string> names;
-  for (std::size_t i = 0; i < design.moduleCount(); ++i) {
-    names.push_back(design.module(i).name());
-  }
-  if (args.has("module")) {
-    const std::string wanted = args.get("module", "");
-    if (rtl::Module* module = design.findModule(wanted)) return *module;
-    throw support::Error{"no module named \"" + wanted + "\" (design has: " +
-                         support::join(names, ", ") + ")"};
-  }
-  rtl::Module* chosen = nullptr;
-  std::size_t eligible = 0;
-  for (std::size_t i = 0; i < design.moduleCount(); ++i) {
-    rtl::Module& module = design.module(i);
-    if (requireKey && module.keyWidth() == 0) continue;
-    ++eligible;
-    if (chosen == nullptr) chosen = &module;
-  }
-  if (chosen == nullptr) {
-    throw support::Error{
-        requireKey
-            ? "no module has a key input — is this netlist locked, and is the key port named "
-              "correctly (see --key-port)?"
-            : "design contains no modules"};
-  }
-  if (eligible > 1) {
-    throw support::Error{"design has several candidate modules (" + support::join(names, ", ") +
-                         ") — pick one with --module=NAME"};
-  }
-  return *chosen;
 }
 
 }  // namespace rtlock::cli

@@ -10,17 +10,12 @@
 
 namespace rtlock::cli {
 
-int runDesignsCommand(const std::vector<std::string>& args, CommandIo& io) {
-  const support::CliArgs flags = parseFlags(args, {"csv", "emit"});
-  if (!flags.positional().empty()) {
-    throw UsageError{"unexpected argument '" + flags.positional().front() + "'"};
-  }
+int runDesignsCommand(const service::FieldValues& flags, CommandIo& io) {
 
   // --emit=NAME dumps one registry design as Verilog so the file-based
   // commands can chew on exactly what the figure benches evaluate.
   if (flags.has("emit")) {
-    const std::string name = flags.get("emit", "");
-    const rtl::Module module = designs::makeBenchmark(name);
+    const rtl::Module module = designs::makeBenchmark(flags.text("emit"));
     io.out << verilog::writeModule(module);
     return kExitOk;
   }
@@ -33,7 +28,7 @@ int runDesignsCommand(const std::vector<std::string>& args, CommandIo& io) {
     table.addRow({info.name, info.description, std::to_string(ops),
                   std::to_string(static_cast<int>(0.75 * ops))});
   }
-  if (flags.getBool("csv", false)) {
+  if (flags.flag("csv")) {
     table.renderCsv(io.out);
   } else {
     table.renderText(io.out);

@@ -10,10 +10,17 @@
 // instead of aborting the grid; campaigns with failed cells exit with
 // kExitPartial, an interrupted (SIGINT/SIGTERM) drain with
 // kExitInterrupted.  docs/CAMPAIGNS.md covers the journal format and the
-// fault-injection harness.  The flag parsing and report output it shares
-// with `rtlock work` live here too.
-#include <fstream>
-
+// fault-injection harness.
+//
+// `rtlock work` — one worker of a distributed eval campaign — lives here too:
+// it takes the same grid flags plus the manifest rows.  Any number of
+// workers (any hosts sharing a filesystem) point at the same --manifest:
+// the first creates it atomically, each claims cells through lease-based
+// claim files and journals to `<manifest>.journals/`, and each that sees
+// the fleet converge prints the merged report, byte-identical to a
+// single-process `rtlock eval`.  A dead worker's claim expires after
+// --lease-ms and a survivor reclaims it; the determinism contract makes any
+// double compute merge away (docs/CAMPAIGNS.md).
 #include "campaign/runner.hpp"
 #include "cli/common.hpp"
 #include "service/api.hpp"
@@ -21,86 +28,41 @@
 
 namespace rtlock::cli {
 
-support::CliArgs parseEvalFlags(const std::vector<std::string>& args,
-                                const std::vector<std::string>& ownFlags,
-                                service::EvalRequest& request) {
-  std::vector<std::string> known = ownFlags;
-  known.insert(known.end(), {"algos", "seeds", "samples", "rounds", "budget", "folds", "module",
-                             "key-port", "threads", "extended-features", "report", "report-csv",
-                             "csv", "no-wall", "journal", "retries", "deadline-ms", "sim-backend",
-                             "verify-functional"});
-  support::CliArgs flags = parseFlags(args, std::move(known));
+namespace {
 
-  request.algorithms = service::algorithmListFromNames(flags.get("algos", "serial,hra,era"));
-  request.seeds = service::parseSeedList(flags.get("seeds", "1"));
-  const std::uint64_t samples = u64Flag(flags, "samples", 10);
-  if (samples < 1 || samples > 1'000'000) throw UsageError{"--samples must be in [1, 1000000]"};
-  request.samples = static_cast<int>(samples);
-  request.budget = parseBudget(flags.get("budget", "75%"));
-  if (!request.budget.isFraction) {
-    throw UsageError{"--budget takes a fraction of the module's operations here (e.g. 75%)"};
-  }
-  const std::uint64_t rounds = u64Flag(flags, "rounds", 1000);
-  if (rounds > 1'000'000'000) throw UsageError{"--rounds must be at most 1000000000"};
-  request.rounds = static_cast<int>(rounds);
-  const std::uint64_t folds = u64Flag(flags, "folds", 3);
-  if (folds < 2 || folds > 1000) throw UsageError{"--folds must be in [2, 1000]"};
-  request.folds = static_cast<int>(folds);
-  request.extendedFeatures = flags.getBool("extended-features", false);
-  request.verifyFunctional = flags.getBool("verify-functional", false);
-  request.simBackend = simBackendFromFlag(flags.get("sim-backend", "sliced"));
-  request.includeWall = !flags.getBool("no-wall", false);
-  request.session.keyPortName = flags.get("key-port", request.session.keyPortName);
-  request.moduleName = flags.get("module", "");
-  request.journalPath = flags.get("journal", "");
-
-  request.campaign.threads = support::requestedThreads(flags);
-  const std::uint64_t retries = u64Flag(flags, "retries", 1);
-  if (retries > 100) throw UsageError{"--retries must be at most 100"};
-  request.campaign.retry.maxAttempts = 1 + static_cast<int>(retries);
-  request.campaign.cellDeadlineMs = flags.getDouble("deadline-ms", 0.0);
-  if (request.campaign.cellDeadlineMs < 0.0) throw UsageError{"--deadline-ms must be >= 0"};
+/// The request the flags describe, with RTLOCK_FAULT_INJECT as the fault
+/// plan.  Reads no file, so a usage error exits before the netlist is read.
+[[nodiscard]] service::EvalRequest evalRequestFromFlags(const service::FieldValues& flags) {
+  service::EvalRequest request = service::evalRequestFrom(flags);
   try {
     request.campaign.faults = campaign::FaultPlan::fromEnv();
   } catch (const support::Error& error) {
     throw UsageError{std::string{"RTLOCK_FAULT_INJECT: "} + error.what()};
   }
-  return flags;
+  return request;
 }
 
-void emitEvalReport(const support::CliArgs& flags, const service::EvalResponse& response,
+void emitEvalReport(const service::FieldValues& flags, const service::EvalResponse& response,
                     const std::string& inputPath, CommandIo& io) {
-  if (flags.has("report")) {
-    writeTextFile(flags.get("report", ""),
-                  service::evalReportDocument(response, inputPath).dump());
-    io.err << "report: " << flags.get("report", "") << "\n";
-  }
-  if (flags.has("report-csv")) {
-    std::ofstream csv{flags.get("report-csv", "")};
-    if (!csv) throw support::Error{"cannot open " + flags.get("report-csv", "") + " for writing"};
-    emitRows(csv, response.rows, /*csv=*/true);
-    io.err << "CSV report: " << flags.get("report-csv", "") << "\n";
-  }
-  emitRows(io.out, response.rows, flags.getBool("csv", false));
+  writeReports(flags, service::evalReportDocument(response, inputPath), response.rows, io);
+  emitRows(io.out, response.rows, flags.flag("csv"));
 }
 
-int evalExitCode(const service::EvalResponse& response, CommandIo& io) {
+/// kExitPartial (with a summary) when any cell ended in an error or timeout.
+[[nodiscard]] int evalExitCode(const service::EvalResponse& response, CommandIo& io) {
   if (response.campaign.errorCells == 0 && response.campaign.timeoutCells == 0) return kExitOk;
   io.err << "partial campaign: " << response.campaign.errorCells << " error cell(s), "
          << response.campaign.timeoutCells << " timeout cell(s)\n";
   return kExitPartial;
 }
 
-int runEvalCommand(const std::vector<std::string>& args, CommandIo& io) {
-  service::EvalRequest request;
-  const support::CliArgs flags =
-      parseEvalFlags(args, {"keep-errors", "check", "check-cells"}, request);
-  const std::string inputPath = onePositional(flags, "input netlist (input.v)");
-  request.campaign.keepErrors = flags.getBool("keep-errors", false);
-  const bool check = flags.getBool("check", false);
-  const std::size_t checkCells = static_cast<std::size_t>(u64Flag(flags, "check-cells", 3));
+}  // namespace
+
+int runEvalCommand(const service::FieldValues& flags, CommandIo& io) {
+  service::EvalRequest request = evalRequestFromFlags(flags);
+  const std::string inputPath = flags.positional().front();
+  const bool check = flags.flag("check");
   if (check && !flags.has("journal")) throw UsageError{"--check requires --journal"};
-  request.checkCells = check ? checkCells : 0;
   request.source = readTextFile(inputPath);
 
   // From here on SIGINT/SIGTERM request a graceful drain (finish in-flight
@@ -146,6 +108,43 @@ int runEvalCommand(const std::vector<std::string>& args, CommandIo& io) {
     }
     io.err << "check: " << response.checkedCells << " cell(s) recomputed, all byte-identical\n";
   }
+  return evalExitCode(response, io);
+}
+
+int runWorkCommand(const service::FieldValues& flags, CommandIo& io) {
+  service::EvalRequest request = evalRequestFromFlags(flags);
+  const std::string inputPath = flags.positional().front();
+  if (!flags.has("manifest")) throw UsageError{"--manifest=PATH is required (the shared manifest)"};
+  request.source = readTextFile(inputPath);
+
+  const campaign::ScopedSignalHandlers signalGuard;
+  service::SessionCache cache;
+  const service::EvalResponse response = service::runEval(cache, request);
+  const campaign::CampaignResult& run = response.campaign;
+
+  io.err << "worker " << (request.workerId.empty() ? "(auto)" : request.workerId) << ": manifest "
+         << request.manifestPath << ", " << response.cells.size() << " cell(s)\n";
+  io.err << "computed " << run.computedCells << " cell(s), " << run.journaledCells
+         << " from own journal, " << run.steals << " stale lease(s) reclaimed\n";
+  for (const std::string& line : response.cellErrors) io.err << line << "\n";
+
+  if (run.interrupted) {
+    io.err << "interrupted: rerun this worker to resume its journal\n";
+    return kExitInterrupted;
+  }
+  if (!run.allDone()) {
+    io.err << "fleet not converged: " << run.okCells << " ok, " << run.errorCells << " error, "
+           << run.timeoutCells << " timeout here, " << run.doneElsewhere
+           << " done by other workers, " << run.skippedCells << " unfinished";
+    if (run.timedOut) io.err << " (no progress for --max-wait-ms)";
+    io.err << " — rerun against the manifest, or merge what exists with rtlock merge\n";
+    return kExitPartial;
+  }
+
+  emitEvalReport(flags, response, inputPath, io);
+  io.err << "fleet converged: " << response.cells.size() << " grid cell(s) merged from "
+         << response.mergedJournals.size() << " journal(s) in "
+         << support::formatDouble(run.wallMs, 0) << " ms\n";
   return evalExitCode(response, io);
 }
 

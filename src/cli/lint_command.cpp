@@ -8,7 +8,6 @@
 // resilience summary.  Rows follow the BENCH_baseline.json schema so the
 // output feeds the same `rtlock report` tooling as every other command.
 #include <chrono>
-#include <fstream>
 #include <iterator>
 
 #include "analysis/lint.hpp"
@@ -46,23 +45,25 @@ using Clock = std::chrono::steady_clock;
 
 }  // namespace
 
-int runLintCommand(const std::vector<std::string>& args, CommandIo& io) {
-  const support::CliArgs flags =
-      parseFlags(args, {"module", "key-port", "report", "report-csv", "csv", "json", "no-wall"});
-  const std::string inputPath = onePositional(flags, "input netlist (locked.v)");
-  const bool noWall = flags.getBool("no-wall", false);
+int runLintCommand(const service::FieldValues& flags, CommandIo& io) {
+  const std::string inputPath = flags.positional().front();
+  const bool noWall = flags.flag("no-wall");
 
   verilog::ParserOptions parserOptions;
-  parserOptions.keyPortName = flags.get("key-port", parserOptions.keyPortName);
+  parserOptions.keyPortName = flags.text("key-port");
   rtl::Design design = verilog::parseDesign(readTextFile(inputPath), parserOptions);
 
   std::vector<const rtl::Module*> modules;
-  if (flags.has("module")) {
-    modules.push_back(&selectModule(design, flags, /*requireKey=*/false));
-  } else {
-    for (std::size_t i = 0; i < design.moduleCount(); ++i) {
+  std::vector<std::string> names;
+  for (std::size_t i = 0; i < design.moduleCount(); ++i) {
+    names.push_back(design.module(i).name());
+    if (!flags.has("module") || names.back() == flags.text("module")) {
       modules.push_back(&design.module(i));
     }
+  }
+  if (flags.has("module") && modules.empty()) {
+    throw support::Error{"no module named \"" + flags.text("module") + "\" (design has: " +
+                         support::join(names, ", ") + ")"};
   }
 
   std::vector<analysis::Diagnostic> findings;
@@ -104,25 +105,15 @@ int runLintCommand(const std::vector<std::string>& args, CommandIo& io) {
   document.set("findings", findingsToJson(findings));
   document.set("rows", rowsToJson(rows));
 
-  if (flags.has("report")) {
-    writeTextFile(flags.get("report", ""), document.dump());
-    io.err << "report: " << flags.get("report", "") << "\n";
-  }
-  if (flags.has("report-csv")) {
-    std::ofstream csv{flags.get("report-csv", "")};
-    if (!csv) throw support::Error{"cannot open " + flags.get("report-csv", "") + " for writing"};
-    emitRows(csv, rows, /*csv=*/true);
-    io.err << "CSV report: " << flags.get("report-csv", "") << "\n";
-  }
-
-  if (flags.getBool("json", false)) {
+  writeReports(flags, document, rows, io);
+  if (flags.flag("json")) {
     io.out << document.dump() << "\n";
   } else {
     for (const analysis::Diagnostic& finding : findings) {
       io.out << analysis::describe(finding) << "\n";
     }
     if (!findings.empty()) io.out << "\n";
-    emitRows(io.out, rows, flags.getBool("csv", false));
+    emitRows(io.out, rows, flags.flag("csv"));
   }
   io.err << findings.size() << " finding(s) across " << modules.size() << " module(s)\n";
   return sawErrors ? kExitError : kExitOk;

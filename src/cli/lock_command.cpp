@@ -26,19 +26,14 @@ namespace {
 
 }  // namespace
 
-int runLockCommand(const std::vector<std::string>& args, CommandIo& io) {
-  const support::CliArgs flags = parseFlags(
-      args, {"algo", "budget", "seed", "out", "key-out", "key-port", "csv", "no-banner"});
-  const std::string inputPath = onePositional(flags, "input netlist (input.v)");
-  const std::string outPath = flags.get("out", stemOf(inputPath) + ".locked.v");
-  const std::string keyOutPath = flags.get("key-out", stemOf(inputPath) + ".key.json");
+int runLockCommand(const service::FieldValues& flags, CommandIo& io) {
+  const std::string inputPath = flags.positional().front();
+  const std::string outPath =
+      flags.has("out") ? flags.text("out") : stemOf(inputPath) + ".locked.v";
+  const std::string keyOutPath =
+      flags.has("key-out") ? flags.text("key-out") : stemOf(inputPath) + ".key.json";
 
-  service::LockRequest request;
-  request.algorithm = algorithmFromFlag(flags.get("algo", "era"));
-  request.budget = parseBudget(flags.get("budget", "75%"));
-  request.seed = u64Flag(flags, "seed", 1);
-  request.emitBanner = !flags.getBool("no-banner", false);
-  request.session.keyPortName = flags.get("key-port", request.session.keyPortName);
+  service::LockRequest request = service::lockRequestFrom(flags);
   request.source = readTextFile(inputPath);
   request.inputLabel = inputPath;
 
@@ -56,7 +51,7 @@ int runLockCommand(const std::vector<std::string>& args, CommandIo& io) {
                   support::formatDouble(summary.globalMetric, 1),
                   support::formatDouble(summary.restrictedMetric, 1)});
   }
-  if (flags.getBool("csv", false)) {
+  if (flags.flag("csv")) {
     table.renderCsv(io.out);
   } else {
     table.renderText(io.out);

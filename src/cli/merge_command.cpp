@@ -11,7 +11,6 @@
 // the merged view is written as a valid journal that `rtlock eval
 // --journal=<out>` replays without recomputing anything.
 #include <algorithm>
-#include <fstream>
 
 #include "campaign/manifest.hpp"
 #include "campaign/merge.hpp"
@@ -22,21 +21,17 @@
 
 namespace rtlock::cli {
 
-int runMergeCommand(const std::vector<std::string>& args, CommandIo& io) {
-  const support::CliArgs flags =
-      parseFlags(args, {"journals-dir", "out", "manifest", "report", "report-csv", "csv",
-                        "no-wall"});
-
+int runMergeCommand(const service::FieldValues& flags, CommandIo& io) {
   std::vector<std::string> journals = flags.positional();
   if (flags.has("journals-dir")) {
-    for (std::string& path : campaign::listJournals(flags.get("journals-dir", ""))) {
+    for (std::string& path : campaign::listJournals(flags.text("journals-dir"))) {
       journals.push_back(std::move(path));
     }
   }
   if (journals.empty() && flags.has("manifest")) {
     // Default to the manifest's conventional journal directory.
     for (std::string& path :
-         campaign::listJournals(campaign::journalsDirFor(flags.get("manifest", "")))) {
+         campaign::listJournals(campaign::journalsDirFor(flags.text("manifest")))) {
       journals.push_back(std::move(path));
     }
   }
@@ -59,19 +54,19 @@ int runMergeCommand(const std::vector<std::string>& args, CommandIo& io) {
   io.err << "\n";
 
   if (flags.has("out")) {
-    campaign::writeMergedJournal(flags.get("out", ""), merged);
-    io.err << "merged journal: " << flags.get("out", "") << " (replay with rtlock eval --journal="
-           << flags.get("out", "") << ")\n";
+    campaign::writeMergedJournal(flags.text("out"), merged);
+    io.err << "merged journal: " << flags.text("out") << " (replay with rtlock eval --journal="
+           << flags.text("out") << ")\n";
   }
 
   std::size_t missingCells = 0;
   std::vector<ReportRow> rows;
   std::string moduleName = merged.identity.design;
   if (flags.has("manifest")) {
-    const campaign::Manifest manifest = campaign::readManifest(flags.get("manifest", ""));
+    const campaign::Manifest manifest = campaign::readManifest(flags.text("manifest"));
     if (manifest.identity.designHash != merged.identity.designHash ||
         manifest.identity.configHash != merged.identity.configHash) {
-      throw support::Error{"manifest " + flags.get("manifest", "") +
+      throw support::Error{"manifest " + flags.text("manifest") +
                            " describes a different campaign than the merged journals "
                            "(design_hash/config_hash mismatch)"};
     }
@@ -96,7 +91,7 @@ int runMergeCommand(const std::vector<std::string>& args, CommandIo& io) {
         [&](std::size_t i) -> const campaign::CellOutcome* {
           return present[i] ? &outcomes[i] : nullptr;
         },
-        !flags.getBool("no-wall", false));
+        !flags.flag("no-wall"));
   } else {
     // No manifest: a summary table of the merged view (the full report needs
     // the manifest's grid order and setup text).
@@ -112,22 +107,11 @@ int runMergeCommand(const std::vector<std::string>& args, CommandIo& io) {
     statRow("torn_tails", merged.stats.tornTails);
   }
 
-  if (flags.has("report")) {
-    service::EvalResponse document;  // evalReportDocument needs only module + rows
-    document.moduleName = moduleName;
-    document.rows = rows;
-    writeTextFile(flags.get("report", ""),
-                  service::evalReportDocument(document, "merge").dump());
-    io.err << "report: " << flags.get("report", "") << "\n";
-  }
-  if (flags.has("report-csv")) {
-    std::ofstream csv{flags.get("report-csv", "")};
-    if (!csv) throw support::Error{"cannot open " + flags.get("report-csv", "") + " for writing"};
-    emitRows(csv, rows, /*csv=*/true);
-    io.err << "CSV report: " << flags.get("report-csv", "") << "\n";
-  }
-
-  emitRows(io.out, rows, flags.getBool("csv", false));
+  service::EvalResponse report;  // evalReportDocument needs only module + rows
+  report.moduleName = moduleName;
+  report.rows = rows;
+  writeReports(flags, service::evalReportDocument(report, "merge"), rows, io);
+  emitRows(io.out, rows, flags.flag("csv"));
 
   if (missingCells > 0) {
     io.err << "partial merge: " << missingCells << " manifest cell(s) have no journal row yet\n";

@@ -5,9 +5,8 @@
 
 namespace rtlock::cli {
 
-int runReportCommand(const std::vector<std::string>& args, CommandIo& io) {
-  const support::CliArgs flags = parseFlags(args, {"csv", "bench", "metric", "config"});
-  const std::string inputPath = onePositional(flags, "report file (report.json)");
+int runReportCommand(const service::FieldValues& flags, CommandIo& io) {
+  const std::string inputPath = flags.positional().front();
 
   const support::JsonValue document = support::parseJson(readTextFile(inputPath));
   const support::JsonValue* rowsValue = document.find("rows");
@@ -21,9 +20,9 @@ int runReportCommand(const std::vector<std::string>& args, CommandIo& io) {
   const bool filterBench = flags.has("bench");
   const bool filterMetric = flags.has("metric");
   const bool filterConfig = flags.has("config");
-  const std::string wantBench = flags.get("bench", "");
-  const std::string wantMetric = flags.get("metric", "");
-  const std::string wantConfig = flags.get("config", "");
+  const std::string wantBench = flags.text("bench");
+  const std::string wantMetric = flags.text("metric");
+  const std::string wantConfig = flags.text("config");
 
   std::vector<ReportRow> rows;
   for (const support::JsonValue& entry : rowsValue->asArray()) {
@@ -40,7 +39,7 @@ int runReportCommand(const std::vector<std::string>& args, CommandIo& io) {
   }
   if (rows.empty()) throw support::Error{"no rows match the requested filters"};
 
-  emitRows(io.out, rows, flags.getBool("csv", false));
+  emitRows(io.out, rows, flags.flag("csv"));
   io.err << rows.size() << " row(s)\n";
   return kExitOk;
 }

@@ -1,5 +1,6 @@
 // Subcommand dispatch: usage text, help/version handling, error-to-exit-code
-// mapping.  docs/CLI.md mirrors the usage strings here — update both.
+// mapping.  Each usage text is the prose below plus the flag section its
+// command's field table renders (service/schema.hpp).
 #include "cli/cli.hpp"
 
 #include <ostream>
@@ -17,17 +18,6 @@ constexpr const char* kLockUsage = R"(usage: rtlock lock <input.v> [flags]
 
 Lock every module of a Verilog netlist and emit the locked netlist plus a
 JSON key/provenance file (rtlock-key/v1).
-
-flags:
-  --algo=NAME       locking algorithm: serial|random|hra|greedy|era (default era)
-  --budget=SPEC     key budget: 50% / 0.5 (fraction of lockable ops) or 40
-                    (absolute key bits); default 75%
-  --seed=N          RNG seed; module i draws from substream(i) (default 1)
-  --out=PATH        locked netlist path (default <input>.locked.v)
-  --key-out=PATH    key/provenance path (default <input>.key.json)
-  --key-port=NAME   key input port name (default lock_key)
-  --no-banner       omit the locking-statistics banner comment
-  --csv             print the summary table as CSV
 )";
 
 constexpr const char* kAttackUsage = R"(usage: rtlock attack <locked.v> [flags]
@@ -35,22 +25,6 @@ constexpr const char* kAttackUsage = R"(usage: rtlock attack <locked.v> [flags]
 Run the oracle-less SnapShot-RTL attack against a locked netlist and report
 the Key Prediction Accuracy.  Needs nothing but the netlist; --key scores
 the predictions against the lock-time ground truth.
-
-flags:
-  --key=PATH             key file from `rtlock lock` (enables KPA scoring)
-  --module=NAME          attack this module (default: the only keyed module)
-  --key-port=NAME        key input port name (default lock_key)
-  --rounds=N             training relock rounds (default 1000, paper setup)
-  --relock-budget=SPEC   training budget fraction, e.g. 75% (default 75%)
-  --folds=N              auto-ml cross-validation folds (default 3)
-  --extended-features    locality encoding with structural context
-  --repeats=N            independent attack repeats, sharded over workers
-  --seed=N               RNG root; repeat r draws from substream(r) (default 1)
-  --threads=N            workers (default: RTLOCK_THREADS env, else hardware)
-  --report=PATH          write JSON report (rows follow BENCH_baseline.json)
-  --report-csv=PATH      write the rows as CSV
-  --no-wall              zero wall_ms in rows (byte-stable output)
-  --csv                  print the rows as CSV
 )";
 
 constexpr const char* kEvalUsage = R"(usage: rtlock eval <input.v> [flags]
@@ -64,34 +38,6 @@ campaign crash-safe and resumable (docs/CAMPAIGNS.md).
 
 exit codes: 0 all cells ok, 3 some cells failed/timed out, 4 interrupted
 (SIGINT/SIGTERM drain; resume with the same --journal).
-
-flags:
-  --algos=LIST           comma-separated algorithms (default serial,hra,era)
-  --seeds=LIST           seeds: 1,2,7 or ranges 1..5, at most 10000 (default 1)
-  --samples=N            locked samples per cell (default 10, paper setup)
-  --rounds=N             training relock rounds (default 1000)
-  --budget=SPEC          key budget fraction, e.g. 75% (default 75%)
-  --folds=N              auto-ml cross-validation folds (default 3)
-  --extended-features    locality encoding with structural context
-  --verify-functional    simulate each locked sample against the original
-                         under its correct key; a mismatching sample fails
-                         the cell (locking bug), KPA numbers are unchanged
-  --sim-backend=NAME     simulator for --verify-functional: sliced (64-lane
-                         bit-parallel, default) or compiled (scalar oracle);
-                         both are bit-identical
-  --module=NAME          evaluate this module (default: the only module)
-  --key-port=NAME        key input port name (default lock_key)
-  --threads=N            workers (default: RTLOCK_THREADS env, else hardware)
-  --journal=PATH         checkpoint each cell to PATH; resume skips done cells
-  --keep-errors          on resume, keep journaled error/timeout rows as-is
-  --retries=N            extra attempts per failing cell (default 1)
-  --deadline-ms=N        per-cell wall budget; overruns become timeout rows
-  --check                re-run sampled journaled cells, byte-compare results
-  --check-cells=N        sample size for --check (default 3)
-  --report=PATH          write JSON report (rows follow BENCH_baseline.json)
-  --report-csv=PATH      write the rows as CSV
-  --no-wall              zero wall_ms in rows (byte-stable output)
-  --csv                  print the rows as CSV
 )";
 
 constexpr const char* kWorkUsage = R"(usage: rtlock work <input.v> --manifest=PATH [flags]
@@ -109,23 +55,6 @@ to a single-process `rtlock eval` of the same grid (docs/CAMPAIGNS.md).
 
 exit codes: 0 fleet converged and every cell ok, 3 failed/timed-out cells
 or fleet not converged, 4 interrupted (SIGINT/SIGTERM drain).
-
-flags:
-  --manifest=PATH        the shared work manifest (required; created if absent)
-  --owner=ID             worker identity in claim files (default <hostname>-<pid>)
-  --journal=PATH         this worker's journal (default
-                         <manifest>.journals/<owner>.jsonl)
-  --lease-ms=N           claim lease: older claims count as orphaned and are
-                         reclaimed (default 60000; 0 disables reclaim)
-  --poll-ms=N            retry and heartbeat interval while cells are held or
-                         running (default 50)
-  --max-wait-ms=N        give up when the whole fleet makes no progress for
-                         this long (default: wait forever)
-  eval grid flags        --algos --seeds --samples --rounds --budget --folds
-                         --extended-features --verify-functional --sim-backend
-                         --module --key-port --threads --retries --deadline-ms
-                         --report --report-csv --no-wall --csv  (see rtlock eval;
-                         every worker must pass the identical grid)
 )";
 
 constexpr const char* kMergeUsage = R"(usage: rtlock merge [journal...] [flags]
@@ -143,17 +72,6 @@ printed.  --out writes the merged view as a valid journal for replay via
 
 exit codes: 0 complete and all ok, 3 missing/failed cells, 1 identity or
 determinism errors.
-
-flags:
-  --journals-dir=DIR  merge every *.jsonl in DIR (in addition to positionals)
-  --manifest=PATH     rebuild the full eval report in the manifest's grid
-                      order; also defaults --journals-dir to
-                      <manifest>.journals when no journals are listed
-  --out=PATH          write the merged journal (atomic replace)
-  --report=PATH       write JSON report (rows follow BENCH_baseline.json)
-  --report-csv=PATH   write the rows as CSV
-  --no-wall           zero wall_ms in rows (byte-stable output)
-  --csv               print the rows as CSV
 )";
 
 constexpr const char* kLintUsage = R"(usage: rtlock lint <locked.v> [flags]
@@ -163,15 +81,6 @@ the security lint (L2xx checks) over every module, then print the findings
 and the static-resilience summary.  L201 "free key bit" findings are proofs:
 the flagged bit's cone of influence reaches no output, so any guess for it
 is correct.  Exits 1 when the verifier finds Error-severity problems.
-
-flags:
-  --module=NAME     lint this module only (default: every module)
-  --key-port=NAME   key input port name (default lock_key)
-  --report=PATH     write JSON report (rtlock-lint-report/v1: findings + rows)
-  --report-csv=PATH write the rows as CSV
-  --json            print the JSON report on stdout instead of text
-  --no-wall         zero wall_ms in rows (byte-stable output)
-  --csv             print the rows as CSV
 )";
 
 constexpr const char* kServeUsage = R"(usage: rtlock serve [flags]
@@ -190,40 +99,23 @@ endpoints:
   POST /v1/eval    (algorithm x seed) evaluation grid
 
 exit codes: 0 clean drain (SIGINT/SIGTERM or --max-requests), 1 setup error.
-
-flags:
-  --host=ADDR            numeric IPv4 listen address (default 127.0.0.1)
-  --port=N               TCP port; 0 picks an ephemeral port (default 0)
-  --threads=N            connection workers (default: RTLOCK_THREADS, else hardware)
-  --queue=N              pending-connection capacity; overflow answers 429 (default 64)
-  --deadline-ms=N        per-request wall budget; overruns answer 504 (default: none)
-  --cache-mb=N           session-cache byte budget (default 256)
-  --max-body-mb=N        largest accepted request body (default 8)
-  --max-requests=N       accept N connections then drain and exit (default: forever)
-  --socket-timeout-ms=N  per-socket recv/send timeout (default 10000)
 )";
 
 constexpr const char* kReportUsage = R"(usage: rtlock report <report.json> [flags]
 
 Render any rows-schema report (attack/eval reports, BENCH_baseline.json) as
 an aligned table or CSV.
-
-flags:
-  --bench=NAME      keep rows with this bench (exact match)
-  --metric=NAME     keep rows with this metric (exact match)
-  --config=TEXT     keep rows whose config contains TEXT
-  --csv             CSV instead of the aligned table
 )";
 
 constexpr const char* kDesignsUsage = R"(usage: rtlock designs [flags]
 
 List the built-in benchmark registry (the paper's 14 evaluation designs)
 with lockability numbers, or dump one design as Verilog.
-
-flags:
-  --emit=NAME       print design NAME as Verilog on stdout
-  --csv             CSV instead of the aligned table
 )";
+
+[[nodiscard]] std::string usageOf(const Command& command) {
+  return command.usage + service::schemaFor(command.name).flagHelp();
+}
 
 void printGlobalHelp(std::ostream& out) {
   out << "rtlock — ML-resilient RTL locking: lock, attack and evaluate Verilog designs\n\n"
@@ -270,7 +162,7 @@ int runCli(int argc, const char* const* argv, std::ostream& out, std::ostream& e
     if (args.size() >= 2 && args[0] == "help") {
       for (const Command& command : commandTable()) {
         if (args[1] == command.name) {
-          out << command.usage;
+          out << usageOf(command);
           return kExitOk;
         }
       }
@@ -293,20 +185,15 @@ int runCli(int argc, const char* const* argv, std::ostream& out, std::ostream& e
     const std::vector<std::string> rest(args.begin() + 1, args.end());
     for (const std::string& arg : rest) {
       if (arg == "--help" || arg == "-h") {
-        out << command.usage;
+        out << usageOf(command);
         return kExitOk;
       }
     }
     CommandIo io{out, err};
     try {
-      return command.run(rest, io);
-    } catch (const UsageError& error) {
-      err << "rtlock " << command.name << ": " << error.what() << "\n\n" << command.usage;
-      return kExitUsage;
+      return command.run(service::decodeFlags(service::schemaFor(command.name), rest), io);
     } catch (const service::BadRequest& error) {
-      // The service layer's caller-fault class: same blame, same exit code
-      // as a flag typo.
-      err << "rtlock " << command.name << ": " << error.what() << "\n\n" << command.usage;
+      err << "rtlock " << command.name << ": " << error.what() << "\n\n" << usageOf(command);
       return kExitUsage;
     } catch (const std::exception& error) {
       err << "rtlock " << command.name << ": " << error.what() << "\n";

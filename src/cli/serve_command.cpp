@@ -17,34 +17,18 @@
 
 namespace rtlock::cli {
 
-int runServeCommand(const std::vector<std::string>& args, CommandIo& io) {
-  const support::CliArgs flags =
-      parseFlags(args, {"host", "port", "threads", "queue", "deadline-ms", "cache-mb",
-                        "max-body-mb", "max-requests", "socket-timeout-ms"});
-  if (!flags.positional().empty()) {
-    throw UsageError{"unexpected argument '" + flags.positional().front() + "'"};
-  }
+int runServeCommand(const service::FieldValues& flags, CommandIo& io) {
 
   service::ServeOptions options;
-  options.host = flags.get("host", options.host);
-  const std::uint64_t port = u64Flag(flags, "port", 0);
-  if (port > 65535) throw UsageError{"--port must be in [0, 65535]"};
-  options.port = static_cast<int>(port);
-  options.threads = support::requestedThreads(flags);
-  const std::uint64_t queue = u64Flag(flags, "queue", 64);
-  if (queue < 1 || queue > 1'000'000) throw UsageError{"--queue must be in [1, 1000000]"};
-  options.queueCapacity = static_cast<std::size_t>(queue);
-  options.requestDeadlineMs = flags.getDouble("deadline-ms", 0.0);
-  if (options.requestDeadlineMs < 0.0) throw UsageError{"--deadline-ms must be >= 0"};
-  const std::uint64_t cacheMb = u64Flag(flags, "cache-mb", 256);
-  if (cacheMb < 1 || cacheMb > 1'000'000) throw UsageError{"--cache-mb must be in [1, 1000000]"};
-  options.cacheBytes = static_cast<std::size_t>(cacheMb) * 1024 * 1024;
-  const std::uint64_t maxBodyMb = u64Flag(flags, "max-body-mb", 8);
-  if (maxBodyMb < 1 || maxBodyMb > 1024) throw UsageError{"--max-body-mb must be in [1, 1024]"};
-  options.maxBodyBytes = static_cast<std::size_t>(maxBodyMb) * 1024 * 1024;
-  options.maxRequests = u64Flag(flags, "max-requests", 0);
-  options.socketTimeoutMs = flags.getDouble("socket-timeout-ms", options.socketTimeoutMs);
-  if (options.socketTimeoutMs < 0.0) throw UsageError{"--socket-timeout-ms must be >= 0"};
+  options.host = flags.text("host");
+  options.port = flags.integer("port");
+  options.threads = flags.integer("threads");
+  options.queueCapacity = flags.count("queue");
+  options.requestDeadlineMs = static_cast<double>(flags.count("deadline-ms"));
+  options.cacheBytes = flags.count("cache-mb") * 1024 * 1024;
+  options.maxBodyBytes = flags.count("max-body-mb") * 1024 * 1024;
+  options.maxRequests = flags.count("max-requests");
+  options.socketTimeoutMs = static_cast<double>(flags.count("socket-timeout-ms"));
 
   service::Server server{options};
   // SIGINT/SIGTERM set the shared shutdown flag the accept loop polls; the

@@ -12,6 +12,7 @@
 #include "campaign/merge.hpp"
 #include "core/algorithms.hpp"
 #include "service/build_info.hpp"
+#include "service/schema.hpp"
 #include "support/strings.hpp"
 #include "support/task_pool.hpp"
 #include "verilog/writer.hpp"
@@ -30,10 +31,9 @@ void checkDeadline(const campaign::CellContext* deadline) {
   if (deadline != nullptr) deadline->checkDeadline();
 }
 
-/// Const counterpart of the CLI's selectModule: picks the module a request
-/// operates on — `name` when given, otherwise the design's only module or
-/// (requireKey) its only keyed module.  Throws support::Error listing the
-/// candidates when the choice is ambiguous or impossible.
+/// The module a request operates on: `name` when given, otherwise the
+/// design's only module or (requireKey) its only keyed module.  Throws
+/// support::Error listing the candidates when the choice is ambiguous.
 [[nodiscard]] const rtl::Module& selectSessionModule(const DesignSession& session,
                                                      const std::string& name, bool requireKey) {
   std::vector<std::string> names;
@@ -89,6 +89,7 @@ constexpr const char* kCellMetrics[] = {"mean_kpa_percent",   "min_kpa_percent",
 
 LockResponse runLock(SessionCache& cache, const LockRequest& request,
                      const campaign::CellContext* deadline) {
+  validate(request);
   const SessionCache::FetchResult fetched = cache.fetch(request.source, request.session);
   checkDeadline(deadline);
 
@@ -164,16 +165,7 @@ LockResponse runLock(SessionCache& cache, const LockRequest& request,
 
 AttackResponse runAttack(SessionCache& cache, const AttackRequest& request,
                          const campaign::CellContext* deadline) {
-  if (request.repeats < 1 || request.repeats > 1'000'000) {
-    throw BadRequest{"repeats must be in [1, 1000000]"};
-  }
-  if (request.rounds < 1 || request.rounds > 1'000'000'000) {
-    throw BadRequest{"rounds must be in [1, 1000000000]"};
-  }
-  if (!request.relockBudget.isFraction) {
-    throw BadRequest{"relock-budget takes a fraction of the target's operations (e.g. 75%)"};
-  }
-  if (request.folds < 2 || request.folds > 1000) throw BadRequest{"folds must be in [2, 1000]"};
+  validate(request);
 
   attack::SnapshotConfig config;
   config.relockRounds = request.rounds;
@@ -395,18 +387,7 @@ std::vector<ReportRow> evalReportRows(
 }
 
 EvalResponse runEval(SessionCache& cache, const EvalRequest& request) {
-  if (request.algorithms.empty()) throw BadRequest{"no algorithms listed"};
-  if (request.seeds.empty()) throw BadRequest{"no seeds listed"};
-  if (request.samples < 1 || request.samples > 1'000'000) {
-    throw BadRequest{"samples must be in [1, 1000000]"};
-  }
-  if (!request.budget.isFraction) {
-    throw BadRequest{"budget takes a fraction of the module's operations here (e.g. 75%)"};
-  }
-  if (request.rounds < 0 || request.rounds > 1'000'000'000) {
-    throw BadRequest{"rounds must be at most 1000000000"};
-  }
-  if (request.folds < 2 || request.folds > 1000) throw BadRequest{"folds must be in [2, 1000]"};
+  validate(request);
 
   attack::EvaluationConfig config;
   config.testLocks = request.samples;

@@ -5,112 +5,15 @@
 
 #include "campaign/runner.hpp"
 #include "service/build_info.hpp"
+#include "service/schema.hpp"
 #include "support/json.hpp"
 
 namespace rtlock::service {
 
 namespace {
 
-/// JSON field access that blames the caller: a missing key falls back, a
-/// present key of the wrong shape is a BadRequest naming the field.
-[[nodiscard]] std::string stringField(const support::JsonValue& body, std::string_view key,
-                                      std::string fallback) {
-  const support::JsonValue* value = body.find(key);
-  if (value == nullptr) return fallback;
-  if (!value->isString()) throw BadRequest{"field '" + std::string{key} + "' must be a string"};
-  return value->asString();
-}
-
-[[nodiscard]] bool boolField(const support::JsonValue& body, std::string_view key, bool fallback) {
-  const support::JsonValue* value = body.find(key);
-  if (value == nullptr) return fallback;
-  if (!value->isBool()) throw BadRequest{"field '" + std::string{key} + "' must be a boolean"};
-  return value->asBool();
-}
-
-[[nodiscard]] std::uint64_t u64Field(const support::JsonValue& body, std::string_view key,
-                                     std::uint64_t fallback) {
-  const support::JsonValue* value = body.find(key);
-  if (value == nullptr) return fallback;
-  try {
-    const std::int64_t number = value->asInt();
-    if (number < 0) throw support::Error{"negative"};
-    return static_cast<std::uint64_t>(number);
-  } catch (const support::Error&) {
-    throw BadRequest{"field '" + std::string{key} + "' must be a non-negative integer"};
-  }
-}
-
-[[nodiscard]] int intField(const support::JsonValue& body, std::string_view key, int fallback) {
-  const std::uint64_t value =
-      u64Field(body, key, static_cast<std::uint64_t>(fallback));
-  if (value > 1'000'000'000) {
-    throw BadRequest{"field '" + std::string{key} + "' is out of range"};
-  }
-  return static_cast<int>(value);
-}
-
-[[nodiscard]] support::JsonValue parseBody(const HttpRequest& request) {
-  try {
-    support::JsonValue body = support::parseJson(request.body);
-    if (!body.isObject()) throw BadRequest{"request body must be a JSON object"};
-    return body;
-  } catch (const BadRequest&) {
-    throw;
-  } catch (const support::Error& error) {
-    // Covers syntax errors and invalid UTF-8: the JSON layer is strict.
-    throw BadRequest{std::string{"request body is not valid JSON: "} + error.what()};
-  }
-}
-
-/// Seeds accept both spellings: a JSON array of integers or the CLI's list
-/// string ("1,2,7", "1..5").
-[[nodiscard]] std::vector<std::uint64_t> seedsField(const support::JsonValue& body) {
-  const support::JsonValue* value = body.find("seeds");
-  if (value == nullptr) return {1};
-  if (value->isString()) return parseSeedList(value->asString());
-  if (value->isArray()) {
-    if (value->asArray().size() > kMaxSeeds) {
-      throw BadRequest{"field 'seeds' lists more than " + std::to_string(kMaxSeeds) + " seeds"};
-    }
-    std::vector<std::uint64_t> seeds;
-    for (const support::JsonValue& entry : value->asArray()) {
-      try {
-        const std::int64_t seed = entry.asInt();
-        if (seed < 0) throw support::Error{"negative"};
-        seeds.push_back(static_cast<std::uint64_t>(seed));
-      } catch (const support::Error&) {
-        throw BadRequest{"field 'seeds' entries must be non-negative integers"};
-      }
-    }
-    if (seeds.empty()) throw BadRequest{"no seeds listed"};
-    return seeds;
-  }
-  throw BadRequest{"field 'seeds' must be a list string or an integer array"};
-}
-
-[[nodiscard]] std::vector<lock::Algorithm> algosField(const support::JsonValue& body) {
-  const support::JsonValue* value = body.find("algos");
-  if (value == nullptr) return algorithmListFromNames("serial,hra,era");
-  if (value->isString()) return algorithmListFromNames(value->asString());
-  if (value->isArray()) {
-    std::vector<lock::Algorithm> algorithms;
-    for (const support::JsonValue& entry : value->asArray()) {
-      if (!entry.isString()) throw BadRequest{"field 'algos' entries must be strings"};
-      algorithms.push_back(algorithmFromName(entry.asString()));
-    }
-    if (algorithms.empty()) throw BadRequest{"no algorithms listed"};
-    return algorithms;
-  }
-  throw BadRequest{"field 'algos' must be a list string or a string array"};
-}
-
-[[nodiscard]] std::string requiredSource(const support::JsonValue& body) {
-  const support::JsonValue* source = body.find("source");
-  if (source == nullptr || !source->isString() || source->asString().empty()) {
-    throw BadRequest{"field 'source' (the Verilog netlist text) is required"};
-  }
-  return source->asString();
+void requireSource(const std::string& source) {
+  if (source.empty()) throw BadRequest{"field 'source' (the Verilog netlist text) is required"};
 }
 
 [[nodiscard]] HttpResponse errorResponse(int status, const std::string& message) {
@@ -207,25 +110,15 @@ HttpResponse Dispatcher::route(const HttpRequest& request) {
   }
   if (!isPost) return errorResponse(405, "use POST for " + request.target);
 
-  const support::JsonValue body = parseBody(request);
-  const std::string label = stringField(body, "label", "<request>");
-  SessionOptions sessionOptions;
-  sessionOptions.keyPortName = stringField(body, "key_port", sessionOptions.keyPortName);
-
+  const support::JsonValue body = support::parseJson(request.body);
   campaign::CellContext deadline;
   deadline.deadlineMs = options_.requestDeadlineMs;
   deadline.start = std::chrono::steady_clock::now();
 
   HttpResponse response;
   if (request.target == "/v1/lock") {
-    LockRequest lockRequest;
-    lockRequest.source = requiredSource(body);
-    lockRequest.session = sessionOptions;
-    lockRequest.algorithm = algorithmFromName(stringField(body, "algo", "era"));
-    lockRequest.budget = parseBudget(stringField(body, "budget", "75%"));
-    lockRequest.seed = u64Field(body, "seed", 1);
-    lockRequest.emitBanner = !boolField(body, "no_banner", false);
-    lockRequest.inputLabel = label;
+    const LockRequest lockRequest = lockRequestFrom(decodeJson(schemaFor("lock"), body));
+    requireSource(lockRequest.source);
     const LockResponse result = runLock(cache_, lockRequest, &deadline);
     response.body = lockResponseDocument(result).dump();
     response.extraHeaders.emplace_back("X-Rtlock-Cache", result.cacheHit ? "hit" : "miss");
@@ -234,54 +127,30 @@ HttpResponse Dispatcher::route(const HttpRequest& request) {
   }
 
   if (request.target == "/v1/attack") {
-    AttackRequest attackRequest;
-    attackRequest.source = requiredSource(body);
-    attackRequest.session = sessionOptions;
-    attackRequest.moduleName = stringField(body, "module", "");
-    if (const support::JsonValue* key = body.find("key")) {
+    const FieldValues values = decodeJson(schemaFor("attack"), body);
+    AttackRequest attackRequest = attackRequestFrom(values);
+    requireSource(attackRequest.source);
+    if (const support::JsonValue* key = values.document("key")) {
       attackRequest.key = keyFileFromJson(*key);
     }
-    attackRequest.rounds = intField(body, "rounds", 1000);
-    attackRequest.relockBudget = parseBudget(stringField(body, "relock_budget", "75%"));
-    attackRequest.folds = intField(body, "folds", 3);
-    attackRequest.extendedFeatures = boolField(body, "extended_features", false);
-    attackRequest.repeats = intField(body, "repeats", 1);
-    attackRequest.seed = u64Field(body, "seed", 1);
     attackRequest.threads = options_.requestThreads;
-    attackRequest.includeWall = !boolField(body, "no_wall", false);
     const AttackResponse result = runAttack(cache_, attackRequest, &deadline);
-    response.body = attackReportDocument(attackRequest, result, label).dump();
+    response.body = attackReportDocument(attackRequest, result, values.text("label")).dump();
     response.extraHeaders.emplace_back("X-Rtlock-Cache", result.cacheHit ? "hit" : "miss");
     response.extraHeaders.emplace_back("X-Rtlock-Design-Hash", result.designHash);
     return response;
   }
 
-  EvalRequest evalRequest;
-  evalRequest.source = requiredSource(body);
-  evalRequest.session = sessionOptions;
-  evalRequest.moduleName = stringField(body, "module", "");
-  evalRequest.algorithms = algosField(body);
-  evalRequest.seeds = seedsField(body);
-  evalRequest.samples = intField(body, "samples", 10);
-  evalRequest.rounds = intField(body, "rounds", 1000);
-  evalRequest.budget = parseBudget(stringField(body, "budget", "75%"));
-  evalRequest.folds = intField(body, "folds", 3);
-  evalRequest.extendedFeatures = boolField(body, "extended_features", false);
+  // With `manifest` the body follows `rtlock work`'s table: this server
+  // becomes one worker of a distributed campaign, claims cells from the
+  // shared manifest, journals locally, and answers with the merged
+  // fleet-wide report once every cell is done.
+  const FieldValues values =
+      decodeJson(schemaFor(body.find("manifest") != nullptr ? "work" : "eval"), body);
+  EvalRequest evalRequest = evalRequestFrom(values);
+  requireSource(evalRequest.source);
   evalRequest.campaign.threads = options_.requestThreads;
   evalRequest.campaign.cellDeadlineMs = options_.requestDeadlineMs;
-  evalRequest.includeWall = !boolField(body, "no_wall", false);
-  // Manifest mode: this server becomes one worker of a distributed
-  // campaign — claim cells from the shared manifest, journal locally, and
-  // answer with the merged fleet-wide report once every cell is done.
-  evalRequest.manifestPath = stringField(body, "manifest", "");
-  if (!evalRequest.manifestPath.empty()) {
-    evalRequest.workerId = stringField(body, "worker_id", "");
-    evalRequest.journalPath = stringField(body, "journal", "");
-    evalRequest.leaseMs = static_cast<double>(u64Field(body, "lease_ms", 60000));
-    evalRequest.pollMs = static_cast<double>(u64Field(body, "poll_ms", 50));
-    if (evalRequest.pollMs <= 0.0) throw BadRequest{"poll_ms must be > 0"};
-    evalRequest.maxWaitMs = static_cast<double>(u64Field(body, "max_wait_ms", 0));
-  }
   const EvalResponse result = runEval(cache_, evalRequest);
   if (result.campaign.interrupted) {
     return errorResponse(503, "campaign interrupted by server shutdown");
@@ -291,7 +160,7 @@ HttpResponse Dispatcher::route(const HttpRequest& request) {
                                   std::to_string(static_cast<long long>(evalRequest.maxWaitMs)) +
                                   " ms without progress");
   }
-  support::JsonValue document = evalReportDocument(result, label);
+  support::JsonValue document = evalReportDocument(result, values.text("label"));
   if (!result.cellErrors.empty()) {
     support::JsonArray errors;
     for (const std::string& line : result.cellErrors) {

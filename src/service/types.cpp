@@ -113,13 +113,19 @@ BudgetSpec parseBudget(const std::string& text) {
   } catch (const std::exception&) {
     throw BadRequest{"malformed budget '" + text + "' (expected e.g. 50%, 0.5 or 40)"};
   }
-  if (spec.isFraction && (spec.fraction <= 0.0 || spec.fraction > 1.0)) {
+  checkBudget(spec, text);
+  return spec;
+}
+
+void checkBudget(const BudgetSpec& spec, const std::string& text) {
+  // Written so that a NaN fraction fails: it would reach int casts of
+  // fraction * ops downstream.
+  if (spec.isFraction && !(spec.fraction > 0.0 && spec.fraction <= 1.0)) {
     throw BadRequest{"budget fraction must be in (0%, 100%], got '" + text + "'"};
   }
   if (!spec.isFraction && spec.absolute < 1) {
     throw BadRequest{"absolute budget must be at least 1 key bit, got '" + text + "'"};
   }
-  return spec;
 }
 
 support::JsonValue rowsToJson(const std::vector<ReportRow>& rows) {

@@ -1,11 +1,6 @@
 // Request/response vocabulary shared by the CLI subcommands and the serve
-// front end.
-//
-// Everything here used to be CLI-private plumbing (src/cli/common.hpp); the
-// service layer promotes it to the library so `rtlock lock` and
-// `POST /v1/lock` validate budgets, spell algorithms and emit key files
-// through the same code.  The CLI keeps aliases so the subcommands read
-// unchanged.
+// front end: `rtlock lock` and `POST /v1/lock` validate budgets, spell
+// algorithms and emit key files through the same code.
 #pragma once
 
 #include <cstddef>
@@ -73,8 +68,12 @@ struct BudgetSpec {
 };
 
 /// Parses a budget spelling; throws BadRequest on malformed or out-of-range
-/// text ("50%x", "1e2", "140%", "0").
+/// text ("50%x", "1e2", "140%", "nan%", "0").
 [[nodiscard]] BudgetSpec parseBudget(const std::string& text);
+
+/// Throws BadRequest naming `text` unless `spec` is usable: a fraction in
+/// (0, 1] (NaN is not) or at least 1 key bit.
+void checkBudget(const BudgetSpec& spec, const std::string& text);
 
 // ---- report rows -----------------------------------------------------------
 

@@ -97,7 +97,6 @@ int requestedThreads(const CliArgs& args) {
     char* end = nullptr;
     errno = 0;
     const long value = std::strtol(env, &end, 10);
-    constexpr long kMaxThreads = 4096;  // sanity bound, not a real target
     if (end == env || *end != '\0' || errno == ERANGE || value < 0 || value > kMaxThreads) {
       throw Error("RTLOCK_THREADS expects an integer in [0, 4096], got \"" + std::string{env} +
                   "\"");

@@ -37,6 +37,10 @@ class CliArgs {
   std::vector<std::string> positional_;
 };
 
+/// Largest worker count RTLOCK_THREADS (and rtlock's --threads) accept: a
+/// sanity bound, not a real target.
+inline constexpr int kMaxThreads = 4096;
+
 /// Requested worker count for a tool invocation: the --threads flag wins,
 /// then the RTLOCK_THREADS environment override, then 0 ("hardware
 /// concurrency").  Feed the result to TaskPool / EvaluationConfig::threads,

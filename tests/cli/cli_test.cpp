@@ -106,6 +106,67 @@ TEST(CliDispatchTest, IntegerFlagsRejectMalformedValues) {
   EXPECT_EQ(runCli({"eval", "in.v", "--retries=-1"}).exitCode, cli::kExitUsage);
 }
 
+TEST(CliDispatchTest, MillisecondFlagsAreBoundedIntegers) {
+  // std::stod accepted "nan" (which passed every `< 0` check), "inf" and
+  // 1e300, and --lease-ms took negatives.  The input path does not exist,
+  // so a value the parser lets through exits 1 without running anything.
+  const std::string missing = "/nonexistent/in.v";
+  const std::vector<std::vector<std::string>> commands{
+      {"eval", missing, "--deadline-ms="},
+      {"work", missing, "--manifest=m", "--lease-ms="},
+      {"work", missing, "--manifest=m", "--poll-ms="},
+      {"work", missing, "--manifest=m", "--max-wait-ms="},
+      {"serve", "--deadline-ms="},
+      {"serve", "--socket-timeout-ms="}};
+  for (std::vector<std::string> args : commands) {
+    const std::string flag = args.back();
+    for (const char* value : {"nan", "inf", "-5", "1e300", "1000000000001", "2.5"}) {
+      args.back() = flag + value;
+      const auto result = runCli(args);
+      EXPECT_EQ(result.exitCode, cli::kExitUsage) << args[0] << " " << args.back();
+      EXPECT_NE(result.err.find(flag.substr(0, flag.size() - 1)), std::string::npos)
+          << result.err;
+    }
+  }
+  EXPECT_EQ(runCli({"work", missing, "--manifest=m", "--poll-ms=0"}).exitCode, cli::kExitUsage);
+  EXPECT_EQ(runCli({"work", missing, "--manifest=m", "--lease-ms=0"}).exitCode, cli::kExitError);
+}
+
+TEST(CliDispatchTest, ThreadsFlagIsBounded) {
+  // Only values that start no pool: a missing input for eval/attack, and
+  // rejected values alone for serve.  --threads=-1 used to mean
+  // "hardware" and 5000000000 truncated to 705032704 workers.
+  for (const char* command : {"eval", "attack"}) {
+    for (const char* value : {"-1", "4097", "5000000000", "x"}) {
+      const auto result = runCli({command, "/nonexistent/in.v", std::string{"--threads="} + value});
+      EXPECT_EQ(result.exitCode, cli::kExitUsage) << command << " --threads=" << value;
+    }
+    EXPECT_EQ(runCli({command, "/nonexistent/in.v", "--threads=4096"}).exitCode,
+              cli::kExitError);
+  }
+  for (const char* value : {"-1", "4097", "5000000000"}) {
+    EXPECT_EQ(runCli({"serve", std::string{"--threads="} + value}).exitCode, cli::kExitUsage)
+        << value;
+  }
+}
+
+TEST(CliDispatchTest, BudgetRejectsNonFiniteFractions) {
+  EXPECT_EQ(runCli({"lock", "/nonexistent/in.v", "--budget=nan%"}).exitCode, cli::kExitUsage);
+  EXPECT_EQ(runCli({"eval", "/nonexistent/in.v", "--budget=nan%"}).exitCode, cli::kExitUsage);
+  EXPECT_EQ(runCli({"attack", "/nonexistent/in.v", "--relock-budget=nan%"}).exitCode,
+            cli::kExitUsage);
+}
+
+TEST(CliDispatchTest, UsageTextListsEveryFlag) {
+  // The flag section is rendered from the command's field table.
+  const auto work = runCli({"help", "work"});
+  for (const char* flag : {"--manifest=PATH", "--owner=ID", "--lease-ms=N", "--algos=LIST",
+                           "--sim-backend=NAME", "--no-wall"}) {
+    EXPECT_NE(work.out.find(flag), std::string::npos) << flag;
+  }
+  EXPECT_NE(runCli({"help", "serve"}).out.find("(default 10000)"), std::string::npos);
+}
+
 TEST(CliDispatchTest, MissingInputFileIsRuntimeError) {
   const auto result = runCli({"lock", "/nonexistent/input.v"});
   EXPECT_EQ(result.exitCode, cli::kExitError);

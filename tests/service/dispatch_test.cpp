@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "service/api.hpp"
+#include "service/schema.hpp"
 #include "support/json.hpp"
 
 namespace rtlock::service {
@@ -190,6 +191,95 @@ TEST_F(DispatchTest, EvalRejectsOversizedSeedLists) {
   };
   expectRejected(support::JsonValue{ranges});
   expectRejected(support::JsonValue{std::move(many)});
+}
+
+TEST_F(DispatchTest, UnknownFieldsAre400NamingTheField) {
+  // A typo used to run with the default: {"round": 5} attacked with 1000
+  // rounds and answered 200.
+  for (const char* target : {"/v1/lock", "/v1/attack", "/v1/eval"}) {
+    support::JsonValue body;
+    body.set("source", kMixer);
+    body.set("round", std::uint64_t{5});
+    const HttpResponse response = dispatcher_.handle(makeRequest("POST", target, body.dump()));
+    EXPECT_EQ(response.status, 400) << target;
+    EXPECT_NE(response.body.find("'round'"), std::string::npos) << response.body;
+  }
+  // CLI-only rows are unknown over HTTP too.
+  support::JsonValue body;
+  body.set("source", kMixer);
+  body.set("threads", std::uint64_t{4});
+  EXPECT_EQ(dispatcher_.handle(makeRequest("POST", "/v1/attack", body.dump())).status, 400);
+}
+
+TEST_F(DispatchTest, ManifestOnlyFieldsNeedManifest) {
+  // These were silently dropped from a plain eval body.
+  for (const char* field : {"worker_id", "journal", "lease_ms", "poll_ms", "max_wait_ms"}) {
+    support::JsonValue body;
+    body.set("source", kMixer);
+    if (std::string{field} == "worker_id" || std::string{field} == "journal") {
+      body.set(field, "x");
+    } else {
+      body.set(field, std::uint64_t{10});
+    }
+    const HttpResponse response = dispatcher_.handle(makeRequest("POST", "/v1/eval", body.dump()));
+    EXPECT_EQ(response.status, 400) << field;
+    EXPECT_NE(response.body.find(field), std::string::npos) << response.body;
+  }
+}
+
+TEST_F(DispatchTest, MillisecondFieldsAreBoundedIntegers) {
+  // poll_ms up to 2^63 used to reach a ms -> us cast that overflowed; NaN
+  // and infinity cannot be JSON numbers, so they arrive as strings.
+  const std::string manifest = ::testing::TempDir() + "dispatch_ms.manifest";
+  for (const char* field : {"lease_ms", "poll_ms", "max_wait_ms"}) {
+    for (const char* value : {"-5", "1e300", "9223372036854775807", "1000000000001", "2.5",
+                              "\"nan\"", "\"inf\""}) {
+      const std::string body = R"({"source": "module m; endmodule", "manifest": ")" + manifest +
+                                R"(", ")" + field + R"(": )" + value + "}";
+      const HttpResponse response = dispatcher_.handle(makeRequest("POST", "/v1/eval", body));
+      EXPECT_EQ(response.status, 400) << field << " = " << value;
+      EXPECT_NE(response.body.find(field), std::string::npos) << response.body;
+    }
+  }
+  const HttpResponse zeroPoll = dispatcher_.handle(makeRequest(
+      "POST", "/v1/eval",
+      R"({"source": "module m; endmodule", "manifest": ")" + manifest + R"(", "poll_ms": 0})"));
+  EXPECT_EQ(zeroPoll.status, 400);
+}
+
+TEST_F(DispatchTest, BudgetRejectsNonFiniteFractions) {
+  for (const char* target : {"/v1/lock", "/v1/eval"}) {
+    support::JsonValue body;
+    body.set("source", kMixer);
+    body.set("budget", "nan%");
+    EXPECT_EQ(dispatcher_.handle(makeRequest("POST", target, body.dump())).status, 400) << target;
+  }
+  support::JsonValue body;
+  body.set("source", kMixer);
+  body.set("relock_budget", "nan%");
+  EXPECT_EQ(dispatcher_.handle(makeRequest("POST", "/v1/attack", body.dump())).status, 400);
+}
+
+TEST_F(DispatchTest, ManifestBodiesDecodeThroughTheWorkTable) {
+  support::JsonValue body;
+  body.set("source", kMixer);
+  body.set("manifest", "fleet.manifest");
+  body.set("worker_id", "w7");
+  body.set("journal", "w7.jsonl");
+  body.set("lease_ms", std::uint64_t{1500});
+  body.set("poll_ms", std::uint64_t{5});
+  body.set("max_wait_ms", std::uint64_t{100});
+  body.set("algos", support::JsonValue{support::JsonArray{support::JsonValue{"era"}}});
+  body.set("seeds", support::JsonValue{support::JsonArray{support::JsonValue{std::uint64_t{3}}}});
+  const EvalRequest request = evalRequestFrom(decodeJson(schemaFor("work"), body));
+  EXPECT_EQ(request.manifestPath, "fleet.manifest");
+  EXPECT_EQ(request.workerId, "w7");
+  EXPECT_EQ(request.journalPath, "w7.jsonl");
+  EXPECT_EQ(request.leaseMs, 1500.0);
+  EXPECT_EQ(request.pollMs, 5.0);
+  EXPECT_EQ(request.maxWaitMs, 100.0);
+  EXPECT_EQ(request.algorithms, std::vector<lock::Algorithm>{lock::Algorithm::Era});
+  EXPECT_EQ(request.seeds, std::vector<std::uint64_t>{3});
 }
 
 }  // namespace

@@ -7,6 +7,8 @@
 #include <string>
 #include <vector>
 
+#include "service/schema.hpp"
+
 namespace rtlock::service {
 namespace {
 
@@ -32,6 +34,34 @@ TEST(ParseSeedListTest, CapsTheWholeListNotJustEachRange) {
   for (std::size_t i = 0; i < kMaxSeeds; ++i) singles += std::to_string(i) + ",";
   EXPECT_EQ(parseSeedList(singles).size(), kMaxSeeds);
   EXPECT_THROW((void)parseSeedList(singles + "7"), BadRequest);
+}
+
+TEST(ParseBudgetTest, RejectsNonFiniteFractions) {
+  // NaN passed the (0%, 100%] check and reached int casts of fraction * ops.
+  for (const char* text : {"nan%", "-nan%", "NAN%", "inf%", "nan", "1e999%"}) {
+    EXPECT_THROW((void)parseBudget(text), BadRequest) << text;
+  }
+  EXPECT_DOUBLE_EQ(parseBudget("50%").fraction, 0.5);
+
+  // Through the CLI flags and the JSON fields of every budget row.
+  for (const auto& [command, row] : {std::pair{"lock", "budget"}, std::pair{"eval", "budget"},
+                                     std::pair{"attack", "relock-budget"}}) {
+    const Schema& schema = schemaFor(command);
+    const FieldValues flags = decodeFlags(schema, {"in.v", "--" + std::string{row} + "=nan%"});
+    support::JsonValue body;
+    body.set(schema.find(row)->jsonSpelling(), "nan%");
+    const FieldValues json = decodeJson(schema, body);
+    if (std::string{command} == "lock") {
+      EXPECT_THROW((void)lockRequestFrom(flags), BadRequest);
+      EXPECT_THROW((void)lockRequestFrom(json), BadRequest);
+    } else if (std::string{command} == "eval") {
+      EXPECT_THROW((void)evalRequestFrom(flags), BadRequest);
+      EXPECT_THROW((void)evalRequestFrom(json), BadRequest);
+    } else {
+      EXPECT_THROW((void)attackRequestFrom(flags), BadRequest);
+      EXPECT_THROW((void)attackRequestFrom(json), BadRequest);
+    }
+  }
 }
 
 }  // namespace
