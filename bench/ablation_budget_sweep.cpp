@@ -42,7 +42,7 @@ int main(int argc, char** argv) {
     const std::vector<lock::Algorithm> algorithms{
         lock::Algorithm::AssureSerial, lock::Algorithm::Hra, lock::Algorithm::Era};
     const support::Rng root{seed};
-    support::TaskPool pool{support::threadsForTasks(bench::requestedThreads(args),
+    support::TaskPool pool{support::threadsForTasks(support::requestedThreads(args),
                                                     budgetGrid.size() * algorithms.size())};
     const auto cells = pool.map(
         budgetGrid.size() * algorithms.size(), [&](std::size_t index) {

@@ -20,7 +20,7 @@ int main(int argc, char** argv) {
     const support::CliArgs args(argc, argv, {"seed", "csv", "samples", "relocks", "threads"});
     const auto seed = static_cast<std::uint64_t>(args.getInt("seed", 1));
     const bool csv = args.getBool("csv", false);
-    const int threads = bench::requestedThreads(args);
+    const int threads = support::requestedThreads(args);
 
     bench::banner("Locality feature-set ablation (basic [C1,C2] vs extended)",
                   "extension of Sisejkovic et al., DAC'22, Sec. 5 (SnapShot adaptation)",

@@ -79,7 +79,7 @@ int main(int argc, char** argv) {
     const bool csv = args.getBool("csv", false);
     const int samples = static_cast<int>(args.getInt("samples", 3));
     const int relocks = static_cast<int>(args.getInt("relocks", 80));
-    const int threads = rtlock::bench::requestedThreads(args);
+    const int threads = support::requestedThreads(args);
 
     rtlock::bench::banner(
         "Sec. 3.2 — pair-table leakage (original ASSURE vs. involutive fix)",

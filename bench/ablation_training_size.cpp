@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
     };
     const support::Rng root{seed};
     support::TaskPool pool{
-        support::threadsForTasks(bench::requestedThreads(args), roundGrid.size())};
+        support::threadsForTasks(support::requestedThreads(args), roundGrid.size())};
     const auto cells = pool.map(roundGrid.size(), [&](std::size_t index) {
       attack::EvaluationConfig config;
       config.testLocks = static_cast<int>(args.getInt("samples", 2));

@@ -7,14 +7,13 @@
 //   --relocks=N    training relock rounds per sample (paper: 1000)
 // Benches routed through the experiment engine (fig4/5/6, run_baseline, the
 // evaluateBenchmark-based ablations) additionally accept
-//   --threads=N    experiment-engine workers (default: RTLOCK_THREADS env,
-//                  else hardware concurrency; 1 = serial reference path)
+//   --threads=N    experiment-engine workers in [0, 4096] (default:
+//                  RTLOCK_THREADS env, else hardware concurrency; 1 = serial
+//                  reference path), resolved by support::requestedThreads
 // and their results are bit-identical at every thread count (see
 // support/task_pool.hpp).  Other flags are documented in each main().
 #pragma once
 
-#include <cerrno>
-#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -26,14 +25,6 @@
 #include "support/task_pool.hpp"
 
 namespace rtlock::bench {
-
-/// Requested worker count for a bench: --threads flag, then RTLOCK_THREADS,
-/// then hardware concurrency.  Shared with the rtlock CLI through
-/// support::requestedThreads so both front ends resolve thread counts
-/// identically.
-inline int requestedThreads(const support::CliArgs& args) {
-  return support::requestedThreads(args);
-}
 
 /// Renders a table according to the --csv flag.
 inline void emit(const support::Table& table, bool csv) {

@@ -9,17 +9,15 @@
 //   (b,e) serial test + serial relocking  -> contradictory observations
 //   (c,f) random test + random relocking  -> '+' is *mostly* the real op
 //   (d,g) serial test + disjoint training -> '+' is *always* the real op
-#include <algorithm>
-#include <map>
+#include <utility>
 
 #include "attack/locality.hpp"
 #include "common.hpp"
-#include "fig4_scenarios.hpp"
+#include "figures.hpp"
 
 namespace {
 
 using namespace rtlock;
-using bench::Fig4Scenario;
 
 std::string codeName(int code) {
   if (code == attack::kMuxCode) return "mux";
@@ -33,10 +31,8 @@ void report(const std::string& scenario, const std::string& figure,
             const bench::Fig4Observations& observations, bool csv) {
   std::cout << "--- " << scenario << " (" << figure << ") ---\n";
   support::Table table{{"locality (C1,C2)", "observations", "P(key=1)", "inference"}};
-  double worstBias = 0.0;
   for (const auto& [locality, observation] : observations) {
     const double p = observation.pOne();
-    worstBias = std::max(worstBias, std::abs(p - 0.5));
     std::string inference = "ambiguous";
     if (p > 0.6) inference = codeName(locality.first) + " is likely real";
     if (p < 0.4) inference = codeName(locality.second) + " is likely real";
@@ -44,6 +40,7 @@ void report(const std::string& scenario, const std::string& figure,
                   std::to_string(observation.total), support::formatDouble(p, 3), inference});
   }
   rtlock::bench::emit(table, csv);
+  const double worstBias = bench::fig4WorstBias(observations);
   std::cout << "learned: "
             << (worstBias < 0.1 ? "operations equally likely — nothing exploitable"
                                 : "key-correlated locality bias of " +
@@ -62,6 +59,7 @@ int main(int argc, char** argv) {
     const int network = static_cast<int>(args.getInt("network", 64));
     const int bits = static_cast<int>(args.getInt("bits", 32));
     const int rounds = static_cast<int>(args.getInt("relocks", 200));
+    const int threads = support::requestedThreads(args);
 
     rtlock::bench::banner(
         "Fig. 4 — operation selection vs. learning resilience",
@@ -69,31 +67,14 @@ int main(int argc, char** argv) {
         "serial: P(key=1|locality) = 0.5 everywhere; random: '+' biased toward real; "
         "disjoint: '+' always real");
 
-    // Each scenario has owned its dedicated seed (seed + offset) since the
-    // serial version, so sharding the scenarios preserves every observation
-    // bit-for-bit at any thread count.
-    struct Cell {
-      Fig4Scenario scenario;
-      std::uint64_t seedOffset;
-      const char* title;
-      const char* figure;
-    };
-    const std::vector<Cell> cells{
-        {Fig4Scenario::SerialSerial, 0, "serial test + serial relocking", "Fig. 4b/4e"},
-        {Fig4Scenario::RandomRandom, 1, "random test + random relocking (overlapping)",
-         "Fig. 4c/4f"},
-        {Fig4Scenario::SerialDisjoint, 2, "serial test + disjoint training (no overlap)",
-         "Fig. 4d/4g"}};
-
-    support::TaskPool pool{
-        support::threadsForTasks(rtlock::bench::requestedThreads(args), cells.size())};
-    const auto observations = pool.map(cells.size(), [&](std::size_t index) {
-      support::Rng rng{seed + cells[index].seedOffset};
-      return bench::observeFig4(cells[index].scenario, network, bits, rounds, rng);
-    });
-
-    for (std::size_t index = 0; index < cells.size(); ++index) {
-      report(cells[index].title, cells[index].figure, observations[index], csv);
+    // Titles follow bench::kFig4Scenarios.
+    const std::pair<const char*, const char*> titles[] = {
+        {"serial test + serial relocking", "Fig. 4b/4e"},
+        {"random test + random relocking (overlapping)", "Fig. 4c/4f"},
+        {"serial test + disjoint training (no overlap)", "Fig. 4d/4g"}};
+    const auto observations = bench::observeFig4Scenarios(seed, network, bits, rounds, threads);
+    for (std::size_t index = 0; index < observations.size(); ++index) {
+      report(titles[index].first, titles[index].second, observations[index], csv);
     }
   });
 }

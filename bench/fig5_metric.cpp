@@ -10,18 +10,12 @@
 #include <iostream>
 
 #include "common.hpp"
-#include "core/algorithms.hpp"
 #include "core/metric.hpp"
-#include "designs/networks.hpp"
+#include "figures.hpp"
 
 namespace {
 
 using namespace rtlock;
-
-rtl::Module fig5Design() {
-  return designs::makeOperationNetwork("fig5",
-                                       {{rtl::OpKind::Add, 25}, {rtl::OpKind::Shl, 10}});
-}
 
 void surface(bool csv, int step) {
   std::cout << "--- Fig. 5a: M^g_sec surface over (|ODT[(+,-)]|, |ODT[(<<,>>)]|) ---\n";
@@ -43,22 +37,7 @@ void surface(bool csv, int step) {
 
 void evolution(bool csv, std::uint64_t seed, int budget, int threads) {
   std::cout << "--- Fig. 5b: metric evolution per key bit ---\n";
-  struct Run {
-    lock::Algorithm algorithm;
-    lock::AlgorithmReport report;
-  };
-  // Every algorithm cell restarts from a fresh rng{seed} (as the serial
-  // version always did), so the sharded grid stays bit-identical.
-  const std::vector<lock::Algorithm> algorithms{
-      lock::Algorithm::Era, lock::Algorithm::Hra, lock::Algorithm::Greedy};
-  support::TaskPool pool{support::threadsForTasks(threads, algorithms.size())};
-  std::vector<Run> runs = pool.map(algorithms.size(), [&](std::size_t index) {
-    rtl::Module design = fig5Design();
-    lock::LockEngine engine{design, lock::PairTable::fixed()};
-    support::Rng rng{seed};
-    return Run{algorithms[index],
-               lock::lockWithAlgorithm(engine, algorithms[index], budget, rng)};
-  });
+  const std::vector<bench::Fig5Run> runs = bench::evolveFig5(seed, budget, threads);
 
   support::Table table{{"key bits", "ERA", "HRA", "Greedy"}};
   int maxBits = 0;
@@ -110,7 +89,7 @@ int main(int argc, char** argv) {
     const bool csv = args.getBool("csv", false);
     const int step = static_cast<int>(args.getInt("grid-step", 5));
     const int budget = static_cast<int>(args.getInt("budget", 60));
-    const int threads = rtlock::bench::requestedThreads(args);
+    const int threads = support::requestedThreads(args);
 
     rtlock::bench::banner("Fig. 5 — metric surface and evolution",
                           "Sisejkovic et al., DAC'22, Fig. 5a/5b",

@@ -7,89 +7,55 @@
 // the shape: ASSURE ≈ HRA >> ERA ≈ 50.
 //
 // Defaults are sized for a quick run; use --samples=10 --relocks=1000 for the
-// full paper setup.
+// full paper setup.  The grid is bench::runFig6, the code behind
+// run_baseline's gated fig6 rows: `--seed=S` here equals run_baseline
+// `--seed=S-100` (quick: --samples=1 --relocks=30 --benchmarks=FIR,SASC;
+// --full: every benchmark at --samples=10 --relocks=1000).
 #include <iostream>
 
-#include "attack/pipeline.hpp"
 #include "common.hpp"
-#include "designs/registry.hpp"
-
-namespace {
-
-using namespace rtlock;
-
-}  // namespace
+#include "figures.hpp"
 
 int main(int argc, char** argv) {
-  return rtlock::bench::runBench([&] {
+  using namespace rtlock;
+  return bench::runBench([&] {
     const support::CliArgs args(argc, argv, {"seed", "csv", "samples", "relocks", "budget",
                                              "benchmarks", "extended", "threads"});
     const auto seed = static_cast<std::uint64_t>(args.getInt("seed", 1));
     const bool csv = args.getBool("csv", false);
-    const int threads = rtlock::bench::requestedThreads(args);
-
-    attack::EvaluationConfig config;
-    config.testLocks = static_cast<int>(args.getInt("samples", 3));
-    config.keyBudgetFraction = args.getDouble("budget", 0.75);
-    config.snapshot.relockRounds = static_cast<int>(args.getInt("relocks", 60));
-    config.snapshot.relockBudgetFraction = config.keyBudgetFraction;
-    config.snapshot.locality.extendedFeatures = args.getBool("extended", false);
-    config.snapshot.automl.folds = 3;
-    // The grid is the outer parallelism level; keep the per-cell sample loop
-    // on the serial reference path to avoid oversubscription.
-    config.threads = 1;
+    const int threads = support::requestedThreads(args);
+    const attack::EvaluationConfig config = bench::fig6Config(
+        static_cast<int>(args.getInt("samples", 3)), static_cast<int>(args.getInt("relocks", 60)),
+        args.getDouble("budget", 0.75), args.getBool("extended", false));
 
     std::vector<std::string> benchmarks = designs::benchmarkNames();
     if (args.has("benchmarks")) {
       benchmarks = support::split(args.get("benchmarks", ""), ',');
     }
 
-    rtlock::bench::banner(
+    bench::banner(
         "Fig. 6 — SnapShot-RTL attack vs. locking algorithms",
         "Sisejkovic et al., DAC'22, Fig. 6a (per benchmark) and 6b (average)",
         "paper averages: ASSURE 74.78, HRA 74.26, ERA 47.92 KPA%; ERA ~= 50 everywhere, "
         "N_2046 ~= 100 for ASSURE");
 
-    const std::vector<lock::Algorithm> algorithms{
-        lock::Algorithm::AssureSerial, lock::Algorithm::Hra, lock::Algorithm::Era};
+    const bench::Fig6Grid grid = bench::runFig6(benchmarks, config, support::Rng{seed}, threads);
+    const auto& algorithms = bench::kFig6Algorithms;
 
     support::Table perBenchmark{{"benchmark", "ops", "ASSURE KPA%", "HRA KPA%", "ERA KPA%",
                                  "ERA bits (budget)"}};
-    std::vector<double> sums(algorithms.size(), 0.0);
-
-    // Build each benchmark once; tasks clone from the shared const module.
-    std::vector<rtl::Module> originals;
-    originals.reserve(benchmarks.size());
-    for (const auto& name : benchmarks) originals.push_back(designs::makeBenchmark(name));
-
-    // One task per (benchmark, algorithm) cell; cell i draws only from
-    // substream(i) of the master seed, so the grid is thread-count
-    // invariant.  Results come back in submission order.
-    const support::Rng root{seed};
-    support::TaskPool pool{
-        support::threadsForTasks(threads, benchmarks.size() * algorithms.size())};
-    const auto cells = pool.map(
-        benchmarks.size() * algorithms.size(), [&](std::size_t index) {
-          const std::size_t b = index / algorithms.size();
-          const lock::Algorithm algorithm = algorithms[index % algorithms.size()];
-          support::Rng cellRng = root.substream(index);
-          return attack::evaluateBenchmark(originals[b], benchmarks[b], algorithm,
-                                           lock::PairTable::fixed(), config, cellRng);
-        });
-
     for (std::size_t b = 0; b < benchmarks.size(); ++b) {
       const std::string& name = benchmarks[b];
       std::vector<std::string> row{name};
       {
-        rtl::Module probe = originals[b].clone();
+        rtl::Module probe = designs::makeBenchmark(name);
         lock::LockEngine probeEngine{probe, lock::PairTable::fixed()};
         row.push_back(std::to_string(probeEngine.initialLockableOps()));
       }
 
       std::string eraBits;
       for (std::size_t a = 0; a < algorithms.size(); ++a) {
-        const auto& result = cells[b * algorithms.size() + a];
-        sums[a] += result.meanKpa;
+        const auto& result = grid.at(a, b);
         row.push_back(support::formatDouble(result.meanKpa, 2));
         if (algorithms[a] == lock::Algorithm::Era) {
           eraBits = support::formatDouble(result.meanBitsUsed, 0) + " (" +
@@ -105,17 +71,16 @@ int main(int argc, char** argv) {
     }
 
     std::cout << "--- Fig. 6a: KPA per benchmark ---\n";
-    rtlock::bench::emit(perBenchmark, csv);
+    bench::emit(perBenchmark, csv);
 
     std::cout << "\n--- Fig. 6b: average KPA per algorithm ---\n";
     support::Table average{{"algorithm", "mean KPA%", "paper KPA%"}};
     const char* paperValues[] = {"74.78", "74.26", "47.92"};
     for (std::size_t a = 0; a < algorithms.size(); ++a) {
       average.addRow({std::string{lock::algorithmName(algorithms[a])},
-                      support::formatDouble(sums[a] / static_cast<double>(benchmarks.size()), 2),
-                      paperValues[a]});
+                      support::formatDouble(grid.meanKpa(a), 2), paperValues[a]});
     }
-    rtlock::bench::emit(average, csv);
+    bench::emit(average, csv);
     std::cout << "\nrandom-guess baseline: 50.00 KPA%\n";
   });
 }

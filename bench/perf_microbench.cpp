@@ -1,12 +1,16 @@
 // Performance microbenchmarks (google-benchmark): throughput of the pieces
 // that dominate experiment wall-clock — locking, undo, locality extraction,
-// Verilog parsing/writing, simulation, classifier training, and the fit of
-// each auto-ml portfolio candidate (BM_CandidateFit).
+// Verilog parsing/writing, simulation, corruption sweeps, static analysis,
+// classifier training, and the fit of each auto-ml portfolio candidate
+// (BM_CandidateFit).  End-to-end timings of the attack, the session cache
+// and HTTP serving live in perfbench/.
 #include <benchmark/benchmark.h>
 
 #include <string>
 #include <vector>
 
+#include "analysis/lint.hpp"
+#include "analysis/verifier.hpp"
 #include "attack/locality.hpp"
 #include "core/algorithms.hpp"
 #include "designs/networks.hpp"
@@ -157,6 +161,67 @@ void BM_CorruptionSweep(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_CorruptionSweep);
+
+/// `design` ASSURE-locked at `percent` % of its lockable ops, plus `keyCount`
+/// random hypothesis keys: the shape an oracle-guided attack sweeps.
+struct SweepFixture {
+  rtl::Module original;
+  rtl::Module locked;
+  std::vector<sim::BitVector> keys;
+  sim::EquivalenceOptions options{4, 4};
+
+  SweepFixture(const std::string& design, int percent, int keyCount)
+      : original(designs::makeBenchmark(design)), locked(original.clone()) {
+    lock::LockEngine engine{locked, lock::PairTable::fixed()};
+    support::Rng rng{13};
+    lock::assureRandomLock(engine, engine.initialLockableOps() * percent / 100, rng);
+    for (int i = 0; i < keyCount; ++i) {
+      keys.push_back(sim::BitVector::random(locked.keyWidth(), rng));
+    }
+  }
+};
+
+void BM_BatchCorruptionSweep(benchmark::State& state, const char* design, int percent,
+                             int keyCount) {
+  // Every key through the bit-sliced backend at once: outputCorruptionBatch
+  // packs the key x vector measurements 64 per tape pass.
+  const SweepFixture sweep{design, percent, keyCount};
+  sim::Harness harness{sweep.original, sweep.locked, sim::SimBackend::Sliced};
+  for (auto _ : state) {
+    support::Rng stimulusRng{14};
+    benchmark::DoNotOptimize(harness.outputCorruptionBatch(sweep.keys, sweep.options, stimulusRng));
+  }
+  state.SetItemsProcessed(state.iterations() * keyCount);
+}
+BENCHMARK_CAPTURE(BM_BatchCorruptionSweep, SHA256_50pct_20keys, "SHA256", 50, 20);
+BENCHMARK_CAPTURE(BM_BatchCorruptionSweep, FIR_75pct_64keys, "FIR", 75, 64);
+
+void BM_ScalarCorruptionSweep(benchmark::State& state) {
+  // The same SHA256 sweep one key at a time on the scalar compiled tape:
+  // the oracle the batched rows are measured against.
+  const SweepFixture sweep{"SHA256", 50, 20};
+  sim::Harness harness{sweep.original, sweep.locked, sim::SimBackend::Compiled};
+  for (auto _ : state) {
+    for (const sim::BitVector& key : sweep.keys) {
+      support::Rng stimulusRng{14};
+      benchmark::DoNotOptimize(harness.outputCorruption(key, sweep.options, stimulusRng));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(sweep.keys.size()));
+}
+BENCHMARK(BM_ScalarCorruptionSweep);
+
+void BM_LintLocked(benchmark::State& state) {
+  // Full verifier + security lint (key-influence fixpoint included) over a
+  // locked SHA256: the `rtlock lint` hot path and the price debug builds pay
+  // per RTLOCK_DEBUG_VERIFY_IR call site.
+  const SweepFixture fixture{"SHA256", 50, 0};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(analysis::verify(fixture.locked));
+    benchmark::DoNotOptimize(analysis::lintLocked(fixture.locked));
+  }
+}
+BENCHMARK(BM_LintLocked)->Unit(benchmark::kMicrosecond);
 
 void BM_BitVectorNarrowOps(benchmark::State& state) {
   // Small-buffer fast path: width <= 64 vectors never touch the heap.

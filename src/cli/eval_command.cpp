@@ -112,9 +112,9 @@ int runEvalCommand(const service::FieldValues& flags, CommandIo& io) {
 }
 
 int runWorkCommand(const service::FieldValues& flags, CommandIo& io) {
+  if (!flags.has("manifest")) throw UsageError{"--manifest=PATH is required (the shared manifest)"};
   service::EvalRequest request = evalRequestFromFlags(flags);
   const std::string inputPath = flags.positional().front();
-  if (!flags.has("manifest")) throw UsageError{"--manifest=PATH is required (the shared manifest)"};
   request.source = readTextFile(inputPath);
 
   const campaign::ScopedSignalHandlers signalGuard;

@@ -381,6 +381,8 @@ EvalRequest evalRequestFrom(const FieldValues& values) {
   request.campaign.cellDeadlineMs = static_cast<double>(values.count("deadline-ms"));
   if (values.knows("manifest")) {
     request.manifestPath = values.text("manifest");
+    // An empty path would fall through to a plain single-process eval.
+    if (request.manifestPath.empty()) throw BadRequest{"manifest must name the shared manifest"};
     request.workerId = values.text("owner");
     request.leaseMs = static_cast<double>(values.count("lease-ms"));
     request.pollMs = static_cast<double>(values.count("poll-ms"));

@@ -92,7 +92,14 @@ double CliArgs::getDouble(std::string_view name, double fallback) const {
 }
 
 int requestedThreads(const CliArgs& args) {
-  if (args.has("threads")) return static_cast<int>(args.getInt("threads", 0));
+  if (args.has("threads")) {
+    const std::int64_t value = args.getInt("threads", 0);
+    if (value < 0 || value > kMaxThreads) {
+      throw Error("flag --threads expects an integer in [0, 4096], got '" +
+                  args.get("threads", "") + "'");
+    }
+    return static_cast<int>(value);
+  }
   if (const char* env = std::getenv("RTLOCK_THREADS")) {
     char* end = nullptr;
     errno = 0;

@@ -150,6 +150,17 @@ TEST(CliDispatchTest, ThreadsFlagIsBounded) {
   }
 }
 
+TEST(CliDispatchTest, WorkRejectsAnEmptyManifestPath) {
+  // An empty --manifest= used to run a plain single-process eval and report
+  // "fleet converged ... from 0 journal(s)" with exit 0.
+  const auto empty = runCli({"work", "/nonexistent/in.v", "--manifest="});
+  EXPECT_EQ(empty.exitCode, cli::kExitUsage);
+  EXPECT_NE(empty.err.find("manifest"), std::string::npos) << empty.err;
+  const auto absent = runCli({"work", "/nonexistent/in.v"});
+  EXPECT_EQ(absent.exitCode, cli::kExitUsage);
+  EXPECT_NE(absent.err.find("--manifest=PATH is required"), std::string::npos) << absent.err;
+}
+
 TEST(CliDispatchTest, BudgetRejectsNonFiniteFractions) {
   EXPECT_EQ(runCli({"lock", "/nonexistent/in.v", "--budget=nan%"}).exitCode, cli::kExitUsage);
   EXPECT_EQ(runCli({"eval", "/nonexistent/in.v", "--budget=nan%"}).exitCode, cli::kExitUsage);

@@ -19,8 +19,7 @@
 
 #include "attack/pipeline.hpp"
 #include "designs/networks.hpp"
-#include "fig4_scenarios.hpp"
-#include "support/task_pool.hpp"
+#include "figures.hpp"
 
 namespace rtlock::attack {
 namespace {
@@ -104,13 +103,11 @@ bench::Fig4Observations runScenario(bench::Fig4Scenario scenario, std::uint64_t 
   return bench::observeFig4(scenario, /*networkSize=*/48, /*testBits=*/24, /*rounds=*/40, rng);
 }
 
+/// The bench's own scenario grid (one task per scenario, scenario i on
+/// rng{7 + i}).
 std::vector<bench::Fig4Observations> runFig4Grid(int threads) {
-  const std::vector<bench::Fig4Scenario> scenarios{bench::Fig4Scenario::SerialSerial,
-                                                   bench::Fig4Scenario::RandomRandom,
-                                                   bench::Fig4Scenario::SerialDisjoint};
-  support::TaskPool pool{threads};
-  return pool.map(scenarios.size(),
-                  [&](std::size_t index) { return runScenario(scenarios[index], 7 + index); });
+  return bench::observeFig4Scenarios(7, /*networkSize=*/48, /*testBits=*/24, /*rounds=*/40,
+                                     threads);
 }
 
 TEST(DeterminismTest, Fig4ObservationStreamsAreThreadCountInvariant) {

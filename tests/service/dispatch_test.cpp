@@ -247,6 +247,16 @@ TEST_F(DispatchTest, MillisecondFieldsAreBoundedIntegers) {
   EXPECT_EQ(zeroPoll.status, 400);
 }
 
+TEST_F(DispatchTest, EmptyManifestIsABadRequest) {
+  // "manifest": "" used to run a plain eval and answer 200.
+  support::JsonValue body;
+  body.set("source", kMixer);
+  body.set("manifest", "");
+  const HttpResponse response = dispatcher_.handle(makeRequest("POST", "/v1/eval", body.dump()));
+  EXPECT_EQ(response.status, 400);
+  EXPECT_NE(response.body.find("manifest"), std::string::npos) << response.body;
+}
+
 TEST_F(DispatchTest, BudgetRejectsNonFiniteFractions) {
   for (const char* target : {"/v1/lock", "/v1/eval"}) {
     support::JsonValue body;

@@ -93,7 +93,12 @@ TEST(SchemaTest, DefaultsDecodeWithinTheirOwnBounds) {
   EXPECT_NO_THROW((void)lockRequestFrom(FieldValues{schemaFor("lock")}));
   EXPECT_NO_THROW((void)attackRequestFrom(FieldValues{schemaFor("attack")}));
   EXPECT_NO_THROW((void)evalRequestFrom(FieldValues{schemaFor("eval")}));
-  EXPECT_NO_THROW((void)evalRequestFrom(FieldValues{schemaFor("work")}));
+  // work's manifest is required and has no default: empty, it would run a
+  // plain eval.  Every other work default decodes.
+  FieldValues work{schemaFor("work")};
+  EXPECT_THROW((void)evalRequestFrom(work), BadRequest);
+  work.set(schemaFor("work").at("manifest"), std::string{"fleet.manifest"});
+  EXPECT_NO_THROW((void)evalRequestFrom(work));
 }
 
 TEST(SchemaTest, MillisecondRowsAreBoundedIntegers) {

@@ -84,6 +84,17 @@ TEST(CliTest, BooleanSpellings) {
   EXPECT_THROW((void)parse({"--x=maybe"}, {"x"}).getBool("x", true), Error);
 }
 
+TEST(CliTest, RequestedThreadsBoundsTheFlag) {
+  EXPECT_EQ(requestedThreads(parse({"--threads=0"}, {"threads"})), 0);
+  EXPECT_EQ(requestedThreads(parse({"--threads=3"}, {"threads"})), 3);
+  EXPECT_EQ(requestedThreads(parse({"--threads=4096"}, {"threads"})), kMaxThreads);
+  // -1 used to run on hardware threads; 5000000000 truncated through int.
+  EXPECT_THROW((void)requestedThreads(parse({"--threads=-1"}, {"threads"})), Error);
+  EXPECT_THROW((void)requestedThreads(parse({"--threads=4097"}, {"threads"})), Error);
+  EXPECT_THROW((void)requestedThreads(parse({"--threads=5000000000"}, {"threads"})), Error);
+  EXPECT_THROW((void)requestedThreads(parse({"--threads=2x"}, {"threads"})), Error);
+}
+
 TEST(CliTest, PositionalArguments) {
   const auto args = parse({"file1.v", "--seed=1", "file2.v"}, {"seed"});
   ASSERT_EQ(args.positional().size(), 2u);
