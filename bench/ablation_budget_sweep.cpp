@@ -17,7 +17,7 @@ int main(int argc, char** argv) {
   return bench::runBench([&] {
     const support::CliArgs args(argc, argv,
                                 {"seed", "csv", "samples", "relocks", "benchmark", "threads"});
-    const auto seed = static_cast<std::uint64_t>(args.getInt("seed", 1));
+    const std::uint64_t seed = args.getU64("seed", 1);
     const bool csv = args.getBool("csv", false);
     const std::string benchmarkName = args.get("benchmark", "FIR");
 

@@ -18,7 +18,7 @@ int main(int argc, char** argv) {
   using namespace rtlock;
   return bench::runBench([&] {
     const support::CliArgs args(argc, argv, {"seed", "csv", "samples", "relocks", "threads"});
-    const auto seed = static_cast<std::uint64_t>(args.getInt("seed", 1));
+    const std::uint64_t seed = args.getU64("seed", 1);
     const bool csv = args.getBool("csv", false);
     const int threads = support::requestedThreads(args);
 

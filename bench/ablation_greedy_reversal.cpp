@@ -62,7 +62,7 @@ double replayAgreement(const std::vector<int>& observed, const rtl::Module& orig
 int main(int argc, char** argv) {
   return rtlock::bench::runBench([&] {
     const support::CliArgs args(argc, argv, {"seed", "csv", "budget", "trials"});
-    const auto seed = static_cast<std::uint64_t>(args.getInt("seed", 1));
+    const std::uint64_t seed = args.getU64("seed", 1);
     const bool csv = args.getBool("csv", false);
     const int trials = static_cast<int>(args.getInt("trials", 5));
 

@@ -75,7 +75,7 @@ std::map<rtl::OpKind, PerKind> attackAndScore(const lock::PairTable& table, int 
 int main(int argc, char** argv) {
   return rtlock::bench::runBench([&] {
     const support::CliArgs args(argc, argv, {"seed", "csv", "samples", "relocks", "threads"});
-    const auto seed = static_cast<std::uint64_t>(args.getInt("seed", 1));
+    const std::uint64_t seed = args.getU64("seed", 1);
     const bool csv = args.getBool("csv", false);
     const int samples = static_cast<int>(args.getInt("samples", 3));
     const int relocks = static_cast<int>(args.getInt("relocks", 80));

@@ -54,7 +54,7 @@ int main(int argc, char** argv) {
   return rtlock::bench::runBench([&] {
     const support::CliArgs args(argc, argv,
                                 {"seed", "csv", "network", "bits", "relocks", "threads"});
-    const auto seed = static_cast<std::uint64_t>(args.getInt("seed", 1));
+    const std::uint64_t seed = args.getU64("seed", 1);
     const bool csv = args.getBool("csv", false);
     const int network = static_cast<int>(args.getInt("network", 64));
     const int bits = static_cast<int>(args.getInt("bits", 32));

@@ -85,7 +85,7 @@ void evolution(bool csv, std::uint64_t seed, int budget, int threads) {
 int main(int argc, char** argv) {
   return rtlock::bench::runBench([&] {
     const support::CliArgs args(argc, argv, {"seed", "csv", "grid-step", "budget", "threads"});
-    const auto seed = static_cast<std::uint64_t>(args.getInt("seed", 1));
+    const std::uint64_t seed = args.getU64("seed", 1);
     const bool csv = args.getBool("csv", false);
     const int step = static_cast<int>(args.getInt("grid-step", 5));
     const int budget = static_cast<int>(args.getInt("budget", 60));

@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
   return bench::runBench([&] {
     const support::CliArgs args(argc, argv, {"seed", "csv", "samples", "relocks", "budget",
                                              "benchmarks", "extended", "threads"});
-    const auto seed = static_cast<std::uint64_t>(args.getInt("seed", 1));
+    const std::uint64_t seed = args.getU64("seed", 1);
     const bool csv = args.getBool("csv", false);
     const int threads = support::requestedThreads(args);
     const attack::EvaluationConfig config = bench::fig6Config(

@@ -1,17 +1,21 @@
 // Performance microbenchmarks (google-benchmark): throughput of the pieces
 // that dominate experiment wall-clock — locking, undo, locality extraction,
 // Verilog parsing/writing, simulation, corruption sweeps, static analysis,
-// classifier training, and the fit of each auto-ml portfolio candidate
-// (BM_CandidateFit).  End-to-end timings of the attack, the session cache
+// classifier training, auto-ml's row cap and fold step (BM_SampleIndices,
+// BM_PoolFoldAggregates beside BM_DatasetFoldAggregates), and the fit of
+// each auto-ml portfolio candidate (BM_CandidateFit).  End-to-end timings of the attack, the session cache
 // and HTTP serving live in perfbench/.
 #include <benchmark/benchmark.h>
 
+#include <array>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "analysis/lint.hpp"
 #include "analysis/verifier.hpp"
 #include "attack/locality.hpp"
+#include "attack/pool_relock.hpp"
 #include "core/algorithms.hpp"
 #include "designs/networks.hpp"
 #include "designs/registry.hpp"
@@ -253,6 +257,64 @@ void BM_AutoMlSelect(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AutoMlSelect)->Iterations(5);
+
+/// BM_SampleIndices/<n>: auto-ml's 100k-row cap drawn over n harvested
+/// rows (DES3's 175k at 1000 rounds, N_2046's 2.8M).
+void BM_SampleIndices(benchmark::State& state) {
+  const auto rows = static_cast<std::size_t>(state.range(0));
+  support::Rng rng{9};
+  for (auto _ : state) benchmark::DoNotOptimize(rng.sampleIndices(rows, 100000));
+}
+BENCHMARK(BM_SampleIndices)->Arg(175000)->Arg(2800000)->Unit(benchmark::kMillisecond);
+
+/// DES3 under ASSURE after 1000 tree-free relock rounds: 175k rows in the
+/// compact row store, so the 100k-row cap samples.
+attack::PoolRelocker relockedDes3(bool extendedFeatures) {
+  rtl::Module module = designs::makeBenchmark("DES3");
+  lock::LockEngine engine{module, lock::PairTable::fixed()};
+  support::Rng rng{10};
+  (void)lock::lockWithAlgorithm(engine, lock::Algorithm::AssureSerial,
+                                static_cast<int>(0.75 * engine.initialLockableOps()), rng,
+                                lock::ReportDetail::Summary);
+  attack::LocalityConfig config;
+  config.extendedFeatures = extendedFeatures;
+  std::optional<attack::PoolRelocker> relocker =
+      attack::PoolRelocker::build(module, lock::PairTable::fixed(), config);
+  const int budget = static_cast<int>(0.75 * relocker->totalLockableOps());
+  for (int round = 0; round < 1000; ++round) relocker->relockRound(budget, rng);
+  return *std::move(relocker);
+}
+
+/// BM_PoolFoldAggregates/<extended>: the SnapShot attack's fold step, the
+/// kept rows folded straight from the row store.
+void BM_PoolFoldAggregates(benchmark::State& state) {
+  const attack::PoolRelocker relocker = relockedDes3(state.range(0) != 0);
+  for (auto _ : state) {
+    support::Rng rng{11};
+    benchmark::DoNotOptimize(relocker.foldAggregates(100000, 3, rng).all.size());
+  }
+}
+BENCHMARK(BM_PoolFoldAggregates)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
+/// BM_DatasetFoldAggregates/<extended>: the same folds the way
+/// autoSelect(Dataset) builds them, through a Dataset of the kept rows.
+void BM_DatasetFoldAggregates(benchmark::State& state) {
+  const bool extended = state.range(0) != 0;
+  const attack::PoolRelocker relocker = relockedDes3(extended);
+  const std::size_t features = extended ? 6 : 2;
+  std::array<double, 6> row{};
+  for (auto _ : state) {
+    support::Rng rng{11};
+    ml::Dataset kept{static_cast<int>(features)};
+    kept.reserveRows(100000);
+    ml::forEachSampledRow(relocker.rowCount(), 100000, rng, [&](std::size_t i, double weight) {
+      const int label = relocker.row(i, row);
+      kept.add(ml::RowView{row.data(), features}, label, weight);
+    });
+    benchmark::DoNotOptimize(kept.kFoldAggregated(3, rng).all.size());
+  }
+}
+BENCHMARK(BM_DatasetFoldAggregates)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 /// An aggregated CV train fold shaped like the SnapShot attack's: raw
 /// locality rows (2 basic or 6 extended-style features, both labels per

@@ -5,6 +5,7 @@
 
 #include "rtl/traverse.hpp"
 #include "support/diagnostics.hpp"
+#include "support/probe_table.hpp"
 
 namespace rtlock::attack {
 
@@ -50,6 +51,23 @@ struct TargetWalk {
     return true;
   }
 };
+
+/// A row's (codes, label) and, under extended features, its two depths,
+/// packed into integers.
+struct TupleKey {
+  std::uint64_t lo = 0;
+  std::uint64_t hi = 0;
+  bool operator==(const TupleKey&) const = default;
+};
+
+/// splitmix64's finalizer over both words: ProbeTable takes slots from the
+/// low bits, which a bare product would leave to the last code alone.
+[[nodiscard]] std::uint64_t hashKey(const TupleKey& key) noexcept {
+  std::uint64_t z = key.lo ^ key.hi * 0x9e3779b97f4a7c15ULL;
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
 
 }  // namespace
 
@@ -166,31 +184,78 @@ void PoolRelocker::harvestRound() {
 }
 
 void PoolRelocker::reserveRows(std::size_t rows) {
-  const std::size_t stride = config_.extendedFeatures ? 4 : 2;
-  codes_.reserve(codes_.size() + rows * stride);
+  codes_.reserve(codes_.size() + rows * codeStride());
   if (config_.extendedFeatures) depths_.reserve(depths_.size() + rows * 2);
   labels_.reserve(labels_.size() + rows);
 }
 
-ml::Dataset PoolRelocker::trainingSet(std::size_t maxRows, support::Rng& rng) const {
-  const int features = featureCount(config_);
-  const std::size_t stride = config_.extendedFeatures ? 4 : 2;
-  ml::Dataset training{features};
-  training.reserveRows(std::min(rowCount(), maxRows));
-  std::array<double, 6> row{};
-  ml::forEachSampledRow(rowCount(), maxRows, rng, [&](std::size_t i, double weight) {
+int PoolRelocker::row(std::size_t i, std::span<double> features) const {
+  RTLOCK_REQUIRE(features.size() >= static_cast<std::size_t>(featureCount(config_)),
+                 "feature buffer shorter than a row");
+  const std::uint8_t* codes = codes_.data() + i * codeStride();
+  features[0] = codes[0];
+  features[1] = codes[1];
+  if (config_.extendedFeatures) {
+    features[2] = depths_[2 * i];
+    features[3] = depths_[2 * i + 1];
+    features[4] = codes[2];
+    features[5] = codes[3];
+  }
+  return labels_[i];
+}
+
+ml::KFoldAggregates PoolRelocker::foldAggregates(std::size_t maxRows, int folds,
+                                                 support::Rng& rng) const {
+  // Two rows are one aggregated tuple exactly when their integer keys are
+  // equal: every feature is an integer below 2^32, so its double is exact.
+  const std::size_t stride = codeStride();
+  const auto keyOf = [this, stride](std::size_t i) {
     const std::uint8_t* codes = codes_.data() + i * stride;
-    row[0] = codes[0];
-    row[1] = codes[1];
+    TupleKey key{labels_[i], 0};
+    for (std::size_t c = 0; c < stride; ++c) key.lo = key.lo << 8 | codes[c];
     if (config_.extendedFeatures) {
-      row[2] = depths_[2 * i];
-      row[3] = depths_[2 * i + 1];
-      row[4] = codes[2];
-      row[5] = codes[3];
+      key.hi = std::uint64_t{depths_[2 * i]} << 32 | depths_[2 * i + 1];
     }
-    training.add(ml::RowView{row.data(), static_cast<std::size_t>(features)}, labels_[i], weight);
+    return key;
+  };
+
+  // Kept rows in visit order, as their tuple ids and weights; per tuple its
+  // first row and its weight sum, accumulated in row order as Dataset
+  // aggregation accumulates it.
+  const std::size_t kept = std::min(rowCount(), maxRows);
+  std::vector<std::uint32_t> tupleOf;
+  std::vector<double> weights;
+  tupleOf.reserve(kept);
+  weights.reserve(kept);
+  std::vector<std::size_t> firstRow;
+  std::vector<TupleKey> tupleKey;
+  std::vector<double> tupleWeight;
+  support::ProbeTable tuples;
+  ml::forEachSampledRow(rowCount(), maxRows, rng, [&](std::size_t i, double weight) {
+    const TupleKey key = keyOf(i);
+    const std::uint32_t tuple =
+        tuples.intern(hashKey(key), [&](std::uint32_t id) { return tupleKey[id] == key; });
+    if (tuple == firstRow.size()) {
+      firstRow.push_back(i);
+      tupleKey.push_back(key);
+      tupleWeight.push_back(weight);
+    } else {
+      tupleWeight[tuple] += weight;
+    }
+    tupleOf.push_back(tuple);
+    weights.push_back(weight);
   });
-  return training;
+
+  const int features = featureCount(config_);
+  ml::Dataset all{features};
+  all.reserveRows(firstRow.size());
+  std::array<double, 6> values{};
+  for (std::size_t tuple = 0; tuple < firstRow.size(); ++tuple) {
+    const int label = row(firstRow[tuple], values);
+    all.add(ml::RowView{values.data(), static_cast<std::size_t>(features)}, label,
+            tupleWeight[tuple]);
+  }
+  return ml::aggregateFolds(std::move(all), tupleOf, weights, folds, rng);
 }
 
 }  // namespace rtlock::attack

@@ -28,13 +28,18 @@
 // muxes) take the LockEngine + LocalityHarvester path instead, which also
 // stays the oracle this model is tested against (tests/attack/).
 //
-// Rows are kept as compact integer codes and only the rows auto-ml keeps are
-// turned into an ml::Dataset (ml::forEachSampledRow).
+// Rows are kept as compact integer codes, and the attack never turns them
+// into an ml::Dataset: foldAggregates walks the rows auto-ml keeps
+// (ml::forEachSampledRow, the one row-cap rule) straight into auto-ml's
+// fold aggregates, interning each kept row's integer key to a dense tuple
+// id and handing the ids to ml::aggregateFolds.  Only the few hundred
+// distinct tuples are ever turned into doubles.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "attack/locality.hpp"
@@ -67,10 +72,18 @@ class PoolRelocker {
   /// Pre-grows the row store for `rows` additional rows.
   void reserveRows(std::size_t rows);
 
-  /// The rows auto-ml trains on (ml::AutoMlConfig::maxTrainingRows =
-  /// `maxRows`): every row at weight 1 when rowCount() <= maxRows, else the
-  /// subset Dataset::sampled would keep, weighted alike and drawn from `rng`.
-  [[nodiscard]] ml::Dataset trainingSet(std::size_t maxRows, support::Rng& rng) const;
+  /// Row `i` (< rowCount()) as LocalityHarvester harvests it: writes its
+  /// featureCount(config) features to the front of `features` and returns
+  /// its label.
+  [[nodiscard]] int row(std::size_t i, std::span<double> features) const;
+
+  /// Auto-ml's folds over the rows it trains on: equal, row for row and bit
+  /// for bit, and with the same draws from `rng`, to materializing every
+  /// row ml::forEachSampledRow(rowCount(), maxRows, rng, ...) keeps into a
+  /// Dataset (row(i) at the visit's weight) and calling its
+  /// kFoldAggregated(folds, rng) — without that Dataset.
+  [[nodiscard]] ml::KFoldAggregates foldAggregates(std::size_t maxRows, int folds,
+                                                   support::Rng& rng) const;
 
  private:
   /// Per target operation: what its real or cloned dummy form needs for the
@@ -99,6 +112,11 @@ class PoolRelocker {
 
   explicit PoolRelocker(const LocalityConfig& config) : config_(config) {}
 
+  /// Row-store bytes per row: C1, C2 and, extended, parent code and width
+  /// bucket.
+  [[nodiscard]] std::size_t codeStride() const noexcept {
+    return config_.extendedFeatures ? 4 : 2;
+  }
   void wrap(rtl::OpKind kind, std::size_t index, bool keyValue);
   void harvestRound();
 

@@ -64,9 +64,10 @@ SnapshotResult snapshotAttack(rtl::Module& lockedTarget,
   }
 
   // Step 2: self-referencing training set, tree-free when the target's
-  // lockable operations never nest (attack/pool_relock.hpp).
+  // lockable operations never nest (attack/pool_relock.hpp).  Step 3:
+  // model selection + training.
   std::size_t harvested = 0;
-  ml::Dataset training{featureCount(config.locality)};
+  ml::AutoMlResult automl;
   std::optional<PoolRelocker> relocker = PoolRelocker::build(lockedTarget, table, config.locality);
   if (relocker.has_value()) {
     const int budget = roundBudget(config, relocker->totalLockableOps());
@@ -74,16 +75,16 @@ SnapshotResult snapshotAttack(rtl::Module& lockedTarget,
                           static_cast<std::size_t>(config.relockRounds));
     for (int round = 0; round < config.relockRounds; ++round) relocker->relockRound(budget, rng);
     harvested = relocker->rowCount();
-    // Only the rows auto-ml keeps become a Dataset; autoSelect then finds
-    // at most maxTrainingRows rows and draws no second sample.
-    training = relocker->trainingSet(config.automl.maxTrainingRows, rng);
+    // The kept rows fold straight from the row store: no Dataset of them is
+    // built, and auto-ml gets the folds autoSelect(Dataset) would build.
+    automl = ml::autoSelect(
+        relocker->foldAggregates(config.automl.maxTrainingRows, config.automl.folds, rng),
+        config.automl, rng);
   } else {
-    training = relockOnTree(lockedTarget, table, config, rng);
+    const ml::Dataset training = relockOnTree(lockedTarget, table, config, rng);
     harvested = training.size();
+    automl = ml::autoSelect(training, config.automl, rng);
   }
-
-  // Step 3: model selection + training.
-  const ml::AutoMlResult automl = ml::autoSelect(training, config.automl, rng);
 
   // Step 4: per-bit prediction and KPA scoring.
   SnapshotResult result;

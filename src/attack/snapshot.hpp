@@ -10,10 +10,11 @@
 //     known, extracting the new localities, and undoing the relock.  When
 //     no lockable operation and no key mux sit inside a lockable
 //     operation's operands, the rounds run tree-free over per-kind pool
-//     counts (attack/pool_relock.hpp) and only the rows auto-ml keeps are
-//     materialized.  Other targets fall back to the LockEngine +
-//     LocalityHarvester path (attack/harvest.hpp), which also stays the
-//     oracle the tree-free rounds must match row for row;
+//     counts (attack/pool_relock.hpp) and the rows auto-ml keeps fold
+//     straight from their compact store into auto-ml's folds.  Other
+//     targets fall back to the LockEngine + LocalityHarvester path
+//     (attack/harvest.hpp), which also stays the oracle the tree-free
+//     rounds must match row for row;
 //  3. trains an auto-ml-selected classifier on (locality -> key bit);
 //  4. predicts every target key bit and reports the Key Prediction Accuracy.
 //

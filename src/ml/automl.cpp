@@ -36,17 +36,11 @@ std::vector<std::unique_ptr<Classifier>> defaultPortfolio() {
 AutoMlResult autoSelect(const Dataset& rawData, const AutoMlConfig& config, support::Rng& rng) {
   RTLOCK_REQUIRE(!rawData.empty(), "auto-ml needs a non-empty training set");
 
-  using Clock = std::chrono::steady_clock;
-  const auto elapsedSecondsSince = [](Clock::time_point start) {
-    return std::chrono::duration<double>(Clock::now() - start).count();
-  };
-
   // Subsample raw rows first (folding must happen on raw rows: aggregating
   // duplicates before the split would make folds all-or-nothing per feature
-  // tuple and bias validation accuracy).  Folds are index views over the one
-  // backing matrix; each view is aggregated afterwards — lossless — so model
-  // fitting stays fast.  Under the cap, fold directly over the caller's data
-  // (sampled() would be a full flat copy and draws no randomness then).
+  // tuple and bias validation accuracy).  Under the cap, fold directly over
+  // the caller's data (sampled() would be a full flat copy and draws no
+  // randomness then).
   std::optional<Dataset> sampledStorage;
   if (rawData.size() > config.maxTrainingRows) {
     sampledStorage.emplace(rawData.sampled(config.maxTrainingRows, rng));
@@ -56,7 +50,18 @@ AutoMlResult autoSelect(const Dataset& rawData, const AutoMlConfig& config, supp
   // Fused fold construction (one hash probe per row): per-fold aggregated
   // (train, validation) pairs plus the full aggregate for the final refit,
   // row-for-row identical to aggregating kFold() views one by one.
-  KFoldAggregates aggregates = data.kFoldAggregated(config.folds, rng);
+  return autoSelect(data.kFoldAggregated(config.folds, rng), config, rng);
+}
+
+AutoMlResult autoSelect(const KFoldAggregates& aggregates, const AutoMlConfig& config,
+                        support::Rng& rng) {
+  RTLOCK_REQUIRE(!aggregates.all.empty(), "auto-ml needs a non-empty training set");
+
+  using Clock = std::chrono::steady_clock;
+  const auto elapsedSecondsSince = [](Clock::time_point start) {
+    return std::chrono::duration<double>(Clock::now() - start).count();
+  };
+
   const std::vector<std::pair<Dataset, Dataset>>& folds = aggregates.folds;
   std::size_t largestTrainFold = 0;
   for (const auto& [train, validation] : folds) {

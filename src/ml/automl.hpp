@@ -66,4 +66,14 @@ struct AutoMlResult {
 [[nodiscard]] AutoMlResult autoSelect(const Dataset& data, const AutoMlConfig& config,
                                       support::Rng& rng);
 
+/// The same selection on folds built elsewhere: autoSelect(data, config,
+/// rng) is `data` capped by forEachSampledRow(data.size(),
+/// config.maxTrainingRows, ...), then kFoldAggregated(config.folds, rng),
+/// then this call.  Builders that keep their rows outside a Dataset (the
+/// SnapShot attack's compact row store, attack/pool_relock.hpp) hand over
+/// equal aggregates and get an identical result.  `aggregates` is borrowed
+/// const, as `data` is above.
+[[nodiscard]] AutoMlResult autoSelect(const KFoldAggregates& aggregates,
+                                      const AutoMlConfig& config, support::Rng& rng);
+
 }  // namespace rtlock::ml

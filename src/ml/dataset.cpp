@@ -5,6 +5,7 @@
 #include <numeric>
 
 #include "support/diagnostics.hpp"
+#include "support/probe_table.hpp"
 
 namespace rtlock::ml {
 
@@ -82,49 +83,6 @@ namespace {
   return std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
 }
 
-/// Open-addressing index from hashed keys to dense ids in first-seen order.
-/// Grouping runs several times per auto-ml call over ~10^5 raw rows — it has
-/// to be a flat probe table, not a node-based map with a string key per row.
-/// The caller keeps the keys; `same(id)` tells whether the probed key equals
-/// the key of `id`.
-class ProbeTable {
- public:
-  /// The id whose key `same` accepts; if there is none, the next fresh id
-  /// (== size() before the call), recorded under `hash`.
-  template <typename Same>
-  std::uint32_t intern(std::uint64_t hash, Same&& same) {
-    std::size_t slot = static_cast<std::size_t>(hash) & (capacity_ - 1);
-    for (;;) {
-      const std::uint32_t id = slots_[slot];
-      if (id == kEmpty) break;
-      if (hashes_[id] == hash && same(id)) return id;
-      slot = (slot + 1) & (capacity_ - 1);
-    }
-    const auto id = static_cast<std::uint32_t>(hashes_.size());
-    slots_[slot] = id;
-    hashes_.push_back(hash);
-    if (hashes_.size() * 2 >= capacity_) grow();
-    return id;
-  }
-
- private:
-  static constexpr std::uint32_t kEmpty = UINT32_MAX;
-
-  void grow() {
-    capacity_ *= 2;
-    slots_.assign(capacity_, kEmpty);
-    for (std::uint32_t id = 0; id < hashes_.size(); ++id) {
-      std::size_t slot = static_cast<std::size_t>(hashes_[id]) & (capacity_ - 1);
-      while (slots_[slot] != kEmpty) slot = (slot + 1) & (capacity_ - 1);
-      slots_[slot] = id;
-    }
-  }
-
-  std::size_t capacity_ = 64;  // power of two; grown when half full
-  std::vector<std::uint32_t> slots_ = std::vector<std::uint32_t>(64, kEmpty);
-  std::vector<std::uint64_t> hashes_;  // per id
-};
-
 }  // namespace
 
 /// Merges (features, label) duplicates into one weighted result row each,
@@ -150,7 +108,7 @@ class Dataset::Aggregator {
 
  private:
   Dataset result_;
-  ProbeTable table_;
+  support::ProbeTable table_;
 };
 
 template <typename Table>
@@ -167,16 +125,6 @@ Dataset Dataset::aggregateOf(const Table& table) {
 Dataset Dataset::aggregated() const { return aggregateOf(*this); }
 
 KFoldAggregates Dataset::kFoldAggregated(int folds, support::Rng& rng) const {
-  RTLOCK_REQUIRE(folds >= 2, "k-fold needs at least two folds");
-  std::vector<std::size_t> order(size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  rng.shuffle(order);
-
-  std::vector<int> foldOf(size());
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    foldOf[order[i]] = static_cast<int>(i % static_cast<std::size_t>(folds));
-  }
-
   // The whole-set aggregate names each row's distinct (features, label)
   // tuple: one hash probe per row.
   Aggregator full{featureCount_};
@@ -185,12 +133,28 @@ KFoldAggregates Dataset::kFoldAggregated(int folds, support::Rng& rng) const {
     const RowView r = row(i);
     tupleOf[i] = full.consume(r, labels_[i], weights_[i], hashRow(r, labels_[i]));
   }
+  return aggregateFolds(std::move(full).take(), tupleOf, weights_, folds, rng);
+}
+
+KFoldAggregates aggregateFolds(Dataset all, std::span<const std::uint32_t> tupleOf,
+                               std::span<const double> weights, int folds, support::Rng& rng) {
+  RTLOCK_REQUIRE(folds >= 2, "k-fold needs at least two folds");
+  RTLOCK_REQUIRE(tupleOf.size() == weights.size(), "one weight per row");
+  const std::size_t rows = tupleOf.size();
+  // kFold()'s draws: one shuffle of the row positions (a 32-bit order
+  // vector permutes exactly as a size_t one).
+  std::vector<std::uint32_t> order(rows);
+  std::iota(order.begin(), order.end(), std::uint32_t{0});
+  rng.shuffle(order);
+  std::vector<int> foldOf(rows);
+  for (std::size_t i = 0; i < rows; ++i) {
+    foldOf[order[i]] = static_cast<int>(i % static_cast<std::size_t>(folds));
+  }
 
   KFoldAggregates result;
-  result.all = std::move(full).take();
+  result.all = std::move(all);
   const Dataset& tuples = result.all;
-
-  // Each fold's pair then aggregates through dense tuple id -> result row
+  // Each fold's pair aggregates through dense tuple id -> result row
   // tables, filled in ascending row order (exactly the view order), so
   // first-seen order and the order of every weight sum are those of a
   // separate aggregation of each fold view.
@@ -199,19 +163,20 @@ KFoldAggregates Dataset::kFoldAggregated(int folds, support::Rng& rng) const {
   std::vector<std::uint32_t> validationSlot;
   result.folds.reserve(static_cast<std::size_t>(folds));
   for (int fold = 0; fold < folds; ++fold) {
-    Dataset train{featureCount_};
-    Dataset validation{featureCount_};
+    Dataset train{tuples.featureCount()};
+    Dataset validation{tuples.featureCount()};
     trainSlot.assign(tuples.size(), kAbsent);
     validationSlot.assign(tuples.size(), kAbsent);
-    for (std::size_t i = 0; i < size(); ++i) {
+    for (std::size_t i = 0; i < rows; ++i) {
       const bool validates = foldOf[i] == fold;
       Dataset& target = validates ? validation : train;
-      std::uint32_t& slot = (validates ? validationSlot : trainSlot)[tupleOf[i]];
+      const std::uint32_t tuple = tupleOf[i];
+      std::uint32_t& slot = (validates ? validationSlot : trainSlot)[tuple];
       if (slot == kAbsent) {
         slot = static_cast<std::uint32_t>(target.size());
-        target.add(tuples.row(tupleOf[i]), labels_[i], weights_[i]);
+        target.add(tuples.row(tuple), tuples.label(tuple), weights[i]);
       } else {
-        target.weights_[slot] += weights_[i];
+        target.weights_[slot] += weights[i];
       }
     }
     result.folds.emplace_back(std::move(train), std::move(validation));
@@ -222,7 +187,7 @@ KFoldAggregates Dataset::kFoldAggregated(int folds, support::Rng& rng) const {
 FeatureGroups Dataset::featureGroups() const {
   FeatureGroups groups;
   groups.groupOf.reserve(size());
-  ProbeTable table;
+  support::ProbeTable table;
   for (std::size_t i = 0; i < size(); ++i) {
     const RowView r = row(i);
     const std::uint32_t group = table.intern(hashFeatures(r), [&](std::uint32_t candidate) {

@@ -107,11 +107,15 @@ class Dataset {
   /// Row-for-row identical to aggregating each kFold() view and calling
   /// aggregated() separately — same shuffle, same first-seen order, same
   /// weight sums — but only the whole-set pass hashes rows; the folds
-  /// aggregate through dense tuple ids (the auto-ml fast path).
+  /// aggregate through dense tuple ids (aggregateFolds, the auto-ml fast
+  /// path).
   [[nodiscard]] KFoldAggregates kFoldAggregated(int folds, support::Rng& rng) const;
 
  private:
   friend class DatasetView;
+  friend KFoldAggregates aggregateFolds(Dataset all, std::span<const std::uint32_t> tupleOf,
+                                        std::span<const double> weights, int folds,
+                                        support::Rng& rng);
   class Aggregator;
 
   /// Shared aggregation over anything with featureCount/size/row/label/weight.
@@ -142,6 +146,17 @@ struct KFoldAggregates {
   /// Aggregate of the entire dataset (the final-refit training set).
   Dataset all{1};
 };
+
+/// The fold half of Dataset::kFoldAggregated, for callers that hold a raw
+/// table only as its whole-set aggregate: `all` is aggregated() of a table
+/// whose row i is the tuple all.row(tupleOf[i]) with label
+/// all.label(tupleOf[i]) and weight weights[i].  Draws kFold()'s shuffle
+/// over the tupleOf.size() rows and aggregates every fold's (train,
+/// validation) pair through dense tuple ids, visiting rows in ascending
+/// order, so the result equals that table's kFoldAggregated(folds, rng).
+[[nodiscard]] KFoldAggregates aggregateFolds(Dataset all, std::span<const std::uint32_t> tupleOf,
+                                             std::span<const double> weights, int folds,
+                                             support::Rng& rng);
 
 /// Non-owning subset of a Dataset's rows (the fold-view type).  Holds the
 /// row indices it exposes; the backing Dataset must outlive every view.

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <limits>
 #include <string>
 
@@ -52,21 +54,45 @@ ml::Dataset treeRows(rtl::Module& target, const lock::PairTable& table,
   return rows;
 }
 
-ml::Dataset poolRows(PoolRelocker relocker, int rounds, support::Rng& rng) {
+void relockRounds(PoolRelocker& relocker, int rounds, support::Rng& rng) {
   for (int round = 0; round < rounds; ++round) {
     relocker.relockRound(roundBudget(relocker.totalLockableOps()), rng);
   }
-  return relocker.trainingSet(kAllRows, rng);
 }
 
+/// The rows ml::forEachSampledRow keeps from the row store, materialized
+/// through PoolRelocker::row at their visit weights (every row at weight 1
+/// when `maxRows` is kAllRows).
+ml::Dataset keptRows(const PoolRelocker& relocker, const LocalityConfig& config,
+                     std::size_t maxRows, support::Rng& rng) {
+  ml::Dataset rows{featureCount(config)};
+  std::array<double, 6> features{};
+  ml::forEachSampledRow(relocker.rowCount(), maxRows, rng, [&](std::size_t i, double weight) {
+    const int label = relocker.row(i, features);
+    rows.add(ml::RowView{features.data(), static_cast<std::size_t>(rows.featureCount())}, label,
+             weight);
+  });
+  return rows;
+}
+
+ml::Dataset poolRows(PoolRelocker relocker, const LocalityConfig& config, int rounds,
+                     support::Rng& rng) {
+  relockRounds(relocker, rounds, rng);
+  return keptRows(relocker, config, kAllRows, rng);
+}
+
+std::uint64_t bitsOf(double value) { return std::bit_cast<std::uint64_t>(value); }
+
+/// Equal row count, and per row equal feature bits, label and weight bits.
 void expectSameRows(const ml::Dataset& actual, const ml::Dataset& expected,
                     const std::string& context) {
   ASSERT_EQ(actual.featureCount(), expected.featureCount()) << context;
   ASSERT_EQ(actual.size(), expected.size()) << context;
   for (std::size_t i = 0; i < actual.size(); ++i) {
-    ASSERT_TRUE(std::ranges::equal(actual.row(i), expected.row(i))) << context << " row " << i;
+    ASSERT_TRUE(std::ranges::equal(actual.row(i), expected.row(i), {}, bitsOf, bitsOf))
+        << context << " row " << i;
     ASSERT_EQ(actual.label(i), expected.label(i)) << context << " row " << i;
-    ASSERT_EQ(actual.weight(i), expected.weight(i)) << context << " row " << i;
+    ASSERT_EQ(bitsOf(actual.weight(i)), bitsOf(expected.weight(i))) << context << " row " << i;
   }
 }
 
@@ -85,7 +111,7 @@ bool matchesTreePath(const rtl::Module& locked, const LocalityConfig& config, in
   support::Rng treeRng{seed};
   support::Rng poolRng{seed};
   const ml::Dataset expected = treeRows(tree, table, config, rounds, treeRng);
-  const ml::Dataset actual = poolRows(*relocker, rounds, poolRng);
+  const ml::Dataset actual = poolRows(*relocker, config, rounds, poolRng);
   expectSameRows(actual, expected, context);
   EXPECT_TRUE(poolRng == treeRng) << context << ": Rng states differ";
   return true;
@@ -241,6 +267,45 @@ TEST(PoolRelockTest, SnapshotSamplingBranchMatchesTreePath) {
       EXPECT_EQ(actual.cvAccuracy, expected.cvAccuracy) << name;
       EXPECT_EQ(actual.predictions, expected.predictions) << name;
       EXPECT_TRUE(attackRng == referenceRng) << name;
+    }
+  }
+}
+
+TEST(PoolRelockTest, FoldAggregatesMatchMaterializedRows) {
+  for (const bool extended : {false, true}) {
+    LocalityConfig config;
+    config.extendedFeatures = extended;
+    for (const char* name : {"FIR", "MD5", "N_1023"}) {
+      const rtl::Module locked =
+          lockedWith(designs::makeBenchmark(name), lock::Algorithm::AssureSerial, 11);
+      std::optional<PoolRelocker> relocker =
+          PoolRelocker::build(locked, lock::PairTable::fixed(), config);
+      ASSERT_TRUE(relocker.has_value()) << name;
+      support::Rng roundRng{31};
+      relockRounds(*relocker, 30, roundRng);
+      const std::size_t rows = relocker->rowCount();
+      // Under the cap (whole, and exactly at it) and over it (a third, and
+      // a cap of 257 that keeps few duplicates).
+      for (const std::size_t maxRows : {kAllRows, rows, rows / 3, std::size_t{257}}) {
+        for (const int folds : {2, 5}) {
+          std::string context = std::string{name} + (extended ? " extended" : " basic");
+          context += " maxRows " + std::to_string(std::min(maxRows, rows)) + " of " +
+                     std::to_string(rows) + " folds " + std::to_string(folds);
+          support::Rng rng{32};
+          support::Rng oracleRng{32};
+          const ml::KFoldAggregates actual = relocker->foldAggregates(maxRows, folds, rng);
+          const ml::KFoldAggregates expected =
+              keptRows(*relocker, config, maxRows, oracleRng).kFoldAggregated(folds, oracleRng);
+          expectSameRows(actual.all, expected.all, context + " all");
+          ASSERT_EQ(actual.folds.size(), expected.folds.size()) << context;
+          for (std::size_t f = 0; f < actual.folds.size(); ++f) {
+            const std::string fold = context + " fold " + std::to_string(f);
+            expectSameRows(actual.folds[f].first, expected.folds[f].first, fold + " train");
+            expectSameRows(actual.folds[f].second, expected.folds[f].second, fold + " validation");
+          }
+          EXPECT_TRUE(rng == oracleRng) << context << ": Rng states differ";
+        }
+      }
     }
   }
 }

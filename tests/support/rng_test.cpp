@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <map>
 #include <numeric>
 #include <set>
+#include <utility>
 
 namespace rtlock::support {
 namespace {
@@ -28,6 +31,23 @@ std::vector<std::size_t> referenceSampleIndices(Rng& rng, std::size_t n, std::si
   }
   pool.resize(k);
   return pool;
+}
+
+/// The same partial shuffle over a sparse map of displaced slots, for
+/// populations too large for the dense pool.
+std::vector<std::size_t> sparseReferenceSampleIndices(Rng& rng, std::size_t n, std::size_t k) {
+  std::map<std::size_t, std::size_t> displaced;
+  const auto valueAt = [&displaced](std::size_t slot) {
+    const auto it = displaced.find(slot);
+    return it == displaced.end() ? slot : it->second;
+  };
+  std::vector<std::size_t> sample(k);
+  for (std::size_t i = 0; i < k; ++i) {
+    const auto j = i + static_cast<std::size_t>(referenceBelow(rng, n - i));
+    sample[i] = valueAt(j);
+    displaced[j] = valueAt(i);
+  }
+  return sample;
 }
 
 TEST(RngTest, SameSeedSameStream) {
@@ -213,6 +233,36 @@ TEST(RngTest, SampleIndicesMatchDenseReference) {
             << "n=" << n << " k=" << k << " seed=" << seed;
         EXPECT_TRUE(rng == reference) << "n=" << n << " k=" << k;
       }
+    }
+  }
+}
+
+TEST(RngTest, SampleIndicesMatchDenseReferenceAtAutoMlScale) {
+  // Auto-ml's 100k-row cap over harvests up to N_2046's 2.8M rows a cell,
+  // the whole population, and the empty sample.
+  const std::pair<std::size_t, std::size_t> shapes[] = {
+      {2800000, 100000}, {175000, 100000}, {100001, 100000}, {100000, 100000},
+      {2800000, 0},      {2800000, 1},     {5, 5},           {0, 0}};
+  for (const std::uint64_t seed : {5ULL, 2046ULL}) {
+    for (const auto& [n, k] : shapes) {
+      Rng rng{seed};
+      Rng reference{seed};
+      EXPECT_EQ(rng.sampleIndices(n, k), referenceSampleIndices(reference, n, k))
+          << "n=" << n << " k=" << k << " seed=" << seed;
+      EXPECT_TRUE(rng == reference) << "n=" << n << " k=" << k << " seed=" << seed;
+    }
+  }
+}
+
+TEST(RngTest, SampleIndicesMatchSparseReferenceBeyond32BitSlots) {
+  constexpr std::size_t kMax32 = std::numeric_limits<std::uint32_t>::max();
+  for (const std::size_t n : {kMax32, kMax32 + 1, std::size_t{1} << 40}) {
+    for (const std::size_t k : {std::size_t{0}, std::size_t{1}, std::size_t{5000}}) {
+      Rng rng{77};
+      Rng reference{77};
+      EXPECT_EQ(rng.sampleIndices(n, k), sparseReferenceSampleIndices(reference, n, k))
+          << "n=" << n << " k=" << k;
+      EXPECT_TRUE(rng == reference) << "n=" << n << " k=" << k;
     }
   }
 }
