@@ -22,8 +22,8 @@ int main(int argc, char** argv) {
     const std::string benchmarkName = args.get("benchmark", "FIR");
 
     attack::EvaluationConfig config;
-    config.testLocks = static_cast<int>(args.getInt("samples", 2));
-    config.snapshot.relockRounds = static_cast<int>(args.getInt("relocks", 50));
+    config.testLocks = bench::countFlag(args, "samples", 2, service::kMaxSamples);
+    config.snapshot.relockRounds = bench::countFlag(args, "relocks", 50, service::kMaxRounds);
     config.snapshot.automl.folds = 2;
     config.threads = 1;  // sweep cells are the outer parallelism level
 

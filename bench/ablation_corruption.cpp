@@ -16,10 +16,10 @@ int main(int argc, char** argv) {
     const support::CliArgs args(argc, argv, {"seed", "csv", "budget", "vectors"});
     const std::uint64_t seed = args.getU64("seed", 1);
     const bool csv = args.getBool("csv", false);
-    const double budgetFraction = args.getDouble("budget", 0.75);
+    const double budgetFraction = bench::budgetFlag(args, "0.75");
 
     sim::EquivalenceOptions options;
-    options.vectors = static_cast<int>(args.getInt("vectors", 16));
+    options.vectors = bench::countFlag(args, "vectors", 16, service::kMaxSamples);
     options.cyclesPerVector = 40;
 
     bench::banner("Wrong-key output corruption",

@@ -34,8 +34,8 @@ int main(int argc, char** argv) {
       const rtl::Module original = designs::makeBenchmark(name);
       for (const auto algorithm : {lock::Algorithm::AssureSerial, lock::Algorithm::Era}) {
         attack::EvaluationConfig config;
-        config.testLocks = static_cast<int>(args.getInt("samples", 2));
-        config.snapshot.relockRounds = static_cast<int>(args.getInt("relocks", 60));
+        config.testLocks = bench::countFlag(args, "samples", 2, service::kMaxSamples);
+        config.snapshot.relockRounds = bench::countFlag(args, "relocks", 60, service::kMaxRounds);
         config.snapshot.automl.folds = 2;
         // The grid here shares one rng stream serially (cells are compared
         // against each other), so the sample loop is the parallelism level.

@@ -64,7 +64,7 @@ int main(int argc, char** argv) {
     const support::CliArgs args(argc, argv, {"seed", "csv", "budget", "trials"});
     const std::uint64_t seed = args.getU64("seed", 1);
     const bool csv = args.getBool("csv", false);
-    const int trials = static_cast<int>(args.getInt("trials", 5));
+    const int trials = bench::countFlag(args, "trials", 5, service::kMaxSamples);
 
     rtlock::bench::banner(
         "Greedy reversibility vs. HRA randomization",

@@ -77,8 +77,8 @@ int main(int argc, char** argv) {
     const support::CliArgs args(argc, argv, {"seed", "csv", "samples", "relocks", "threads"});
     const std::uint64_t seed = args.getU64("seed", 1);
     const bool csv = args.getBool("csv", false);
-    const int samples = static_cast<int>(args.getInt("samples", 3));
-    const int relocks = static_cast<int>(args.getInt("relocks", 80));
+    const int samples = bench::countFlag(args, "samples", 3, service::kMaxSamples);
+    const int relocks = bench::countFlag(args, "relocks", 80, service::kMaxRounds);
     const int threads = support::requestedThreads(args);
 
     rtlock::bench::banner(

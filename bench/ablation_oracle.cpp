@@ -19,11 +19,11 @@ int main(int argc, char** argv) {
     const support::CliArgs args(argc, argv, {"seed", "csv", "budget", "trials", "vectors"});
     const std::uint64_t seed = args.getU64("seed", 1);
     const bool csv = args.getBool("csv", false);
-    const double budgetFraction = args.getDouble("budget", 0.5);
+    const double budgetFraction = bench::budgetFlag(args, "0.5");
 
     attack::OracleAttackConfig config;
-    config.trials = static_cast<int>(args.getInt("trials", 6));
-    config.vectors = static_cast<int>(args.getInt("vectors", 8));
+    config.trials = bench::countFlag(args, "trials", 6, service::kMaxSamples);
+    config.vectors = bench::countFlag(args, "vectors", 8, service::kMaxSamples);
     config.cyclesPerVector = 40;  // cover the deepest pipeline (32-tap FIR)
 
     bench::banner(

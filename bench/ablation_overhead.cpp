@@ -17,7 +17,7 @@ int main(int argc, char** argv) {
     const support::CliArgs args(argc, argv, {"seed", "csv", "budget"});
     const std::uint64_t seed = args.getU64("seed", 1);
     const bool csv = args.getBool("csv", false);
-    const double budgetFraction = args.getDouble("budget", 0.75);
+    const double budgetFraction = bench::budgetFlag(args, "0.75");
 
     bench::banner("Locking overhead — cost per key bit",
                   "Sisejkovic et al., DAC'22, Sec. 5 (cost discussion)",

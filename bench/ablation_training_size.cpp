@@ -38,7 +38,7 @@ int main(int argc, char** argv) {
         support::threadsForTasks(support::requestedThreads(args), roundGrid.size())};
     const auto cells = pool.map(roundGrid.size(), [&](std::size_t index) {
       attack::EvaluationConfig config;
-      config.testLocks = static_cast<int>(args.getInt("samples", 2));
+      config.testLocks = bench::countFlag(args, "samples", 2, service::kMaxSamples);
       config.snapshot.relockRounds = roundGrid[index];
       config.snapshot.automl.folds = 2;
       config.threads = 1;  // sweep cells are the outer parallelism level

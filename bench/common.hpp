@@ -5,6 +5,9 @@
 //   --csv          emit CSV instead of an aligned table
 //   --samples=N    locked samples per configuration (paper: 10)
 //   --relocks=N    training relock rounds per sample (paper: 1000)
+// Counts (--samples, --trials, --vectors in [1, 10^6], --relocks in
+// [1, 10^9]) and --budget (a fraction: 0.75 or 75%) are read strictly and
+// bounded as rtlock's request schema bounds them (countFlag, budgetFlag).
 // Benches routed through the experiment engine (fig4/5/6, run_baseline, the
 // evaluateBenchmark-based ablations) additionally accept
 //   --threads=N    experiment-engine workers in [0, 4096] (default:
@@ -18,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "service/schema.hpp"
 #include "support/cli.hpp"
 #include "support/diagnostics.hpp"
 #include "support/strings.hpp"
@@ -41,6 +45,25 @@ inline void banner(const std::string& title, const std::string& paperRef,
   std::cout << "== " << title << " ==\n"
             << "reproduces: " << paperRef << "\n"
             << "expected shape: " << expectation << "\n\n";
+}
+
+/// Count flag `name` in [1, max], read with the strict getU64.
+inline int countFlag(const support::CliArgs& args, std::string_view name, int fallback,
+                     std::uint64_t max) {
+  const std::uint64_t value = args.getU64(name, static_cast<std::uint64_t>(fallback));
+  if (value < 1 || value > max) {
+    throw support::Error{"--" + std::string{name} + " must be in [1, " + std::to_string(max) +
+                         "], got " + std::to_string(value)};
+  }
+  return static_cast<int>(value);
+}
+
+/// --budget as a key budget fraction in (0, 1], parsed as rtlock's --budget
+/// is; a bit count is rejected.
+inline double budgetFlag(const support::CliArgs& args, std::string_view fallback) {
+  const service::BudgetSpec spec = service::parseBudget(args.get("budget", fallback));
+  service::requireFraction(spec, "--budget");
+  return spec.fraction;
 }
 
 /// Wraps main-body execution with uniform error reporting.

@@ -58,7 +58,7 @@ int main(int argc, char** argv) {
     const bool csv = args.getBool("csv", false);
     const int network = static_cast<int>(args.getInt("network", 64));
     const int bits = static_cast<int>(args.getInt("bits", 32));
-    const int rounds = static_cast<int>(args.getInt("relocks", 200));
+    const int rounds = bench::countFlag(args, "relocks", 200, service::kMaxRounds);
     const int threads = support::requestedThreads(args);
 
     rtlock::bench::banner(

@@ -25,8 +25,9 @@ int main(int argc, char** argv) {
     const bool csv = args.getBool("csv", false);
     const int threads = support::requestedThreads(args);
     const attack::EvaluationConfig config = bench::fig6Config(
-        static_cast<int>(args.getInt("samples", 3)), static_cast<int>(args.getInt("relocks", 60)),
-        args.getDouble("budget", 0.75), args.getBool("extended", false));
+        bench::countFlag(args, "samples", 3, service::kMaxSamples),
+        bench::countFlag(args, "relocks", 60, service::kMaxRounds), bench::budgetFlag(args, "0.75"),
+        args.getBool("extended", false));
 
     std::vector<std::string> benchmarks = designs::benchmarkNames();
     if (args.has("benchmarks")) {

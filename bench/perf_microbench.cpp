@@ -1,8 +1,10 @@
 // Performance microbenchmarks (google-benchmark): throughput of the pieces
 // that dominate experiment wall-clock — locking, undo, locality extraction,
 // Verilog parsing/writing, simulation, corruption sweeps, static analysis,
-// classifier training, auto-ml's row cap and fold step (BM_SampleIndices,
-// BM_PoolFoldAggregates beside BM_DatasetFoldAggregates), and the fit of
+// classifier training, the attack's tree-free relock rounds
+// (BM_PoolRelockRound, ns per harvested row), auto-ml's row cap and fold
+// step (BM_SampleIndices, BM_PoolFoldAggregates beside
+// BM_DatasetFoldAggregates), and the fit of
 // each auto-ml portfolio candidate (BM_CandidateFit).  End-to-end timings of the attack, the session cache
 // and HTTP serving live in perfbench/.
 #include <benchmark/benchmark.h>
@@ -267,22 +269,49 @@ void BM_SampleIndices(benchmark::State& state) {
 }
 BENCHMARK(BM_SampleIndices)->Arg(175000)->Arg(2800000)->Unit(benchmark::kMillisecond);
 
-/// DES3 under ASSURE after 1000 tree-free relock rounds: 175k rows in the
-/// compact row store, so the 100k-row cap samples.
-attack::PoolRelocker relockedDes3(bool extendedFeatures) {
-  rtl::Module module = designs::makeBenchmark("DES3");
+/// `design` locked under ASSURE at 75 % with `rng`, as the SnapShot
+/// attack's target, ready for tree-free relock rounds.
+attack::PoolRelocker poolRelocker(const char* design, bool extendedFeatures, support::Rng& rng) {
+  rtl::Module module = designs::makeBenchmark(design);
   lock::LockEngine engine{module, lock::PairTable::fixed()};
-  support::Rng rng{10};
   (void)lock::lockWithAlgorithm(engine, lock::Algorithm::AssureSerial,
                                 static_cast<int>(0.75 * engine.initialLockableOps()), rng,
                                 lock::ReportDetail::Summary);
   attack::LocalityConfig config;
   config.extendedFeatures = extendedFeatures;
-  std::optional<attack::PoolRelocker> relocker =
-      attack::PoolRelocker::build(module, lock::PairTable::fixed(), config);
-  const int budget = static_cast<int>(0.75 * relocker->totalLockableOps());
-  for (int round = 0; round < 1000; ++round) relocker->relockRound(budget, rng);
-  return *std::move(relocker);
+  return *attack::PoolRelocker::build(module, lock::PairTable::fixed(), config);
+}
+
+/// BM_PoolRelockRound/<design>: the attack's relock step, 100 rounds at a
+/// 75 % budget on a fresh relocker per iteration; items are harvested rows,
+/// so the rate reads as rows per second.
+void BM_PoolRelockRound(benchmark::State& state, const char* design) {
+  support::Rng rng{10};
+  const attack::PoolRelocker target = poolRelocker(design, false, rng);
+  const int budget = static_cast<int>(0.75 * target.totalLockableOps());
+  constexpr int kRounds = 100;
+  std::size_t rows = 0;
+  for (auto _ : state) {
+    attack::PoolRelocker relocker = target;
+    relocker.reserveRows(static_cast<std::size_t>(budget) * kRounds);
+    for (int round = 0; round < kRounds; ++round) relocker.relockRound(budget, rng);
+    rows += relocker.rowCount();
+    benchmark::DoNotOptimize(relocker.rowCount());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(rows));
+}
+BENCHMARK_CAPTURE(BM_PoolRelockRound, DES3, "DES3")->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_PoolRelockRound, N_2046, "N_2046")->Unit(benchmark::kMillisecond);
+
+/// DES3 after 1000 tree-free relock rounds: 175k rows in the compact row
+/// store, so the 100k-row cap samples.
+attack::PoolRelocker relockedDes3(bool extendedFeatures) {
+  support::Rng rng{10};
+  attack::PoolRelocker relocker = poolRelocker("DES3", extendedFeatures, rng);
+  const int budget = static_cast<int>(0.75 * relocker.totalLockableOps());
+  for (int round = 0; round < 1000; ++round) relocker.relockRound(budget, rng);
+  return relocker;
 }
 
 /// BM_PoolFoldAggregates/<extended>: the SnapShot attack's fold step, the

@@ -7,20 +7,38 @@
 // inside the operand subtrees of a lockable operation, both follow from
 // per-kind pool *sizes* plus a record of which branch a later lock in the
 // same round wrapped again, so no expression node is built, no undo runs and
-// the module is never touched:
+// the module is never touched.  One packed kernel does the work:
 //
+//  * Live kinds.  build() keeps only the op kinds a round can ever draw:
+//    the target's base kinds plus the transitive closure of dummyFor over
+//    lockable kinds (under PairTable::assureOriginal a ** lock makes a *
+//    dummy, whose lock makes a + dummy, then a -), in pool order.  Each
+//    live kind has a compact pool and the live slot of its dummy kind.
 //  * Draws.  Each lock draws below(total) and then coin(), and walks the
-//    kinds in pool order exactly as LockEngine::lockRandomOp does.  Pools
-//    hold the target's lockable operations in LockEngine::buildIndex order;
-//    a lock whose dummy kind is lockable appends one entry for its dummy.
-//  * Codes.  Each pool entry remembers the last lock of the round that
-//    wrapped it (and whether as its real or its dummy branch).  Wrapping the
-//    entry again turns that branch of the earlier mux into a nested mux, so
-//    its C1/C2 code becomes kMuxCode; an untouched branch keeps 1 + kind.
-//  * Extended features come from per-entry metadata gathered in the same
-//    walk: operand widths (mux width = max(width(X), width(dummy))), depth
-//    (resolved in reverse lock order through the next-wrapper links) and
-//    parent code (kMuxCode once the entry sits inside a round mux).
+//    live kinds in pool order exactly as LockEngine::lockRandomOp walks
+//    every kind (empty pools never stop the walk).  Pools hold the target's
+//    lockable operations in LockEngine::buildIndex order; a lock whose
+//    dummy kind is lockable appends one entry for its dummy.
+//  * Pool entries are 8 bytes: the round stamp of the entry's last wrapper
+//    (0 = none) in the high word; in the low word that wrapper's lock index
+//    within the round, shifted left one bit, with the low bit set when the
+//    entry is the wrapper's dummy branch.  A stale stamp is a base entry no
+//    lock of this round has touched.
+//  * Rows are one byte each: bits 0-4 the real kind, bit 5 the key bit
+//    (the label), bit 6 "real branch wrapped later", bit 7 "dummy branch
+//    wrapped later".  A lock that draws an entry stamped this round
+//    back-patches the wrapper's byte, setting bit 6 or 7: that branch of
+//    the earlier mux now holds a nested mux, so its C1/C2 code is kMuxCode;
+//    an untouched branch keeps 1 + kind (the dummy kind follows from the
+//    real one).  row() and foldAggregates decode a byte through a 256-entry
+//    table to (C1, C2, label); that triple, not the byte, is the tuple, as
+//    two rows of different real kinds with both branches wrapped are equal.
+//  * Extended features run the same draw loop and keep side columns per
+//    round lock: the target operation's meta index (operand widths, depth,
+//    parent construct; mux width = max(width(X), width(dummy))), the
+//    next-wrapper links of both branches, and the parent code (kMuxCode
+//    once the entry sits inside a round mux).  Depths resolve in reverse
+//    lock order through the links at the end of the round.
 //
 // Relocking preserves the precondition: a dummy clones operand subtrees that
 // hold no lockable operation, and the new mux lands where the wrapped
@@ -28,12 +46,11 @@
 // muxes) take the LockEngine + LocalityHarvester path instead, which also
 // stays the oracle this model is tested against (tests/attack/).
 //
-// Rows are kept as compact integer codes, and the attack never turns them
-// into an ml::Dataset: foldAggregates walks the rows auto-ml keeps
-// (ml::forEachSampledRow, the one row-cap rule) straight into auto-ml's
-// fold aggregates, interning each kept row's integer key to a dense tuple
-// id and handing the ids to ml::aggregateFolds.  Only the few hundred
-// distinct tuples are ever turned into doubles.
+// Rows are never turned into an ml::Dataset: foldAggregates walks the rows
+// auto-ml keeps (ml::forEachSampledRow, the one row-cap rule) straight into
+// auto-ml's fold aggregates, interning each kept row's decoded key to a
+// dense tuple id and handing the ids to ml::aggregateFolds.  Only the few
+// hundred distinct tuples are ever turned into doubles.
 #pragma once
 
 #include <array>
@@ -63,11 +80,12 @@ class PoolRelocker {
 
   /// One relock round: the Rng draws of lock::assureRandomLock(engine,
   /// budget, rng) on a LockEngine over the target, and the rows
-  /// LocalityHarvester::harvestInto appends for that round, kept as codes.
+  /// LocalityHarvester::harvestInto appends for that round, kept as row
+  /// bytes (plus the extended side columns).
   void relockRound(int budget, support::Rng& rng);
 
   /// Rows harvested so far (one per round lock).
-  [[nodiscard]] std::size_t rowCount() const noexcept { return labels_.size(); }
+  [[nodiscard]] std::size_t rowCount() const noexcept { return rows_.size(); }
 
   /// Pre-grows the row store for `rows` additional rows.
   void reserveRows(std::size_t rows);
@@ -94,49 +112,42 @@ class PoolRelocker {
     int depth = 0;       // exprDepth of the operation (dummies: the same)
     int parentCode = 0;  // construct holding it in the target
   };
-  struct PoolEntry {
-    std::uint32_t meta = 0;
-    std::uint32_t round = 0;  // round of the last wrapper; 0 = none
-    std::uint32_t wrapper = 0;
-    bool dummyBranch = false;  // entry is the wrapper's dummy branch
-  };
-  struct RoundLock {
-    rtl::OpKind realKind = rtl::OpKind::Add;
-    rtl::OpKind dummyKind = rtl::OpKind::Sub;
-    bool keyValue = false;
-    std::uint32_t meta = 0;
-    int parentCode = 0;
-    int nextReal = -1;   // lock that wrapped the real branch next, -1 none
-    int nextDummy = -1;  // likewise for the dummy branch
+  /// A kind some round can draw: its pool (base entries, then this round's
+  /// dummies) and where a lock of it puts its dummy.
+  struct LiveKind {
+    std::vector<std::uint64_t> pool;   // packed entries, see the header comment;
+                                       // sized for base entries plus a round's dummies
+    std::vector<std::uint32_t> meta;   // per base entry (extended features)
+    std::uint32_t baseSize = 0;
+    std::uint8_t kind = 0;
+    std::size_t dummySlot = 0;  // live slot of dummyFor(kind); live_.size() when not lockable
   };
 
   explicit PoolRelocker(const LocalityConfig& config) : config_(config) {}
 
-  /// Row-store bytes per row: C1, C2 and, extended, parent code and width
-  /// bucket.
-  [[nodiscard]] std::size_t codeStride() const noexcept {
-    return config_.extendedFeatures ? 4 : 2;
-  }
-  void wrap(rtl::OpKind kind, std::size_t index, bool keyValue);
-  void harvestRound();
+  void resolveExtended(std::size_t roundBase);
 
   LocalityConfig config_;
-  std::array<bool, rtl::kOpKindCount> lockable_{};
-  std::array<rtl::OpKind, rtl::kOpKindCount> dummyFor_{};
+  std::vector<LiveKind> live_;  // in pool order
+  std::vector<std::uint64_t> poolStart_;  // running pool offsets, this round
   std::vector<OpMeta> meta_;
-  std::array<std::vector<PoolEntry>, rtl::kOpKindCount> pools_;
-  std::array<std::size_t, rtl::kOpKindCount> baseSizes_{};
+  std::array<rtl::OpKind, rtl::kOpKindCount> dummyFor_{};
   int baseTotal_ = 0;
-  int total_ = 0;
   std::uint32_t round_ = 0;
-  std::vector<RoundLock> locks_;  // current round, in lock order
-  std::vector<int> muxDepth_;     // per round lock (extended features)
+  /// Per row byte: C1, C2 and label, packed as C1 | C2 << 8 | label << 16.
+  std::array<std::uint32_t, 256> decoded_{};
 
-  // Row store: per row C1, C2 and, extended, parent code and width bucket
-  // (codes stay below 256); extended depths beside; labels.
-  std::vector<std::uint8_t> codes_;
+  // Extended side columns, per lock of the current round.
+  std::vector<std::uint32_t> lockMeta_;
+  std::vector<std::array<int, 2>> nextWrapper_;  // real, dummy; -1 none
+  std::vector<std::uint8_t> lockParent_;
+  std::vector<int> muxDepth_;
+
+  // Row store: one byte per row; extended, per row the two branch depths
+  // and the parent code and width bucket bytes.
+  std::vector<std::uint8_t> rows_;
   std::vector<std::uint32_t> depths_;
-  std::vector<std::uint8_t> labels_;
+  std::vector<std::uint8_t> context_;
 };
 
 }  // namespace rtlock::attack

@@ -13,7 +13,6 @@ namespace {
 
 using enum FieldKind;
 
-constexpr std::uint64_t kMaxRounds = 1'000'000'000;
 constexpr std::uint64_t kNoMax = std::numeric_limits<std::uint64_t>::max();
 constexpr std::string_view kEnvThreads = "RTLOCK_THREADS, else hardware";
 constexpr std::string_view kInput = "input netlist (input.v)";
@@ -37,7 +36,7 @@ const Field kCsv{"csv", Flag, kCli, "", "", "print the rows as CSV"};
   const std::vector<Field> grid{
       {"algos", List, kBoth, "serial,hra,era", "LIST", "comma-separated algorithms"},
       {"seeds", List, kBoth, "1", "LIST", "seeds: 1,2,7 or ranges 1..5, at most 10000"},
-      {"samples", Count, kBoth, "10", "N", "locked samples per cell", "", 1, 1'000'000},
+      {"samples", Count, kBoth, "10", "N", "locked samples per cell", "", 1, kMaxSamples},
       {"rounds", Count, kBoth, "1000", "N", "training relock rounds", "", 0, kMaxRounds},
       {"budget", Text, kBoth, "75%", "SPEC", "key budget fraction, also the relock budget"},
       kFolds, kExtended,
@@ -165,13 +164,6 @@ void checkRows(std::string_view command,
                std::initializer_list<std::pair<const char*, double>> values) {
   const Schema& schema = schemaFor(command);
   for (const auto& [name, value] : values) checkRange(schema.at(name), value, name);
-}
-
-void requireFraction(const BudgetSpec& budget, const char* name) {
-  checkBudget(budget, budget.describe());
-  if (!budget.isFraction) {
-    throw BadRequest{std::string{name} + " takes a fraction of the operations (e.g. 75%)"};
-  }
 }
 
 }  // namespace

@@ -36,6 +36,9 @@ enum Surface : std::uint8_t { kCli = 1, kJson = 2, kBoth = kCli | kJson };
 /// Largest value of every *-ms row (about 31 years): no ms -> us or ns cast
 /// of it can overflow.
 inline constexpr std::uint64_t kMaxMillis = 1'000'000'000'000;
+/// Largest `samples` and `rounds`; both fit an int.
+inline constexpr std::uint64_t kMaxSamples = 1'000'000;
+inline constexpr std::uint64_t kMaxRounds = 1'000'000'000;
 
 struct Field {
   std::string_view name;  // flag spelling; JSON swaps '-' for '_' unless jsonName is set

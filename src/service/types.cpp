@@ -128,6 +128,13 @@ void checkBudget(const BudgetSpec& spec, const std::string& text) {
   }
 }
 
+void requireFraction(const BudgetSpec& spec, const char* name) {
+  checkBudget(spec, spec.describe());
+  if (!spec.isFraction) {
+    throw BadRequest{std::string{name} + " takes a fraction of the operations (e.g. 75%)"};
+  }
+}
+
 support::JsonValue rowsToJson(const std::vector<ReportRow>& rows) {
   support::JsonArray array;
   array.reserve(rows.size());

@@ -75,6 +75,10 @@ struct BudgetSpec {
 /// (0, 1] (NaN is not) or at least 1 key bit.
 void checkBudget(const BudgetSpec& spec, const std::string& text);
 
+/// checkBudget, and throws BadRequest naming `name` unless `spec` is a
+/// fraction of the operations.
+void requireFraction(const BudgetSpec& spec, const char* name);
+
 // ---- report rows -----------------------------------------------------------
 
 /// One metric row; the schema BENCH_baseline.json established

@@ -15,6 +15,7 @@
 #include "attack/harvest.hpp"
 #include "attack/snapshot.hpp"
 #include "core/algorithms.hpp"
+#include "designs/random.hpp"
 #include "designs/registry.hpp"
 #include "rtl/builder.hpp"
 
@@ -183,6 +184,47 @@ TEST(PoolRelockTest, RowsMatchTreePathUnderOriginalAssurePairs) {
       support::Rng rng{21};
       (void)lock::assureRandomLock(engine, roundBudget(engine.initialLockableOps()), rng);
       EXPECT_TRUE(matchesTreePath(locked, config, 50, 22, name, table)) << name;
+    }
+  }
+}
+
+TEST(PoolRelockTest, RowsMatchTreePathThroughTransitiveDummyKinds) {
+  // Under the leaky table a ** lock makes a * dummy, whose lock makes a +
+  // dummy, whose lock makes a - dummy: a round over a module of ** alone
+  // draws from four kinds, three of them two or more dummy steps away.
+  // Rows and labels must match, not only the final Rng state: a bound that
+  // misses a kind changes which entry is drawn, not how far the Rng moves.
+  rtl::ModuleBuilder b{"pow_only"};
+  const auto a = b.input("a", 4);
+  const auto c = b.input("c", 3);
+  for (int i = 0; i < 6; ++i) {
+    b.assign(b.output("y" + std::to_string(i), 8), b.bin(OpKind::Pow, b.ref(a), b.ref(c)));
+  }
+  const rtl::Module module = b.take();
+  for (const bool extended : {false, true}) {
+    LocalityConfig config;
+    config.extendedFeatures = extended;
+    EXPECT_TRUE(matchesTreePath(module, config, 20, 23, "pow_only",
+                                lock::PairTable::assureOriginal()));
+  }
+}
+
+TEST(PoolRelockTest, RowsMatchTreePathOnRandomModules) {
+  // Fixed-seed differential sweep: every random module meets the
+  // precondition, under both pair tables and both feature sets.
+  support::Rng moduleRng{24};
+  for (int i = 0; i < 200; ++i) {
+    const rtl::Module module = designs::makeRandomModule(moduleRng);
+    for (const lock::PairTable* table :
+         {&lock::PairTable::fixed(), &lock::PairTable::assureOriginal()}) {
+      for (const bool extended : {false, true}) {
+        LocalityConfig config;
+        config.extendedFeatures = extended;
+        std::string context = "random module " + std::to_string(i);
+        context += table == &lock::PairTable::fixed() ? " fixed" : " assureOriginal";
+        context += extended ? " extended" : " basic";
+        ASSERT_TRUE(matchesTreePath(module, config, 20, 1000 + i, context, *table)) << context;
+      }
     }
   }
 }
