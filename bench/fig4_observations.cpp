@@ -9,6 +9,9 @@
 //   (b,e) serial test + serial relocking  -> contradictory observations
 //   (c,f) random test + random relocking  -> '+' is *mostly* the real op
 //   (d,g) serial test + disjoint training -> '+' is *always* the real op
+//
+// Flags: --network=N '+' operations in [1, 4096] (default 64); --bits=N
+// test-lock key bits in [1, --network] (default 32); --relocks=N.
 #include <utility>
 
 #include "attack/locality.hpp"
@@ -18,6 +21,10 @@
 namespace {
 
 using namespace rtlock;
+
+/// Largest '+' network --network may ask for: each relock round rebuilds
+/// localities over the whole network.
+constexpr std::uint64_t kMaxNetwork = 4096;
 
 std::string codeName(int code) {
   if (code == attack::kMuxCode) return "mux";
@@ -56,8 +63,8 @@ int main(int argc, char** argv) {
                                 {"seed", "csv", "network", "bits", "relocks", "threads"});
     const std::uint64_t seed = args.getU64("seed", 1);
     const bool csv = args.getBool("csv", false);
-    const int network = static_cast<int>(args.getInt("network", 64));
-    const int bits = static_cast<int>(args.getInt("bits", 32));
+    const int network = bench::countFlag(args, "network", 64, kMaxNetwork);
+    const int bits = bench::countFlag(args, "bits", 32, static_cast<std::uint64_t>(network));
     const int rounds = bench::countFlag(args, "relocks", 200, service::kMaxRounds);
     const int threads = support::requestedThreads(args);
 

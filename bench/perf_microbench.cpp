@@ -22,7 +22,6 @@
 #include "designs/networks.hpp"
 #include "designs/registry.hpp"
 #include "ml/automl.hpp"
-#include "sim/compiled_sim.hpp"
 #include "sim/compiler.hpp"
 #include "sim/evaluator.hpp"
 #include "sim/harness.hpp"
@@ -123,27 +122,11 @@ void BM_SimulateCycle(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulateCycle);
 
-void BM_CompiledSimulateCycle(benchmark::State& state) {
-  // Same cycle as BM_SimulateCycle on the compiled bytecode backend.
-  const rtl::Module module = designs::makeBenchmark("SHA256");
-  sim::CompiledSim compiled{module};
-  support::Rng rng{6};
-  const auto blk = *module.findSignal("blk");
-  const auto digest = *module.findSignal("digest");
-  for (auto _ : state) {
-    compiled.setValue(blk, sim::BitVector::random(32, rng));
-    compiled.settle();
-    benchmark::DoNotOptimize(compiled.value(digest));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_CompiledSimulateCycle);
-
 void BM_CompileProgram(benchmark::State& state) {
-  // One-off cost the compiled backend pays per (module, lock) combination.
+  // One-off cost the sliced tape pays per (module, lock) combination.
   const rtl::Module module = designs::makeBenchmark("SHA256");
   for (auto _ : state) {
-    benchmark::DoNotOptimize(sim::Compiler::compile(module).instructionCount());
+    benchmark::DoNotOptimize(sim::Compiler::compileSliced(module).instructionCount());
   }
 }
 BENCHMARK(BM_CompileProgram)->Iterations(50);
@@ -189,10 +172,10 @@ struct SweepFixture {
 
 void BM_BatchCorruptionSweep(benchmark::State& state, const char* design, int percent,
                              int keyCount) {
-  // Every key through the bit-sliced backend at once: outputCorruptionBatch
+  // Every key through the bit-sliced tape at once: outputCorruptionBatch
   // packs the key x vector measurements 64 per tape pass.
   const SweepFixture sweep{design, percent, keyCount};
-  sim::Harness harness{sweep.original, sweep.locked, sim::SimBackend::Sliced};
+  sim::Harness harness{sweep.original, sweep.locked};
   for (auto _ : state) {
     support::Rng stimulusRng{14};
     benchmark::DoNotOptimize(harness.outputCorruptionBatch(sweep.keys, sweep.options, stimulusRng));
@@ -201,21 +184,6 @@ void BM_BatchCorruptionSweep(benchmark::State& state, const char* design, int pe
 }
 BENCHMARK_CAPTURE(BM_BatchCorruptionSweep, SHA256_50pct_20keys, "SHA256", 50, 20);
 BENCHMARK_CAPTURE(BM_BatchCorruptionSweep, FIR_75pct_64keys, "FIR", 75, 64);
-
-void BM_ScalarCorruptionSweep(benchmark::State& state) {
-  // The same SHA256 sweep one key at a time on the scalar compiled tape:
-  // the oracle the batched rows are measured against.
-  const SweepFixture sweep{"SHA256", 50, 20};
-  sim::Harness harness{sweep.original, sweep.locked, sim::SimBackend::Compiled};
-  for (auto _ : state) {
-    for (const sim::BitVector& key : sweep.keys) {
-      support::Rng stimulusRng{14};
-      benchmark::DoNotOptimize(harness.outputCorruption(key, sweep.options, stimulusRng));
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(sweep.keys.size()));
-}
-BENCHMARK(BM_ScalarCorruptionSweep);
 
 void BM_LintLocked(benchmark::State& state) {
   // Full verifier + security lint (key-influence fixpoint included) over a

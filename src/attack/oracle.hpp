@@ -27,12 +27,6 @@ struct OracleAttackConfig {
   int vectors = 8;
   /// Must exceed the design's pipeline depth or deep bits stay unobservable.
   int cyclesPerVector = 24;
-  /// Simulator executing the corruption measurements.  The sliced default
-  /// packs all `vectors` stimulus lanes of a measurement into one tape pass;
-  /// Compiled is the scalar oracle for differential runs.  Both produce
-  /// bit-identical corruption values, so the recovered key never depends on
-  /// the backend.
-  sim::SimBackend backend = sim::SimBackend::Sliced;
 };
 
 struct OracleAttackResult {

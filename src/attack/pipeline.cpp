@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <memory>
 
+#include "sim/harness.hpp"
 #include "support/task_pool.hpp"
 
 namespace rtlock::attack {
@@ -60,7 +61,7 @@ SampleOutcome evaluateSample(WorkerSlot& slot, const rtl::Module& original,
     for (const lock::LockRecord& record : truth) {
       correctKey.setBit(record.keyIndex, record.keyValue);
     }
-    sim::Harness harness{original, *slot.module, config.simBackend};
+    sim::Harness harness{original, *slot.module};
     support::Rng verifyRng{0x76657269'66790001ULL};
     outcome.functionalFailure =
         harness.findMismatch(correctKey, {}, verifyRng).has_value();

@@ -10,7 +10,6 @@
 #include <string>
 
 #include "attack/snapshot.hpp"
-#include "sim/harness.hpp"
 
 namespace rtlock::attack {
 
@@ -21,11 +20,9 @@ struct EvaluationConfig {
   /// Off-by-default safety net: simulate each locked sample against the
   /// original under its correct key and count mismatching samples in
   /// EvaluationResult::functionalFailures.  Uses an independent fixed-seed
-  /// stimulus stream, so enabling it changes no KPA/metric output bit.
-  bool verifyFunctional = false;
-  /// Simulator backing the verifyFunctional equivalence checks.  The
+  /// stimulus stream, so enabling it changes no KPA/metric output bit.  The
   /// SnapShot attack itself is structural/ML and never simulates.
-  sim::SimBackend simBackend = sim::SimBackend::Sliced;
+  bool verifyFunctional = false;
   /// Worker threads for the sample loop: 0 = hardware concurrency,
   /// 1 = serial reference path (no worker threads).  Results are
   /// bit-identical at every thread count: sample i always draws from

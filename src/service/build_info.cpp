@@ -8,14 +8,14 @@ namespace rtlock::service {
 
 namespace {
 
-// Bumped by hand when the parser/verifier/compiler pipeline changes what a
-// compiled session contains for identical source text.
+// Bumped by hand when the parser/verifier pipeline changes the IR a session
+// holds for identical source text.
 constexpr int kEnginePipelineRevision = 1;
 
 }  // namespace
 
 const BuildInfo& buildInfo() noexcept {
-  static const BuildInfo info{RTLOCK_VERSION, {"interpreter", "compiled", "sliced"}};
+  static const BuildInfo info{RTLOCK_VERSION, {"interpreter", "sliced"}};
   return info;
 }
 

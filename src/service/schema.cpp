@@ -41,7 +41,6 @@ const Field kCsv{"csv", Flag, kCli, "", "", "print the rows as CSV"};
       {"budget", Text, kBoth, "75%", "SPEC", "key budget fraction, also the relock budget"},
       kFolds, kExtended,
       {"verify-functional", Flag, kCli, "", "", "simulate samples under their key; fail on a diff"},
-      {"sim-backend", Text, kCli, "sliced", "NAME", "sliced or compiled, for --verify-functional"},
       {"module", Text, kBoth, "", "NAME", "evaluate this module", "the only module"},
       kKeyPort, kThreads,
       {"retries", Count, kCli, "1", "N", "extra attempts per failing cell", "", 0, 100},
@@ -365,7 +364,6 @@ EvalRequest evalRequestFrom(const FieldValues& values) {
   request.folds = values.integer("folds");
   request.extendedFeatures = values.flag("extended-features");
   request.verifyFunctional = values.flag("verify-functional");
-  request.simBackend = simBackendFromName(values.text("sim-backend"));
   request.includeWall = !values.flag("no-wall");
   request.journalPath = values.text("journal");
   request.campaign.threads = values.integer("threads");

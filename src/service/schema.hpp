@@ -23,7 +23,7 @@
 namespace rtlock::service {
 
 enum class FieldKind : std::uint8_t {
-  Text,      // a string; algorithms, budgets and backends parse in the builders
+  Text,      // a string; algorithms and budgets parse in the builders
   Flag,      // bare --flag or =true|false|1|0|yes|no|on|off; JSON bool
   Count,     // non-negative integer in [min, max]; JSON integer
   Threads,   // worker count: the flag, else RTLOCK_THREADS, else 0 (hardware)

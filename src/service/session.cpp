@@ -4,43 +4,22 @@
 
 #include "rtl/stats.hpp"
 #include "service/build_info.hpp"
-#include "sim/compiler.hpp"
 #include "support/strings.hpp"
 
 namespace rtlock::service {
 
-namespace {
-
-[[nodiscard]] std::size_t programBytes(const sim::Program& program) noexcept {
-  std::size_t bytes = program.instructionCount() * sizeof(sim::Instr);
-  bytes += program.slots().size() * sizeof(sim::Slot);
-  bytes += program.initialWords().size() * sizeof(std::uint64_t);
-  bytes += program.argPool().size() * sizeof(std::int32_t);
-  return bytes;
-}
-
-}  // namespace
-
 DesignSession::DesignSession(std::string hash, std::string_view source,
                              const SessionOptions& options)
-    : hash_(std::move(hash)), options_(options), sourceBytes_(source.size()) {
+    : hash_(std::move(hash)), options_(options) {
   verilog::ParserOptions parserOptions;
   parserOptions.keyPortName = options_.keyPortName;
   design_ = verilog::parseDesign(source, parserOptions);  // verification always-on
 
-  artifacts_.reserve(design_.moduleCount());
-  std::size_t bytes = sourceBytes_;
+  std::size_t bytes = source.size();
   for (std::size_t i = 0; i < design_.moduleCount(); ++i) {
-    const rtl::Module& module = design_.module(i);
-    ModuleArtifacts artifact;
-    artifact.scalar = sim::Compiler::compile(module);
-    artifact.sliced = sim::Compiler::compileSliced(module);
-    artifact.lint = analysis::lintLocked(module);
-    bytes += programBytes(artifact.scalar) + programBytes(artifact.sliced);
     // IR size proxy: the expression-node count scales with every per-node
     // allocation the module owns.
-    bytes += static_cast<std::size_t>(rtl::computeStats(module).exprNodes) * 64;
-    artifacts_.push_back(std::move(artifact));
+    bytes += static_cast<std::size_t>(rtl::computeStats(design_.module(i)).exprNodes) * 64;
   }
   // Floor: even an empty-ish design occupies cache bookkeeping.
   approxBytes_ = bytes < 1024 ? 1024 : bytes;
@@ -86,7 +65,7 @@ SessionCache::FetchResult SessionCache::fetch(std::string_view source,
     const auto found = index_.find(hash);
     if (found != index_.end()) {
       // Hit (possibly on an in-flight build — sharing the build still skips
-      // every byte of parse/compile work for this caller).
+      // every byte of parse work for this caller).
       lru_.splice(lru_.begin(), lru_, found->second);
       ++hits_;
       pending = found->second->session;

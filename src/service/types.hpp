@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "core/algorithms.hpp"
-#include "sim/harness.hpp"
 #include "support/diagnostics.hpp"
 #include "support/json.hpp"
 
@@ -31,11 +30,6 @@ class BadRequest : public support::Error {
 
 /// Canonical lower-case spelling (stable in reports and key files).
 [[nodiscard]] std::string algorithmName(lock::Algorithm algorithm);
-
-/// Simulation backend from its spelling: "sliced" (64-lane bit-parallel) or
-/// "compiled"/"scalar" (the scalar differential oracle).  Throws BadRequest
-/// otherwise.
-[[nodiscard]] sim::SimBackend simBackendFromName(const std::string& name);
 
 /// Comma-separated algorithm list ("serial,hra,era"); BadRequest when empty
 /// or any name is unknown.

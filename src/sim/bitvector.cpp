@@ -39,10 +39,6 @@ BitVector BitVector::fromWords(const std::uint64_t* words, int width) {
   return result;
 }
 
-void BitVector::writeWords(std::uint64_t* dest) const noexcept {
-  std::copy_n(words(), wordCount(), dest);
-}
-
 void BitVector::canonicalize() noexcept {
   const int topBits = width_ % 64;
   if (topBits != 0) {

@@ -91,7 +91,7 @@ class BitVector {
   /// Number of differing bits between equal-width vectors.
   [[nodiscard]] static int hammingDistance(const BitVector& a, const BitVector& b);
 
-  // ---- raw word access (the compiled simulator's value arena) ----
+  // ---- raw word access (the sliced simulator's lane gather) ----
 
   /// Words needed to hold `width` bits.
   [[nodiscard]] static int wordCountFor(int width) noexcept { return (width + 63) / 64; }
@@ -99,9 +99,6 @@ class BitVector {
   /// Wraps `wordCountFor(width)` little-endian words as a vector of `width`
   /// bits (high bits of the top word are masked off).
   [[nodiscard]] static BitVector fromWords(const std::uint64_t* words, int width);
-
-  /// Copies the canonical words into `dest` (`wordCountFor(width())` words).
-  void writeWords(std::uint64_t* dest) const noexcept;
 
  private:
   [[nodiscard]] int wordCount() const noexcept { return wordCountFor(width_); }

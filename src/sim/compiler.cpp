@@ -20,11 +20,9 @@ using rtl::SignalId;
 using rtl::Stmt;
 using rtl::StmtKind;
 
-constexpr int kNarrow = 64;  // widths up to this use the single-word fast path
-
-/// Narrow opcode for a binary operator; Gt/Ge lower to Lt/Le with swapped
-/// operands, so they have no opcode of their own.
-Opcode narrowBinaryOpcode(OpKind op) {
+/// Opcode for a binary operator; Gt/Ge lower to Lt/Le with swapped operands,
+/// so they have no opcode of their own.
+Opcode binaryOpcode(OpKind op) {
   switch (op) {
     case OpKind::Add: return Opcode::Add;
     case OpKind::Sub: return Opcode::Sub;
@@ -53,22 +51,16 @@ Opcode narrowBinaryOpcode(OpKind op) {
 
 struct CompilerImpl {
   const rtl::Module& module;
-  // Sliced mode: operands are slot ids, all widths use the narrow opcodes
-  // (the sliced executor reads widths from the slot table), and control flow
-  // is if-converted under a 1-bit predicate slot instead of jumps.
-  const bool sliced;
 
-  // Program pieces, assembled by Compiler::compile at the end.
+  // Program pieces, assembled by Compiler::compileSliced at the end.
   std::vector<Slot> slots;
+  std::vector<ConstantInit> constants;
   std::vector<std::int32_t> signalSlots;
   std::vector<Instr> combTape;
   std::vector<SequentialTape> seqTapes;
   std::vector<KeyBinding> keyBindings;
-  std::vector<std::int32_t> argPool;
   std::vector<rtl::SignalId> clocks;
 
-  std::int32_t nextOffset = 0;
-  std::vector<std::pair<std::int32_t, std::uint64_t>> constInits;  // {offset, word0}
   std::map<std::pair<std::uint64_t, int>, std::int32_t> constSlots;
   std::map<std::pair<int, int>, std::int32_t> keySlots;
   std::unordered_map<SignalId, std::int32_t> shadowSlots;
@@ -78,31 +70,28 @@ struct CompilerImpl {
   std::vector<Instr>* tape = nullptr;
   bool nonBlocking = false;
   std::set<SignalId>* seqWrites = nullptr;
-  // Sliced mode: 1-bit slot guarding the statements being lowered, or -1 at
-  // top level (store unconditionally).
+  // 1-bit slot guarding the statements being lowered, or -1 at top level
+  // (store unconditionally).
   std::int32_t pred = -1;
 
-  CompilerImpl(const rtl::Module& m, bool slicedMode) : module(m), sliced(slicedMode) {}
+  explicit CompilerImpl(const rtl::Module& m) : module(m) {}
 
   [[nodiscard]] std::int32_t addSlot(int width) {
     const auto id = static_cast<std::int32_t>(slots.size());
-    slots.push_back({nextOffset, width});
-    nextOffset += slots.back().wordCount();
+    slots.push_back({width});
     return id;
   }
 
   [[nodiscard]] const Slot& slot(std::int32_t id) const {
     return slots[static_cast<std::size_t>(id)];
   }
-  [[nodiscard]] std::int32_t offset(std::int32_t id) const { return slot(id).offset; }
-  [[nodiscard]] bool narrow(std::int32_t id) const { return slot(id).width <= kNarrow; }
 
   [[nodiscard]] std::int32_t constSlot(std::uint64_t value, int width) {
     const std::uint64_t canonical = width < 64 ? (value & narrowMask(width)) : value;
     const auto [it, inserted] = constSlots.try_emplace({canonical, width}, 0);
     if (inserted) {
       it->second = addSlot(width);
-      constInits.emplace_back(offset(it->second), canonical);
+      constants.push_back({it->second, canonical});
     }
     return it->second;
   }
@@ -123,59 +112,33 @@ struct CompilerImpl {
     return it->second;
   }
 
-  void emit(Opcode op, int width, std::int32_t dst, std::int32_t a, std::int32_t b = 0,
+  void emit(Opcode op, std::int32_t dst, std::int32_t a, std::int32_t b = 0,
             std::int32_t c = 0) {
-    tape->push_back({op, static_cast<std::uint8_t>(width), dst, a, b, c});
+    tape->push_back({op, dst, a, b, c});
   }
 
-  /// Emits a placeholder jump; the target is patched later.
-  [[nodiscard]] std::size_t emitJump(Opcode op, std::int32_t a = 0, std::int32_t b = 0) {
-    tape->push_back({op, 0, 0, a, b, 0});
-    return tape->size() - 1;
-  }
-
-  void patchJump(std::size_t at, std::size_t target) {
-    (*tape)[at].dst = static_cast<std::int32_t>(target);
-  }
-
-  [[nodiscard]] std::size_t here() const { return tape->size(); }
-
-  /// Reduces a slot to a single "is non-zero" word usable by JumpIfZero /
-  /// narrow Select; returns the word offset.
-  [[nodiscard]] std::int32_t condWord(std::int32_t slotId) {
-    if (narrow(slotId)) return offset(slotId);
-    const std::int32_t reduced = addSlot(1);
-    emit(Opcode::WideUnary, 0, reduced, slotId, 0, static_cast<std::int32_t>(rtl::UnaryOp::RedOr));
-    return offset(reduced);
-  }
-
-  /// Operand encoding: word offset for the scalar tape, slot id for sliced.
-  [[nodiscard]] std::int32_t ref(std::int32_t slotId) const {
-    return sliced ? slotId : offset(slotId);
-  }
-
-  /// Sliced mode: reduces a slot to a 1-bit "is non-zero" slot, the only
-  /// condition shape Select/predication accept (lane masks live in plane 0).
+  /// Reduces a slot to a 1-bit "is non-zero" slot, the only condition shape
+  /// Select/predication accept (lane masks live in plane 0).
   [[nodiscard]] std::int32_t boolSlot(std::int32_t slotId) {
     if (slot(slotId).width == 1) return slotId;
     const std::int32_t reduced = addSlot(1);
-    emit(Opcode::RedOr, 0, reduced, slotId);
+    emit(Opcode::RedOr, reduced, slotId);
     return reduced;
   }
 
-  /// Sliced mode: 1-bit slot holding `a & b`, where either may be -1 (true).
+  /// 1-bit slot holding `a & b`, where either may be -1 (true).
   [[nodiscard]] std::int32_t andPred(std::int32_t a, std::int32_t b) {
     if (a < 0) return b;
     if (b < 0) return a;
     const std::int32_t both = addSlot(1);
-    emit(Opcode::And, 0, both, a, b);
+    emit(Opcode::And, both, a, b);
     return both;
   }
 
-  /// Sliced mode: 1-bit slot holding `!a`.
+  /// 1-bit slot holding `!a`.
   [[nodiscard]] std::int32_t notPred(std::int32_t a) {
     const std::int32_t inverted = addSlot(1);
-    emit(Opcode::LogNot, 0, inverted, a);
+    emit(Opcode::LogNot, inverted, a);
     return inverted;
   }
 
@@ -204,33 +167,24 @@ struct CompilerImpl {
 
   [[nodiscard]] std::int32_t lowerUnary(const rtl::UnaryExpr& expr) {
     const std::int32_t operand = lowerExpr(expr.operand());
-    const int width = expr.width();
-    const std::int32_t dst = addSlot(width);
-    if (!sliced && (width > kNarrow || !narrow(operand))) {
-      emit(Opcode::WideUnary, 0, dst, operand, 0, static_cast<std::int32_t>(expr.op()));
-      return dst;
-    }
-    const int w = sliced ? 0 : width;  // sliced kernels read widths from slots
-    const int operandWidth = slot(operand).width;
+    const std::int32_t dst = addSlot(expr.width());
     switch (expr.op()) {
-      case rtl::UnaryOp::Neg: emit(Opcode::Neg, w, ref(dst), ref(operand)); break;
-      case rtl::UnaryOp::BitNot: emit(Opcode::Not, w, ref(dst), ref(operand)); break;
-      case rtl::UnaryOp::LogNot: emit(Opcode::LogNot, w, ref(dst), ref(operand)); break;
-      case rtl::UnaryOp::RedAnd:
-        emit(Opcode::RedAnd, w, ref(dst), ref(operand), sliced ? 0 : operandWidth);
-        break;
-      case rtl::UnaryOp::RedOr: emit(Opcode::RedOr, w, ref(dst), ref(operand)); break;
-      case rtl::UnaryOp::RedXor: emit(Opcode::RedXor, w, ref(dst), ref(operand)); break;
+      case rtl::UnaryOp::Neg: emit(Opcode::Neg, dst, operand); break;
+      case rtl::UnaryOp::BitNot: emit(Opcode::Not, dst, operand); break;
+      case rtl::UnaryOp::LogNot: emit(Opcode::LogNot, dst, operand); break;
+      case rtl::UnaryOp::RedAnd: emit(Opcode::RedAnd, dst, operand); break;
+      case rtl::UnaryOp::RedOr: emit(Opcode::RedOr, dst, operand); break;
+      case rtl::UnaryOp::RedXor: emit(Opcode::RedXor, dst, operand); break;
     }
     return dst;
   }
 
   [[nodiscard]] std::int32_t lowerBinary(const rtl::BinaryExpr& expr) {
     const OpKind op = expr.op();
-    // Sliced mode: shifts by a constant amount are pure plane relabelings —
-    // lower them to ShlConst / SliceLow so the executor never has to leave
-    // the bitwise domain for the (overwhelmingly common) fixed-shift case.
-    if (sliced && (op == OpKind::Shl || op == OpKind::Shr || op == OpKind::AShr) &&
+    // Shifts by a constant amount are pure plane relabelings — lower them to
+    // ShlConst / SliceLow so the executor never has to leave the bitwise
+    // domain for the (overwhelmingly common) fixed-shift case.
+    if ((op == OpKind::Shl || op == OpKind::Shr || op == OpKind::AShr) &&
         expr.rhs().kind() == ExprKind::Constant) {
       const std::uint64_t amount = static_cast<const rtl::ConstantExpr&>(expr.rhs()).value();
       const std::int32_t operand = lowerExpr(expr.lhs());
@@ -240,26 +194,18 @@ struct CompilerImpl {
       const auto clamped = static_cast<std::int32_t>(
           std::min<std::uint64_t>(amount, static_cast<std::uint64_t>(slot(operand).width)));
       if (op == OpKind::Shl) {
-        emit(Opcode::ShlConst, 0, dst, operand, clamped);
+        emit(Opcode::ShlConst, dst, operand, clamped);
       } else {
-        emit(Opcode::SliceLow, 0, dst, operand, clamped);
+        emit(Opcode::SliceLow, dst, operand, clamped);
       }
       return dst;
     }
     std::int32_t lhs = lowerExpr(expr.lhs());
     std::int32_t rhs = lowerExpr(expr.rhs());
-    const int width = expr.width();
-    const std::int32_t dst = addSlot(width);
-    if (!sliced && (width > kNarrow || !narrow(lhs) || !narrow(rhs))) {
-      emit(Opcode::WideBinary, 0, dst, lhs, rhs, static_cast<std::int32_t>(expr.op()));
-      return dst;
-    }
+    const std::int32_t dst = addSlot(expr.width());
     // Gt/Ge are Lt/Le with the operands swapped.
     if (op == OpKind::Gt || op == OpKind::Ge) std::swap(lhs, rhs);
-    // Shr zeroes the result when the amount reaches the *operand* width.
-    const std::int32_t aux =
-        !sliced && (op == OpKind::Shr || op == OpKind::AShr) ? slot(lhs).width : 0;
-    emit(narrowBinaryOpcode(op), sliced ? 0 : width, ref(dst), ref(lhs), ref(rhs), aux);
+    emit(binaryOpcode(op), dst, lhs, rhs);
     return dst;
   }
 
@@ -267,18 +213,8 @@ struct CompilerImpl {
     const std::int32_t cond = lowerExpr(expr.cond());
     const std::int32_t thenSlot = lowerExpr(expr.thenExpr());
     const std::int32_t elseSlot = lowerExpr(expr.elseExpr());
-    const int width = expr.width();
-    const std::int32_t dst = addSlot(width);
-    if (sliced) {
-      emit(Opcode::Select, 0, dst, boolSlot(cond), thenSlot, elseSlot);
-      return dst;
-    }
-    if (width > kNarrow || !narrow(thenSlot) || !narrow(elseSlot)) {
-      emit(Opcode::WideSelect, 0, dst, cond, thenSlot, elseSlot);
-      return dst;
-    }
-    emit(Opcode::Select, width, offset(dst), condWord(cond), offset(thenSlot),
-         offset(elseSlot));
+    const std::int32_t dst = addSlot(expr.width());
+    emit(Opcode::Select, dst, boolSlot(cond), thenSlot, elseSlot);
     return dst;
   }
 
@@ -288,14 +224,6 @@ struct CompilerImpl {
     for (int i = 0; i < expr.exprSlotCount(); ++i) parts.push_back(lowerExpr(expr.exprAt(i)));
     if (parts.size() == 1) return parts.front();
 
-    const int width = expr.width();
-    if (!sliced && width > kNarrow) {
-      const std::int32_t dst = addSlot(width);
-      const auto start = static_cast<std::int32_t>(argPool.size());
-      argPool.insert(argPool.end(), parts.begin(), parts.end());
-      emit(Opcode::WideConcat, 0, dst, start, static_cast<std::int32_t>(parts.size()));
-      return dst;
-    }
     // Fold left: acc = {acc, part}; parts[0] is most significant.
     std::int32_t acc = parts.front();
     int accWidth = slot(acc).width;
@@ -303,8 +231,7 @@ struct CompilerImpl {
       const int partWidth = slot(parts[i]).width;
       accWidth += partWidth;
       const std::int32_t next = addSlot(accWidth);
-      emit(Opcode::ConcatPair, sliced ? 0 : accWidth, ref(next), ref(acc), ref(parts[i]),
-           partWidth);
+      emit(Opcode::ConcatPair, next, acc, parts[i], partWidth);
       acc = next;
     }
     return acc;
@@ -314,57 +241,26 @@ struct CompilerImpl {
     const std::int32_t value = lowerExpr(expr.value());
     RTLOCK_REQUIRE(expr.lo() >= 0 && expr.hi() >= expr.lo() && expr.hi() < slot(value).width,
                    "slice bounds out of range");
-    const int width = expr.width();
-    const std::int32_t dst = addSlot(width);
-    if (sliced) {
-      emit(Opcode::SliceLow, 0, dst, value, expr.lo());
-    } else if (!narrow(value)) {
-      emit(Opcode::WideSlice, 0, dst, value, expr.lo());
-    } else {
-      emit(Opcode::SliceLow, width, offset(dst), offset(value), expr.lo());
-    }
+    const std::int32_t dst = addSlot(expr.width());
+    emit(Opcode::SliceLow, dst, value, expr.lo());
     return dst;
   }
 
   // ---- statements -------------------------------------------------------
 
+  /// Lanes where `pred` is 0 must keep the old target bits, so a guarded
+  /// store blends through Select (whose else operand may alias the
+  /// destination — the kernel reads each plane before writing it).
   void emitStore(const rtl::LValue& lvalue, std::int32_t value) {
     const int signalWidth = module.signal(lvalue.signal).width;
     if (nonBlocking) seqWrites->insert(lvalue.signal);
     const std::int32_t target =
         nonBlocking ? shadowSlot(lvalue.signal) : signalSlots[lvalue.signal];
-    if (sliced) {
-      emitStoreSliced(lvalue, target, value, signalWidth);
-      return;
-    }
-    if (lvalue.wholeSignal()) {
-      if (signalWidth <= kNarrow) {
-        emit(Opcode::Copy, signalWidth, offset(target), offset(value));
-      } else {
-        emit(Opcode::WideCopy, 0, target, value);
-      }
-      return;
-    }
-    const auto [hi, lo] = *lvalue.range;
-    RTLOCK_REQUIRE(lo >= 0 && hi >= lo && hi < signalWidth, "lvalue slice out of range");
-    const int sliceWidth = hi - lo + 1;
-    if (signalWidth <= kNarrow) {
-      emit(Opcode::Insert, signalWidth, offset(target), offset(value), lo, sliceWidth);
-    } else {
-      emit(Opcode::WideInsert, 0, target, value, lo, sliceWidth);
-    }
-  }
-
-  /// Sliced store: lanes where `pred` is 0 must keep the old target bits, so
-  /// a guarded store blends through Select (whose else operand may alias the
-  /// destination — the kernel reads each plane before writing it).
-  void emitStoreSliced(const rtl::LValue& lvalue, std::int32_t target, std::int32_t value,
-                       int signalWidth) {
     if (lvalue.wholeSignal()) {
       if (pred < 0) {
-        emit(Opcode::Copy, 0, target, value);
+        emit(Opcode::Copy, target, value);
       } else {
-        emit(Opcode::Select, 0, target, pred, value, target);
+        emit(Opcode::Select, target, pred, value, target);
       }
       return;
     }
@@ -374,12 +270,12 @@ struct CompilerImpl {
     std::int32_t inserted = value;
     if (pred >= 0) {
       const std::int32_t oldBits = addSlot(sliceWidth);
-      emit(Opcode::SliceLow, 0, oldBits, target, lo);
+      emit(Opcode::SliceLow, oldBits, target, lo);
       const std::int32_t blended = addSlot(sliceWidth);
-      emit(Opcode::Select, 0, blended, pred, value, oldBits);
+      emit(Opcode::Select, blended, pred, value, oldBits);
       inserted = blended;
     }
-    emit(Opcode::Insert, 0, target, inserted, lo, sliceWidth);
+    emit(Opcode::Insert, target, inserted, lo, sliceWidth);
   }
 
   void lowerStmt(const Stmt& stmt) {
@@ -389,32 +285,18 @@ struct CompilerImpl {
         break;
       }
       case StmtKind::If: {
+        // If-conversion: both arms always execute, their stores guarded by
+        // pred & cond (then) and pred & !cond (else).
         const auto& ifStmt = static_cast<const rtl::IfStmt&>(stmt);
-        if (sliced) {
-          // If-conversion: both arms always execute, their stores guarded by
-          // pred & cond (then) and pred & !cond (else).
-          const std::int32_t cond = boolSlot(lowerExpr(ifStmt.cond()));
-          const std::int32_t saved = pred;
-          pred = andPred(saved, cond);
-          lowerStmt(ifStmt.stmtAt(0));
-          if (ifStmt.hasElse()) {
-            pred = andPred(saved, notPred(cond));
-            lowerStmt(ifStmt.stmtAt(1));
-          }
-          pred = saved;
-          break;
-        }
-        const std::int32_t cond = condWord(lowerExpr(ifStmt.cond()));
-        const std::size_t skipThen = emitJump(Opcode::JumpIfZero, cond);
+        const std::int32_t cond = boolSlot(lowerExpr(ifStmt.cond()));
+        const std::int32_t saved = pred;
+        pred = andPred(saved, cond);
         lowerStmt(ifStmt.stmtAt(0));
         if (ifStmt.hasElse()) {
-          const std::size_t skipElse = emitJump(Opcode::Jump);
-          patchJump(skipThen, here());
+          pred = andPred(saved, notPred(cond));
           lowerStmt(ifStmt.stmtAt(1));
-          patchJump(skipElse, here());
-        } else {
-          patchJump(skipThen, here());
         }
+        pred = saved;
         break;
       }
       case StmtKind::Case: lowerCase(static_cast<const rtl::CaseStmt&>(stmt)); break;
@@ -429,52 +311,17 @@ struct CompilerImpl {
     }
   }
 
-  void lowerCase(const rtl::CaseStmt& caseStmt) {
-    if (sliced) {
-      lowerCaseSliced(caseStmt);
-      return;
-    }
-    // subject == label dispatches on the low word, matching the
-    // interpreter's toUint64() comparison (labels are raw 64-bit values).
-    const std::int32_t subjectWord = offset(lowerExpr(caseStmt.subject()));
-    const std::size_t itemCount = caseStmt.items().size();
-
-    std::vector<std::size_t> dispatches(itemCount);  // first jump of each item
-    for (std::size_t i = 0; i < itemCount; ++i) {
-      const auto& labels = caseStmt.items()[i].labels;
-      dispatches[i] = here();
-      for (const std::uint64_t label : labels) {
-        (void)emitJump(Opcode::JumpIfEq, subjectWord, offset(constSlot(label, 64)));
-      }
-    }
-    std::vector<std::size_t> exits;
-    if (caseStmt.hasDefault()) {
-      lowerStmt(caseStmt.stmtAt(static_cast<int>(itemCount)));
-    }
-    exits.push_back(emitJump(Opcode::Jump));
-
-    for (std::size_t i = 0; i < itemCount; ++i) {
-      const std::size_t body = here();
-      for (std::size_t j = 0; j < caseStmt.items()[i].labels.size(); ++j) {
-        patchJump(dispatches[i] + j, body);
-      }
-      lowerStmt(caseStmt.stmtAt(static_cast<int>(i)));
-      exits.push_back(emitJump(Opcode::Jump));
-    }
-    for (const std::size_t exit : exits) patchJump(exit, here());
-  }
-
-  /// Sliced case: every body executes under the predicate
+  /// Every case body executes under the predicate
   /// `pred & match_i & !anyEarlierMatch` — the same low-64-bit, first-match-
-  /// wins dispatch as the interpreter and the jump lowering, just expressed
-  /// as lane masks.  The per-item predicates are pairwise disjoint, so body
-  /// order does not matter for the masked stores.
-  void lowerCaseSliced(const rtl::CaseStmt& caseStmt) {
+  /// wins dispatch as the interpreter, expressed as lane masks.  The per-item
+  /// predicates are pairwise disjoint, so body order does not matter for the
+  /// masked stores.
+  void lowerCase(const rtl::CaseStmt& caseStmt) {
     std::int32_t subject = lowerExpr(caseStmt.subject());
     if (slot(subject).width > 64) {
       // Labels are raw 64-bit values; match the interpreter's toUint64().
       const std::int32_t low = addSlot(64);
-      emit(Opcode::SliceLow, 0, low, subject, 0);
+      emit(Opcode::SliceLow, low, subject, 0);
       subject = low;
     }
     const std::int32_t saved = pred;
@@ -484,12 +331,12 @@ struct CompilerImpl {
       std::int32_t match = -1;
       for (const std::uint64_t label : caseStmt.items()[i].labels) {
         const std::int32_t equal = addSlot(1);
-        emit(Opcode::Eq, 0, equal, subject, constSlot(label, 64));
+        emit(Opcode::Eq, equal, subject, constSlot(label, 64));
         if (match < 0) {
           match = equal;
         } else {
           const std::int32_t either = addSlot(1);
-          emit(Opcode::Or, 0, either, match, equal);
+          emit(Opcode::Or, either, match, equal);
           match = either;
         }
       }
@@ -502,7 +349,7 @@ struct CompilerImpl {
         anyMatch = match;
       } else {
         const std::int32_t either = addSlot(1);
-        emit(Opcode::Or, 0, either, anyMatch, match);
+        emit(Opcode::Or, either, anyMatch, match);
         anyMatch = either;
       }
     }
@@ -543,11 +390,7 @@ struct CompilerImpl {
       nonBlocking = false;
       seqWrites = nullptr;
       for (const SignalId signal : writes) {
-        const std::int32_t liveId = signalSlots[signal];
-        const std::int32_t shadowId = shadowSlot(signal);
-        const Slot& live = slot(liveId);
-        const Slot& shadow = slot(shadowId);
-        seq.shadows.push_back({live.offset, shadow.offset, live.wordCount(), liveId, shadowId});
+        seq.shadows.push_back({signalSlots[signal], shadowSlot(signal)});
       }
       seqTapes.push_back(std::move(seq));
     }
@@ -557,32 +400,21 @@ struct CompilerImpl {
 
 }  // namespace
 
-/// Shared back half of compile/compileSliced: runs the lowering and packs
-/// the CompilerImpl pieces into an immutable Program.
-Program Compiler::assemble(const rtl::Module& module, bool sliced) {
+Program Compiler::compileSliced(const rtl::Module& module) {
   const Schedule schedule = buildSchedule(module);
-  CompilerImpl impl{module, sliced};
+  CompilerImpl impl{module};
   impl.run(schedule);
 
   Program program;
   program.slots_ = std::move(impl.slots);
+  program.constants_ = std::move(impl.constants);
   program.signalSlots_ = std::move(impl.signalSlots);
   program.combTape_ = std::move(impl.combTape);
   program.seqTapes_ = std::move(impl.seqTapes);
   program.keyBindings_ = std::move(impl.keyBindings);
-  program.argPool_ = std::move(impl.argPool);
   program.clocks_ = std::move(impl.clocks);
   program.keyWidth_ = module.keyWidth();
-  program.sliced_ = sliced;
-  program.initialWords_.assign(static_cast<std::size_t>(impl.nextOffset), 0);
-  for (const auto& [offset, word] : impl.constInits) {
-    program.initialWords_[static_cast<std::size_t>(offset)] = word;
-  }
   return program;
 }
-
-Program Compiler::compile(const rtl::Module& module) { return assemble(module, false); }
-
-Program Compiler::compileSliced(const rtl::Module& module) { return assemble(module, true); }
 
 }  // namespace rtlock::sim

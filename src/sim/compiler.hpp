@@ -2,20 +2,15 @@
 //
 // The compiler walks the levelized schedule (the same one the reference
 // interpreter executes) and emits one opcode per IR operation:
-//  * expression trees become straight-line tapes over arena slots, with the
-//    single-word fast path chosen per node at compile time;
-//  * if/case statements become conditional jumps, so the executor never
-//    re-inspects the IR;
-//  * constants are baked into the arena image and key slices bound to slots
-//    refreshed on setKey — neither costs anything per cycle.
-//
-// compileSliced produces the same tape vocabulary in the *sliced* encoding
-// consumed by sim/sliced_sim.hpp: operands are slot ids, every width runs
-// through the narrow opcodes (the executor reads widths from the slot table,
-// so there are no Wide* fallbacks), and control flow is if-converted —
-// if/case bodies execute unconditionally under a 1-bit predicate slot whose
-// lanes mask each store via Select.  Jump-free tapes are what lets 64
-// stimulus lanes share one tape pass even when they diverge on branches.
+//  * expression trees become straight-line tapes over slots; operands are
+//    slot ids and every width runs through the same opcodes (the executor
+//    reads widths from the slot table);
+//  * control flow is if-converted — if/case bodies execute unconditionally
+//    under a 1-bit predicate slot whose lanes mask each store via Select.
+//    Jump-free tapes are what lets 64 stimulus lanes of sim::SlicedSim
+//    share one tape pass even when they diverge on branches;
+//  * constants are baked into the initial arena image and key slices bound
+//    to slots refreshed on setKey — neither costs anything per cycle.
 #pragma once
 
 #include "sim/program.hpp"
@@ -24,18 +19,11 @@ namespace rtlock::sim {
 
 class Compiler {
  public:
-  /// Compiles `module`.  The Program is self-contained: the module may be
-  /// mutated or destroyed afterwards (relocking invalidates a Program — just
-  /// recompile).  Throws support::Error on combinational loops, like the
-  /// interpreter.
-  [[nodiscard]] static Program compile(const rtl::Module& module);
-
-  /// Compiles `module` in the sliced (slot-id, jump-free, predicated)
-  /// encoding for sim::SlicedSim.  Same error behaviour as compile().
+  /// Compiles `module` for sim::SlicedSim.  The Program is self-contained:
+  /// the module may be mutated or destroyed afterwards (relocking
+  /// invalidates a Program — just recompile).  Throws support::Error on
+  /// combinational loops, like the interpreter.
   [[nodiscard]] static Program compileSliced(const rtl::Module& module);
-
- private:
-  [[nodiscard]] static Program assemble(const rtl::Module& module, bool sliced);
 };
 
 }  // namespace rtlock::sim

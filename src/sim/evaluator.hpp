@@ -11,10 +11,10 @@
 // The locking key is part of the environment (setKey), so locked modules
 // simulate exactly like any other input-extended design.
 //
-// This backend is the executable semantics of the IR; the compiled backend
-// (sim/compiled_sim.hpp) is the fast path and is differential-tested against
-// this one.  Prefer CompiledSim for anything that simulates more than a
-// handful of cycles.
+// This backend is the executable semantics of the IR and the test oracle; the
+// bit-sliced tape (sim/sliced_sim.hpp) is the fast path and is
+// differential-tested against this one.  Prefer SlicedSim (or sim::Harness)
+// for anything that simulates more than a handful of cycles.
 #pragma once
 
 #include <vector>

@@ -5,21 +5,17 @@
 // locking algorithm must preserve functionality under the correct key
 // (equivalence) and should corrupt outputs under wrong keys (corruption).
 //
-// Two execution backends share the same semantics and rng draw order:
+// Both modules run on the bit-sliced tape (sim/sliced_sim.hpp), which packs
+// up to 64 stimulus vectors (or 64 (key, vector) pairs in
+// outputCorruptionBatch) into one tape pass.  This is the hot shape for
+// oracle-style attacks that measure corruption under thousands of
+// hypothesis keys.
 //
-//  * SimBackend::Compiled — the scalar bytecode tape (sim/compiled_sim.hpp),
-//    one stimulus vector at a time.  Retained as the differential oracle.
-//  * SimBackend::Sliced (default) — the bit-sliced tape (sim/sliced_sim.hpp),
-//    which packs up to 64 stimulus vectors (or 64 (key, vector) pairs in
-//    outputCorruptionBatch) into one tape pass.  This is the hot shape for
-//    oracle-style attacks that measure corruption under thousands of
-//    hypothesis keys.
-//
-// Both backends draw stimuli from the passed rng in the identical order
-// (vector -> cycle -> input), so corruption values and mismatch reports are
-// bit-for-bit reproducible across backends; tests/sim/harness_test.cpp pins
-// the parity.  The free functions are one-shot conveniences with identical
-// semantics.
+// Stimuli are drawn from the passed rng in a fixed order (vector -> cycle ->
+// input), so corruption values and mismatch reports equal those of a
+// one-vector-at-a-time drive of the reference interpreter;
+// tests/sim/harness_test.cpp pins that parity.  The free functions are
+// one-shot conveniences with identical semantics.
 #pragma once
 
 #include <optional>
@@ -27,16 +23,9 @@
 #include <string>
 
 #include "rtl/module.hpp"
-#include "sim/compiled_sim.hpp"
 #include "sim/sliced_sim.hpp"
 
 namespace rtlock::sim {
-
-/// Which simulator executes harness sweeps (see file comment).
-enum class SimBackend {
-  Compiled,  ///< scalar bytecode tape, one vector per pass (the oracle)
-  Sliced,    ///< bit-sliced tape, up to 64 lanes per pass (the default)
-};
 
 struct EquivalenceOptions {
   int vectors = 32;       // random stimulus vectors
@@ -51,41 +40,36 @@ struct Mismatch {
 
 /// Compile-once harness over a (golden, candidate) module pair.  Ports are
 /// matched by name (`golden`'s ports must exist in `candidate` with the same
-/// widths); single-clock sequential designs are driven through both backends'
-/// clockEdge.  Construction compiles both modules; each call then streams
-/// fresh random stimuli, drawing from the passed rng one vector at a time.
+/// widths); single-clock sequential designs are driven through clockEdge.
+/// Construction compiles both modules; each call then streams fresh random
+/// stimuli, drawing from the passed rng one vector at a time.
 class Harness {
  public:
-  Harness(const rtl::Module& golden, const rtl::Module& candidate,
-          SimBackend backend = SimBackend::Sliced);
-
-  [[nodiscard]] SimBackend backend() const noexcept { return backend_; }
+  Harness(const rtl::Module& golden, const rtl::Module& candidate);
 
   /// Drives both modules with identical random stimuli; `candidateKey` is
   /// applied to the candidate's key input when it has one (and to the golden
   /// module too when comparing two locked designs).  Returns the first
-  /// mismatch found, or nullopt when all compared outputs agree.  The sliced
-  /// backend returns the same first-in-(vector, cycle, output)-order mismatch
-  /// the scalar backend would, but evaluates 64 vectors per tape pass (and so
-  /// may consume rng draws for up to a full 64-vector chunk past it).
+  /// mismatch in (vector, cycle, output) order, or nullopt when all compared
+  /// outputs agree.  Evaluates 64 vectors per tape pass, and so may consume
+  /// rng draws for up to a full 64-vector chunk past the mismatch.
   [[nodiscard]] std::optional<Mismatch> findMismatch(const BitVector& candidateKey,
                                                      const EquivalenceOptions& options,
                                                      support::Rng& rng);
 
   /// Average fraction of output bits that differ between the golden module
   /// and the candidate driven with `key` (0.0 = identical behaviour, 0.5 ≈
-  /// uncorrelated outputs).  Bit-identical across backends: the differing-bit
-  /// count is an integer sum in either arena layout.
+  /// uncorrelated outputs).  The differing-bit count is an integer sum, so
+  /// the value is exact whatever the lane packing.
   [[nodiscard]] double outputCorruption(const BitVector& key,
                                         const EquivalenceOptions& options, support::Rng& rng);
 
   /// Corruption for many hypothesis keys over ONE shared stimulus set, drawn
   /// from `rng` exactly like a single outputCorruption call.  Element i is
-  /// the corruption of keys[i] on those stimuli.  On the sliced backend the
-  /// (key, vector) pairs are packed 64 per tape pass — with K keys and V
-  /// vectors the whole sweep costs ceil(K*V/64) passes instead of K*V — and
-  /// the scalar backend replays the identical stimuli per key, so both
-  /// backends return identical values.
+  /// the corruption of keys[i] on those stimuli, equal to an outputCorruption
+  /// call with keys[i] and the same rng state.  The (key, vector) pairs are
+  /// packed 64 per tape pass — with K keys and V vectors the whole sweep
+  /// costs ceil(K*V/64) passes instead of K*V.
   [[nodiscard]] std::vector<double> outputCorruptionBatch(std::span<const BitVector> keys,
                                                           const EquivalenceOptions& options,
                                                           support::Rng& rng);
@@ -98,32 +82,19 @@ class Harness {
     std::string name;  // golden-side port name (for mismatch reports)
   };
 
-  /// Resets both sims and applies the key(s) for a fresh stimulus vector;
-  /// `keyGolden` additionally drives a locked golden module with the key
-  /// (equivalence checks do, corruption measurement does not).
-  void beginVector(const BitVector& candidateKey, bool keyGolden);
-
-  /// Pre-draws options.vectors random stimulus vectors in the scalar draw
-  /// order (vector -> cycle -> input); element [v] holds cycle-major values
-  /// for the non-clock inputs.
+  /// Pre-draws options.vectors random stimulus vectors in the draw order
+  /// (vector -> cycle -> input); element [v] holds cycle-major values for the
+  /// non-clock inputs.
   [[nodiscard]] std::vector<std::vector<BitVector>> drawStimuli(
       const EquivalenceOptions& options, support::Rng& rng) const;
 
-  [[nodiscard]] std::optional<Mismatch> findMismatchSliced(const BitVector& candidateKey,
-                                                           const EquivalenceOptions& options,
-                                                           support::Rng& rng);
-
   bool goldenLocked_ = false;
   bool candidateLocked_ = false;
-  SimBackend backend_ = SimBackend::Sliced;
   std::vector<PortPair> inputs_;  // clock excluded
   std::vector<PortPair> outputs_;
   std::optional<PortPair> clock_;
-  // Exactly one backend pair is engaged, chosen at construction.
-  std::optional<CompiledSim> golden_;
-  std::optional<CompiledSim> candidate_;
-  std::optional<SlicedSim> goldenSliced_;
-  std::optional<SlicedSim> candidateSliced_;
+  SlicedSim golden_;
+  SlicedSim candidate_;
 };
 
 /// One-shot form of Harness::findMismatch (compiles both modules per call).

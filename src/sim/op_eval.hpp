@@ -1,9 +1,9 @@
 // Operator semantics shared by both simulation backends.
 //
 // The reference interpreter applies these directly while walking the
-// expression tree; the compiled backend calls them from its wide-value
-// fallback opcodes, so a single definition fixes the semantics of every
-// operator for both.
+// expression tree; the sliced tape calls evalBinaryOp from its per-lane
+// fallback for arithmetic on operands wider than 64 bits, so a single
+// definition fixes the semantics of those operators for both.
 #pragma once
 
 #include "rtl/ops.hpp"

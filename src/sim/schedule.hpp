@@ -4,7 +4,7 @@
 // over their signal dependencies (combinational loops are rejected with
 // support::Error); sequential processes are grouped by driving clock in
 // module order.  The reference interpreter (Evaluator) executes the schedule
-// directly; the bytecode Compiler lowers it to a flat tape.
+// directly; the bytecode Compiler lowers it to a flat sliced tape.
 #pragma once
 
 #include <set>

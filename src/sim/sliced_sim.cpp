@@ -62,44 +62,12 @@ rtl::OpKind fallbackOpKind(Opcode op) {
   RTLOCK_UNREACHABLE("lane-fallback opcode");
 }
 
-/// Construction-time verification that a program really is in the sliced
-/// encoding: jump-free, no Wide* opcodes, 1-bit Select conditions.
-void verifySlicedTape(const Program& program, const std::vector<Instr>& tape) {
-  for (const Instr& in : tape) {
-    switch (in.op) {
-      case Opcode::Jump:
-      case Opcode::JumpIfZero:
-      case Opcode::JumpIfEq:
-      case Opcode::WideBinary:
-      case Opcode::WideUnary:
-      case Opcode::WideSelect:
-      case Opcode::WideConcat:
-      case Opcode::WideSlice:
-      case Opcode::WideCopy:
-      case Opcode::WideInsert:
-        RTLOCK_UNREACHABLE("jump/wide opcode in a sliced tape");
-      case Opcode::Select:
-        RTLOCK_REQUIRE(program.slots()[static_cast<std::size_t>(in.a)].width == 1,
-                       "sliced Select condition must be a 1-bit slot");
-        break;
-      default: break;
-    }
-  }
-}
-
 }  // namespace
 
 SlicedSim::SlicedSim(const rtl::Module& module)
     : SlicedSim(std::make_shared<const Program>(Compiler::compileSliced(module))) {}
 
 SlicedSim::SlicedSim(std::shared_ptr<const Program> program) : program_(std::move(program)) {
-  RTLOCK_REQUIRE(program_->slicedLowering(),
-                 "SlicedSim needs a Compiler::compileSliced program");
-  verifySlicedTape(*program_, program_->combTape());
-  for (const SequentialTape& seq : program_->sequentialTapes()) {
-    verifySlicedTape(*program_, seq.tape);
-  }
-
   // Plane arena layout: one plane per bit of every slot, in slot order.
   planeBase_.reserve(program_->slots().size());
   std::int32_t next = 0;
@@ -108,17 +76,14 @@ SlicedSim::SlicedSim(std::shared_ptr<const Program> program) : program_(std::mov
     next += slot.width;
   }
 
-  // Broadcast the scalar initial image (constants baked in, signals zero):
-  // a set constant bit is set in every lane.
+  // Broadcast the constants (signals and key planes start zero): a set
+  // constant bit is set in every lane.
   initialPlanes_.assign(static_cast<std::size_t>(next), 0);
-  const std::vector<u64>& words = program_->initialWords();
-  for (std::size_t id = 0; id < program_->slots().size(); ++id) {
-    const Slot& slot = program_->slots()[id];
+  for (const ConstantInit& constant : program_->constants()) {
+    const auto id = static_cast<std::size_t>(constant.slot);
+    const int width = std::min(program_->slots()[id].width, 64);
     u64* planes = &initialPlanes_[static_cast<std::size_t>(planeBase_[id])];
-    for (int b = 0; b < slot.width; ++b) {
-      const u64 word = words[static_cast<std::size_t>(slot.offset + b / 64)];
-      planes[b] = ((word >> (b % 64)) & 1) != 0 ? ~u64{0} : 0;
-    }
+    for (int b = 0; b < width; ++b) planes[b] = ((constant.value >> b) & 1) != 0 ? ~u64{0} : 0;
   }
   planes_ = initialPlanes_;
 }
@@ -220,7 +185,7 @@ void SlicedSim::settle() { exec(program_->combTape()); }
 void SlicedSim::clockEdge(rtl::SignalId clock) {
   for (const SequentialTape& seq : program_->sequentialTapes()) {
     if (seq.clock != clock) continue;
-    // Same double-buffer dance as the scalar executor, over planes.
+    // Seed the shadows from the live planes, run, then commit.
     for (const ShadowCopy& copy : seq.shadows) {
       const int width = program_->slots()[static_cast<std::size_t>(copy.liveSlot)].width;
       std::copy_n(planesOf(copy.liveSlot), width, planesOf(copy.shadowSlot));
@@ -245,7 +210,7 @@ void SlicedSim::loadLanes(std::int32_t slotId, u64 out[kLanes]) const {
 BitVector SlicedSim::gatherLane(std::int32_t slotId, int lane) const {
   const Slot& slot = program_->slots()[static_cast<std::size_t>(slotId)];
   const u64* planes = planesOf(slotId);
-  std::vector<u64> words(static_cast<std::size_t>(slot.wordCount()), 0);
+  std::vector<u64> words(static_cast<std::size_t>(BitVector::wordCountFor(slot.width)), 0);
   for (int b = 0; b < slot.width; ++b) {
     words[static_cast<std::size_t>(b >> 6)] |= ((planes[b] >> lane) & 1) << (b & 63);
   }
@@ -292,8 +257,8 @@ void SlicedSim::laneFallback(const Instr& in) {
     std::copy_n(out, wd, planesOf(in.dst));
     return;
   }
-  // Wide operands: per-lane BitVector evaluation via the shared op
-  // semantics (identical to the scalar tape's Wide* fallback).
+  // Wide operands: per-lane BitVector evaluation via the operator semantics
+  // the interpreter shares.
   const rtl::OpKind kind = fallbackOpKind(in.op);
   for (int l = 0; l < kLanes; ++l) {
     scatterLane(in.dst, l, evalBinaryOp(kind, gatherLane(in.a, l), gatherLane(in.b, l), wd));
@@ -508,69 +473,8 @@ void SlicedSim::exec(const std::vector<Instr>& tape) {
         for (int i = 0; i < in.c && in.b + i < wd; ++i) d[in.b + i] = planeOr0(a, wa, i);
         break;
       }
-      case Opcode::Jump:
-      case Opcode::JumpIfZero:
-      case Opcode::JumpIfEq:
-      case Opcode::WideBinary:
-      case Opcode::WideUnary:
-      case Opcode::WideSelect:
-      case Opcode::WideConcat:
-      case Opcode::WideSlice:
-      case Opcode::WideCopy:
-      case Opcode::WideInsert: RTLOCK_UNREACHABLE("jump/wide opcode in a sliced tape");
     }
   }
-}
-
-std::vector<std::vector<BitVector>> SlicedSim::runVectors(
-    const BatchRequest& request, const std::vector<std::vector<BitVector>>& stimuli,
-    const std::vector<BitVector>& keys) {
-  RTLOCK_REQUIRE(request.cycles >= 1, "batch runs need at least one cycle");
-  RTLOCK_REQUIRE(keys.empty() || keys.size() == stimuli.size(),
-                 "runVectors needs no keys or one key per stimulus vector");
-  const std::size_t inputCount = request.inputs.size();
-  const std::size_t samplesPerCycle = request.clock.has_value() ? 2 : 1;
-
-  std::vector<std::vector<BitVector>> traces(stimuli.size());
-  std::vector<BitVector> laneValues;
-  for (std::size_t chunk = 0; chunk < stimuli.size(); chunk += kLanes) {
-    const std::size_t lanes = std::min<std::size_t>(kLanes, stimuli.size() - chunk);
-    for (std::size_t l = 0; l < lanes; ++l) {
-      RTLOCK_REQUIRE(stimuli[chunk + l].size() ==
-                         inputCount * static_cast<std::size_t>(request.cycles),
-                     "stimulus vector size must be cycles * inputs");
-      traces[chunk + l].reserve(static_cast<std::size_t>(request.cycles) * samplesPerCycle *
-                                request.outputs.size());
-    }
-    reset();
-    if (!keys.empty()) setKeys(std::span{keys}.subspan(chunk, lanes));
-
-    for (int cycle = 0; cycle < request.cycles; ++cycle) {
-      for (std::size_t i = 0; i < inputCount; ++i) {
-        laneValues.clear();
-        for (std::size_t l = 0; l < lanes; ++l) {
-          laneValues.push_back(
-              stimuli[chunk + l][static_cast<std::size_t>(cycle) * inputCount + i]);
-        }
-        setLaneValues(request.inputs[i], laneValues);
-      }
-      settle();
-      for (const rtl::SignalId output : request.outputs) {
-        for (std::size_t l = 0; l < lanes; ++l) {
-          traces[chunk + l].push_back(laneValue(output, static_cast<int>(l)));
-        }
-      }
-      if (request.clock.has_value()) {
-        clockEdge(*request.clock);
-        for (const rtl::SignalId output : request.outputs) {
-          for (std::size_t l = 0; l < lanes; ++l) {
-            traces[chunk + l].push_back(laneValue(output, static_cast<int>(l)));
-          }
-        }
-      }
-    }
-  }
-  return traces;
 }
 
 }  // namespace rtlock::sim

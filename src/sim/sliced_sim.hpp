@@ -1,11 +1,10 @@
 // Bit-sliced batch simulator: 64 stimulus vectors per tape pass.
 //
-// SlicedSim executes a Program in the *sliced* encoding (Compiler::
-// compileSliced) over a transposed value arena.  Where CompiledSim stores a
-// w-bit signal as ceil(w/64) words holding ONE value, SlicedSim stores it as
-// w *planes* — plane b is a 64-bit word whose bit L is bit b of lane L's
-// value.  Every 2-state logic op then becomes a handful of plain bitwise
-// word ops evaluating all 64 lanes at once:
+// SlicedSim executes a Program (Compiler::compileSliced) over a transposed
+// value arena: a w-bit signal is stored as w *planes* — plane b is a 64-bit
+// word whose bit L is bit b of lane L's value.  Every 2-state logic op then
+// becomes a handful of plain bitwise word ops evaluating all 64 lanes at
+// once:
 //  * and/or/xor/not/mux run one word op per plane;
 //  * add/sub/neg ripple a carry/borrow plane across the result width;
 //  * compares ripple from the LSB plane; reductions fold the planes;
@@ -21,16 +20,17 @@
 // binding planes, which is what lets corruption sweeps score 64 (key, vector)
 // pairs per tape pass.
 //
-// Semantics are differentially pinned against both the reference interpreter
-// and the scalar tape by tests/sim/sliced_sim_test.cpp; the scalar backends
-// remain the oracles (see src/sim/README.md for the contract).
+// Semantics are differentially pinned against the reference interpreter
+// (sim/evaluator.hpp), which stays the oracle, by tests/sim/sliced_sim_test.cpp
+// (see src/sim/README.md for the contract).
 #pragma once
 
 #include <memory>
 #include <span>
 #include <vector>
 
-#include "sim/compiled_sim.hpp"
+#include "sim/bitvector.hpp"
+#include "sim/program.hpp"
 
 namespace rtlock::sim {
 
@@ -44,8 +44,6 @@ class SlicedSim {
  public:
   /// Lane capacity of one arena (bits per machine word).
   static constexpr int kLanes = 64;
-
-  using BatchRequest = CompiledSim::BatchRequest;
 
   /// Compiles `module` privately in the sliced encoding.
   explicit SlicedSim(const rtl::Module& module);
@@ -100,13 +98,6 @@ class SlicedSim {
     return &planes_[static_cast<std::size_t>(
         planeBase_[static_cast<std::size_t>(program_->signalSlotId(signal))])];
   }
-
-  /// Batch API with CompiledSim::runVectors semantics (same request shape,
-  /// same trace layout, same "empty keys = zero key" contract), evaluated in
-  /// chunks of up to kLanes vectors per tape pass.
-  [[nodiscard]] std::vector<std::vector<BitVector>> runVectors(
-      const BatchRequest& request, const std::vector<std::vector<BitVector>>& stimuli,
-      const std::vector<BitVector>& keys);
 
  private:
   void exec(const std::vector<Instr>& tape);

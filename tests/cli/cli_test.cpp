@@ -73,7 +73,8 @@ TEST(CliDispatchTest, MalformedFlagValuesFailUsage) {
   EXPECT_EQ(runCli({"attack", "in.v", "--folds=1"}).exitCode, cli::kExitUsage);
   EXPECT_EQ(runCli({"eval", "in.v", "--folds=1"}).exitCode, cli::kExitUsage);
   EXPECT_EQ(runCli({"eval", "in.v", "--seeds=bogus"}).exitCode, cli::kExitUsage);
-  EXPECT_EQ(runCli({"eval", "in.v", "--sim-backend=quantum"}).exitCode, cli::kExitUsage);
+  // There is one simulator tape, so --sim-backend is an unknown flag.
+  EXPECT_EQ(runCli({"eval", "in.v", "--sim-backend=sliced"}).exitCode, cli::kExitUsage);
 }
 
 TEST(CliDispatchTest, SeedsRejectTrailingJunkAndNegatives) {
@@ -172,9 +173,10 @@ TEST(CliDispatchTest, UsageTextListsEveryFlag) {
   // The flag section is rendered from the command's field table.
   const auto work = runCli({"help", "work"});
   for (const char* flag : {"--manifest=PATH", "--owner=ID", "--lease-ms=N", "--algos=LIST",
-                           "--sim-backend=NAME", "--no-wall"}) {
+                           "--verify-functional", "--no-wall"}) {
     EXPECT_NE(work.out.find(flag), std::string::npos) << flag;
   }
+  EXPECT_EQ(work.out.find("--sim-backend"), std::string::npos);
   EXPECT_NE(runCli({"help", "serve"}).out.find("(default 10000)"), std::string::npos);
 }
 

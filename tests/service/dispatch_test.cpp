@@ -51,7 +51,10 @@ TEST_F(DispatchTest, HealthzReportsBuildIdentity) {
   EXPECT_EQ(document.find("status")->asString(), "ok");
   EXPECT_FALSE(document.find("version")->asString().empty());
   EXPECT_FALSE(document.find("engine")->asString().empty());
-  EXPECT_FALSE(document.find("sim_backends")->asArray().empty());
+  const support::JsonArray& backends = document.find("sim_backends")->asArray();
+  ASSERT_EQ(backends.size(), 2u);
+  EXPECT_EQ(backends[0].asString(), "interpreter");
+  EXPECT_EQ(backends[1].asString(), "sliced");
 }
 
 TEST_F(DispatchTest, StatsCountersTrackOutcomes) {

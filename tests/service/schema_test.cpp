@@ -36,7 +36,7 @@ TEST(SchemaTest, FlagSetsArePinned) {
       "algos",   "seeds",       "samples",  "rounds",  "budget",      "folds",
       "module",  "key-port",    "threads",  "report",  "report-csv",  "csv",
       "no-wall", "journal",     "retries",  "extended-features",      "deadline-ms",
-      "sim-backend",            "verify-functional"};
+      "verify-functional"};
   std::set<std::string> eval = evalGrid;
   eval.insert({"keep-errors", "check", "check-cells"});
   std::set<std::string> work = evalGrid;

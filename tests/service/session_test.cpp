@@ -39,7 +39,7 @@ TEST(SessionHashTest, DeterministicAndContentSensitive) {
             SessionCache::contentHash(kMixer, renamed));
 }
 
-TEST(SessionTest, BuildsArtifactsForEveryModule) {
+TEST(SessionTest, BuildsSessionForEveryModule) {
   const SessionCache::FetchResult fetched = [] {
     SessionCache cache;
     return cache.fetch(kMixer, SessionOptions{});
@@ -51,9 +51,7 @@ TEST(SessionTest, BuildsArtifactsForEveryModule) {
   EXPECT_EQ(session->module(0).name(), "mixer");
   EXPECT_NE(session->findModule("mixer"), nullptr);
   EXPECT_EQ(session->findModule("nope"), nullptr);
-  // Both compiled backends exist per module, and the size estimate is sane.
-  EXPECT_GT(session->artifacts(0).scalar.instructionCount(), 0u);
-  EXPECT_GT(session->artifacts(0).sliced.instructionCount(), 0u);
+  // The size estimate is sane.
   EXPECT_GE(session->approxBytes(), 1024u);
   // The session outlives its cache (the fixture's cache is already gone).
   rtl::Design clone = session->cloneDesign();

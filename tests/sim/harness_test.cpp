@@ -7,6 +7,7 @@
 #include "core/assure.hpp"
 #include "designs/registry.hpp"
 #include "rtl/builder.hpp"
+#include "sim/evaluator.hpp"
 
 namespace rtlock::sim {
 namespace {
@@ -103,11 +104,110 @@ TEST(HarnessTest, SequentialDesignsCompared) {
       functionallyEquivalent(makeCounter("c1", 1), makeCounter("c3", 2), BitVector{1}, {}, rng));
 }
 
-// ---- backend parity ------------------------------------------------------
+// ---- parity with the reference interpreter --------------------------------
 //
-// The compiled (scalar) backend is the oracle for the sliced default: with
-// the same rng seed both backends must report identical corruption values
-// and the identical first mismatch.
+// The sliced Harness packs up to 64 vectors (or (key, vector) pairs) per tape
+// pass.  EvaluatorPair is its one-vector-at-a-time reference on two
+// interpreters: same port matching, same rng draw order (vector -> cycle ->
+// input), first mismatch in (vector, cycle, output) order and corruption as
+// the exact differing-bit fraction.  With the same rng seed both must report
+// identical corruption values and the identical first mismatch.
+
+class EvaluatorPair {
+ public:
+  EvaluatorPair(const rtl::Module& golden, const rtl::Module& candidate)
+      : golden_(golden), candidate_(candidate), goldenLocked_(golden.keyWidth() > 0),
+        candidateLocked_(candidate.keyWidth() > 0) {
+    for (const rtl::SignalId id : golden.ports()) {
+      const rtl::Signal& signal = golden.signal(id);
+      const Port port{id, *candidate.findSignal(signal.name), signal.width, signal.name};
+      if (signal.dir != rtl::PortDir::Input) {
+        outputs_.push_back(port);
+      } else if (!golden_.clocks().empty() && golden_.clocks().front() == id) {
+        clock_ = port;
+      } else {
+        inputs_.push_back(port);
+      }
+    }
+  }
+
+  std::optional<Mismatch> findMismatch(const BitVector& key, const EquivalenceOptions& options,
+                                       support::Rng& rng) {
+    std::optional<Mismatch> first;
+    run(key, /*keyGolden=*/true, options, rng, [&](int vector, int cycle, bool) {
+      for (const Port& port : outputs_) {
+        if (!(golden_.value(port.golden) == candidate_.value(port.candidate))) {
+          first = Mismatch{port.name, vector, cycle};
+          return false;
+        }
+      }
+      return true;
+    });
+    return first;
+  }
+
+  double outputCorruption(const BitVector& key, const EquivalenceOptions& options,
+                          support::Rng& rng) {
+    std::int64_t differing = 0;
+    std::int64_t total = 0;
+    run(key, /*keyGolden=*/false, options, rng, [&](int, int, bool afterEdge) {
+      if (afterEdge) return true;  // corruption samples after each settle only
+      for (const Port& port : outputs_) {
+        differing += BitVector::hammingDistance(golden_.value(port.golden),
+                                                candidate_.value(port.candidate));
+        total += port.width;
+      }
+      return true;
+    });
+    return total == 0 ? 0.0 : static_cast<double>(differing) / static_cast<double>(total);
+  }
+
+ private:
+  struct Port {
+    rtl::SignalId golden = 0;
+    rtl::SignalId candidate = 0;
+    int width = 1;
+    std::string name;
+  };
+
+  /// Drives every vector; `sample(vector, cycle, afterEdge)` runs after each
+  /// settle and (sequential designs) after each clock edge, and stops the
+  /// drive by returning false.
+  template <typename Sample>
+  void run(const BitVector& key, bool keyGolden, const EquivalenceOptions& options,
+           support::Rng& rng, Sample sample) {
+    const int cycles = clock_.has_value() ? options.cyclesPerVector : 1;
+    for (int vector = 0; vector < options.vectors; ++vector) {
+      golden_.reset();
+      candidate_.reset();
+      if (candidateLocked_) candidate_.setKey(key);
+      if (keyGolden && goldenLocked_) golden_.setKey(key);
+      for (int cycle = 0; cycle < cycles; ++cycle) {
+        for (const Port& port : inputs_) {
+          const BitVector stimulus = BitVector::random(port.width, rng);
+          golden_.setValue(port.golden, stimulus);
+          candidate_.setValue(port.candidate, stimulus);
+        }
+        golden_.settle();
+        candidate_.settle();
+        if (!sample(vector, cycle, false)) return;
+        if (clock_.has_value()) {
+          golden_.clockEdge(clock_->golden);
+          candidate_.clockEdge(clock_->candidate);
+          if (!sample(vector, cycle, true)) return;
+        }
+      }
+    }
+  }
+
+  Evaluator golden_;
+  Evaluator candidate_;
+  bool goldenLocked_;
+  bool candidateLocked_;
+  std::optional<Port> clock_;
+  std::vector<Port> inputs_;  // clock excluded
+  std::vector<Port> outputs_;
+};
 
 struct LockedFir {
   rtl::Module module;
@@ -126,49 +226,52 @@ LockedFir makeLockedFir() {
   return {std::move(module), std::move(key)};
 }
 
-TEST(HarnessBackendTest, CorruptionIdenticalAcrossBackends) {
+TEST(HarnessBackendTest, CorruptionMatchesInterpreter) {
   const rtl::Module golden = designs::makeBenchmark("FIR");
   const rtl::Module locked = makeLockedFir().module;
-  Harness scalar{golden, locked, SimBackend::Compiled};
-  Harness sliced{golden, locked, SimBackend::Sliced};
+  EvaluatorPair reference{golden, locked};
+  Harness sliced{golden, locked};
   EquivalenceOptions options;
   options.vectors = 70;  // spills into a second 64-lane chunk
   options.cyclesPerVector = 3;
   support::Rng keyRng{42};
   for (int trial = 0; trial < 4; ++trial) {
     const BitVector key = BitVector::random(locked.keyWidth(), keyRng);
-    support::Rng scalarRng{100 + static_cast<std::uint64_t>(trial)};
+    support::Rng referenceRng{100 + static_cast<std::uint64_t>(trial)};
     support::Rng slicedRng{100 + static_cast<std::uint64_t>(trial)};
-    EXPECT_DOUBLE_EQ(scalar.outputCorruption(key, options, scalarRng),
+    EXPECT_DOUBLE_EQ(reference.outputCorruption(key, options, referenceRng),
                      sliced.outputCorruption(key, options, slicedRng));
   }
 }
 
-TEST(HarnessBackendTest, FirstMismatchIdenticalAcrossBackends) {
+TEST(HarnessBackendTest, FirstMismatchMatchesInterpreter) {
   const rtl::Module golden = designs::makeBenchmark("FIR");
   const LockedFir fir = makeLockedFir();
   const rtl::Module& locked = fir.module;
-  Harness scalar{golden, locked, SimBackend::Compiled};
-  Harness sliced{golden, locked, SimBackend::Sliced};
+  EvaluatorPair reference{golden, locked};
+  Harness sliced{golden, locked};
   EquivalenceOptions options;
   options.vectors = 70;
   options.cyclesPerVector = 3;
   support::Rng keyRng{43};
   const BitVector& correct = fir.correctKey;  // trial 0: the no-mismatch case
+  int mismatches = 0;
   for (int trial = 0; trial < 4; ++trial) {
     const BitVector key =
         trial == 0 ? correct : BitVector::random(locked.keyWidth(), keyRng);
-    support::Rng scalarRng{200 + static_cast<std::uint64_t>(trial)};
+    support::Rng referenceRng{200 + static_cast<std::uint64_t>(trial)};
     support::Rng slicedRng{200 + static_cast<std::uint64_t>(trial)};
-    const auto expected = scalar.findMismatch(key, options, scalarRng);
+    const auto expected = reference.findMismatch(key, options, referenceRng);
     const auto actual = sliced.findMismatch(key, options, slicedRng);
     ASSERT_EQ(expected.has_value(), actual.has_value()) << "trial " << trial;
     if (expected.has_value()) {
+      ++mismatches;
       EXPECT_EQ(expected->output, actual->output);
       EXPECT_EQ(expected->vector, actual->vector);
       EXPECT_EQ(expected->cycle, actual->cycle);
     }
   }
+  EXPECT_GT(mismatches, 0);  // the wrong keys must exercise the report path
 }
 
 TEST(HarnessBackendTest, CorruptionBatchMatchesPerKeyCalls) {
@@ -181,49 +284,42 @@ TEST(HarnessBackendTest, CorruptionBatchMatchesPerKeyCalls) {
   std::vector<BitVector> keys;
   for (int k = 0; k < 20; ++k) keys.push_back(BitVector::random(locked.keyWidth(), keyRng));
 
-  // Per-key oracle values: the scalar backend over identical stimuli.
-  Harness scalar{golden, locked, SimBackend::Compiled};
+  // Per-key reference values: the interpreters over identical stimuli.
+  EvaluatorPair reference{golden, locked};
   std::vector<double> expected;
   for (const BitVector& key : keys) {
     support::Rng rng{300};
-    expected.push_back(scalar.outputCorruption(key, options, rng));
+    expected.push_back(reference.outputCorruption(key, options, rng));
   }
 
-  for (const SimBackend backend : {SimBackend::Compiled, SimBackend::Sliced}) {
-    Harness harness{golden, locked, backend};
-    support::Rng rng{300};
-    const auto batch = harness.outputCorruptionBatch(keys, options, rng);
-    ASSERT_EQ(batch.size(), keys.size());
-    for (std::size_t k = 0; k < keys.size(); ++k) {
-      EXPECT_DOUBLE_EQ(batch[k], expected[k]) << "backend "
-                                              << (backend == SimBackend::Sliced ? "sliced"
-                                                                                : "compiled")
-                                              << " key " << k;
-    }
+  Harness harness{golden, locked};
+  support::Rng rng{300};
+  const auto batch = harness.outputCorruptionBatch(keys, options, rng);
+  ASSERT_EQ(batch.size(), keys.size());
+  for (std::size_t k = 0; k < keys.size(); ++k) {
+    EXPECT_DOUBLE_EQ(batch[k], expected[k]) << "key " << k;
   }
 }
 
 TEST(HarnessBackendTest, StaleKeysNeverLeakAcrossCalls) {
   // Regression pin: after measuring under a wrong key, a fresh call on the
   // same harness with the correct key must see zero corruption — no key
-  // planes or arena words may survive from the previous sweep.
+  // planes may survive from the previous sweep.
   const rtl::Module golden = designs::makeBenchmark("FIR");
   const LockedFir fir = makeLockedFir();
   const rtl::Module& locked = fir.module;
-  for (const SimBackend backend : {SimBackend::Compiled, SimBackend::Sliced}) {
-    Harness harness{golden, locked, backend};
-    const BitVector& correct = fir.correctKey;
-    BitVector wrong = fir.correctKey;
-    for (int bit = 0; bit < locked.keyWidth(); ++bit) wrong.setBit(bit, !wrong.bit(bit));
-    EquivalenceOptions options;
-    options.cyclesPerVector = 16;  // past the FIR pipeline depth
-    support::Rng rng1{400};
-    ASSERT_GT(harness.outputCorruption(wrong, options, rng1), 0.0);
-    support::Rng rng2{401};
-    EXPECT_DOUBLE_EQ(harness.outputCorruption(correct, options, rng2), 0.0);
-    support::Rng rng3{402};
-    EXPECT_FALSE(harness.findMismatch(correct, options, rng3).has_value());
-  }
+  Harness harness{golden, locked};
+  const BitVector& correct = fir.correctKey;
+  BitVector wrong = fir.correctKey;
+  for (int bit = 0; bit < locked.keyWidth(); ++bit) wrong.setBit(bit, !wrong.bit(bit));
+  EquivalenceOptions options;
+  options.cyclesPerVector = 16;  // past the FIR pipeline depth
+  support::Rng rng1{400};
+  ASSERT_GT(harness.outputCorruption(wrong, options, rng1), 0.0);
+  support::Rng rng2{401};
+  EXPECT_DOUBLE_EQ(harness.outputCorruption(correct, options, rng2), 0.0);
+  support::Rng rng3{402};
+  EXPECT_FALSE(harness.findMismatch(correct, options, rng3).has_value());
 }
 
 TEST(HarnessTest, MissingPortIsContractViolation) {

@@ -1,9 +1,9 @@
 // Differential fuzz suite for the bit-sliced backend: every lane of a
-// SlicedSim batch must be bit-identical with the reference interpreter (and,
-// through it, the scalar tape) on registry designs, locked registry designs
-// with per-lane hypothesis keys, random fuzz modules, and targeted edges —
-// lane counts 1/63/64/65, mixed-width concat/slice shapes, predicated
-// (if-converted) case/slice stores, and the per-lane arithmetic fallback.
+// SlicedSim batch must be bit-identical with the reference interpreter on
+// registry designs, locked registry designs with per-lane hypothesis keys,
+// random fuzz modules, and targeted edges — partial lane counts 1/7/63,
+// bitwise and fallback ops at edge widths, mixed-width concat/slice shapes,
+// predicated (if-converted) case/slice stores, and a shared Program.
 #include "sim/sliced_sim.hpp"
 
 #include <gtest/gtest.h>
@@ -134,7 +134,40 @@ TEST(SlicedSimDifferentialTest, RandomFuzzModulesMatchInterpreter) {
   }
 }
 
+TEST(SlicedSimDifferentialTest, PartialLaneCountsMatchInterpreter) {
+  // setLaneValues zeroes the lanes past the driven ones; 1 and 63 lanes pin
+  // both ends of a partially filled arena.
+  const rtl::Module fir = designs::makeBenchmark("FIR");
+  for (const int lanes : {1, 63}) {
+    SCOPED_TRACE(lanes);
+    expectLanesAgree(fir, lanes, /*cycles=*/3, /*seed=*/static_cast<std::uint64_t>(lanes));
+  }
+}
+
 // ---- targeted edges ------------------------------------------------------
+
+/// y = ((a + b) ^ (a << 3)) - (a & b) plus a comparison, at one width: the
+/// bitwise kernels (carry/borrow ripple, constant shift, compare) at edges.
+rtl::Module makeArithMix(int width) {
+  rtl::ModuleBuilder b{"arith_" + std::to_string(width)};
+  const auto a = b.input("a", width);
+  const auto c = b.input("b", width);
+  const auto y = b.output("y", width);
+  const auto lt = b.output("lt", 1);
+  b.assign(y, b.sub(b.xorE(b.add(b.ref(a), b.ref(c)),
+                           b.bin(rtl::OpKind::Shl, b.ref(a), b.lit(3, 8))),
+                    b.andE(b.ref(a), b.ref(c))));
+  b.assign(lt, b.bin(rtl::OpKind::Lt, b.ref(a), b.ref(c)));
+  return b.take();
+}
+
+TEST(SlicedSimTest, BitwiseOpsMatchAtEdgeWidths) {
+  for (const int width : {1, 2, 31, 32, 63, 64}) {
+    SCOPED_TRACE(width);
+    expectLanesAgree(makeArithMix(width), /*lanes=*/64, /*cycles=*/1,
+                     /*seed=*/static_cast<std::uint64_t>(width));
+  }
+}
 
 template <typename... Parts>
 std::vector<rtl::ExprPtr> parts(Parts&&... items) {
@@ -231,131 +264,64 @@ TEST(SlicedSimTest, PredicatedCaseAndShadowedSliceWrites) {
   expectLanesAgree(makeCaseCounter(), /*lanes=*/64, /*cycles=*/8, /*seed=*/11);
 }
 
-// ---- batch API (trace-level, against the scalar tape) --------------------
-
-/// SlicedSim::runVectors must return byte-identical traces to
-/// CompiledSim::runVectors on the same request/stimuli/keys.  Lane counts
-/// 1/63/64/65 pin the chunk boundaries (partial arena, full arena, spill
-/// into a second chunk).
-void expectTracesMatchScalar(const rtl::Module& module, int vectors, int cycles,
-                             std::uint64_t seed, bool withKeys) {
-  support::Rng rng{seed};
-  std::vector<rtl::SignalId> inputs;
-  std::vector<rtl::SignalId> outputs;
-  for (const rtl::SignalId id : module.ports()) {
-    if (module.signal(id).dir == rtl::PortDir::Input) {
-      inputs.push_back(id);
-    } else {
-      outputs.push_back(id);
-    }
-  }
-  CompiledSim scalar{module};
-  std::optional<rtl::SignalId> clock;
-  if (!scalar.clocks().empty()) {
-    clock = scalar.clocks().front();
-    std::erase(inputs, *clock);
-  }
-
-  const CompiledSim::BatchRequest request{inputs, outputs, clock, cycles};
-  std::vector<std::vector<BitVector>> stimuli(static_cast<std::size_t>(vectors));
-  for (auto& stimulus : stimuli) {
-    for (int cycle = 0; cycle < cycles; ++cycle) {
-      for (const rtl::SignalId input : inputs) {
-        stimulus.push_back(BitVector::random(module.signal(input).width, rng));
-      }
-    }
-  }
-  std::vector<BitVector> keys;
-  if (withKeys && module.keyWidth() > 0) {
-    for (int v = 0; v < vectors; ++v) keys.push_back(BitVector::random(module.keyWidth(), rng));
-  }
-
-  const auto scalarTraces = scalar.runVectors(request, stimuli, keys);
-  SlicedSim sliced{module};
-  const auto slicedTraces = sliced.runVectors(request, stimuli, keys);
-  ASSERT_EQ(scalarTraces.size(), slicedTraces.size());
-  for (std::size_t v = 0; v < scalarTraces.size(); ++v) {
-    ASSERT_EQ(scalarTraces[v].size(), slicedTraces[v].size()) << "vector " << v;
-    for (std::size_t s = 0; s < scalarTraces[v].size(); ++s) {
-      ASSERT_EQ(scalarTraces[v][s], slicedTraces[v][s]) << "vector " << v << " sample " << s;
-    }
-  }
-}
-
-TEST(SlicedSimTest, RunVectorsMatchesScalarTapeAtChunkBoundaries) {
-  const rtl::Module fir = designs::makeBenchmark("FIR");
-  for (const int vectors : {1, 63, 64, 65}) {
-    SCOPED_TRACE(vectors);
-    expectTracesMatchScalar(fir, vectors, /*cycles=*/2,
-                            /*seed=*/static_cast<std::uint64_t>(vectors), /*withKeys=*/false);
-  }
-}
-
-TEST(SlicedSimTest, RunVectorsMatchesScalarTapeWithPerVectorKeys) {
-  support::Rng lockRng{13};
-  rtl::Module module = designs::makeBenchmark("FIR");
-  lock::LockEngine engine{module, lock::PairTable::fixed()};
-  lock::assureRandomLock(engine, std::max(1, engine.initialLockableOps() / 2), lockRng);
-  for (const int vectors : {1, 63, 64, 65}) {
-    SCOPED_TRACE(vectors);
-    expectTracesMatchScalar(module, vectors, /*cycles=*/2,
-                            /*seed=*/20 + static_cast<std::uint64_t>(vectors),
-                            /*withKeys=*/true);
-  }
-}
-
-TEST(SlicedSimTest, RunVectorsMatchesScalarTapeOnWideAndCasey) {
-  expectTracesMatchScalar(makeWideMix(), /*vectors=*/65, /*cycles=*/1, /*seed=*/5,
-                          /*withKeys=*/false);
-  expectTracesMatchScalar(makeCaseCounter(), /*vectors=*/65, /*cycles=*/4, /*seed=*/6,
-                          /*withKeys=*/false);
-}
-
 // ---- key/state lifecycle -------------------------------------------------
 
 TEST(SlicedSimTest, ResetClearsKeyPlanesBetweenBatches) {
-  // Regression pin: a keyless batch run after a keyed batch must behave
-  // exactly like a keyless batch on a fresh instance (zero key), not reuse
-  // the previous batch's key lanes.
+  // Regression pin: a keyless batch run after reset() following a keyed batch
+  // must behave exactly like a keyless batch on a fresh instance (zero key),
+  // not reuse the previous batch's key lanes.
   support::Rng lockRng{17};
   rtl::Module module = designs::makeBenchmark("FIR");
   lock::LockEngine engine{module, lock::PairTable::fixed()};
   lock::assureRandomLock(engine, std::max(1, engine.initialLockableOps() / 2), lockRng);
 
+  SlicedSim sliced{module};
   support::Rng rng{23};
   std::vector<rtl::SignalId> inputs;
   std::vector<rtl::SignalId> outputs;
   for (const rtl::SignalId id : module.ports()) {
-    if (module.signal(id).dir == rtl::PortDir::Input) {
-      inputs.push_back(id);
-    } else {
-      outputs.push_back(id);
-    }
+    (module.signal(id).dir == rtl::PortDir::Input ? inputs : outputs).push_back(id);
   }
-  SlicedSim sliced{module};
-  std::optional<rtl::SignalId> clock;
-  if (!sliced.clocks().empty()) {
-    clock = sliced.clocks().front();
-    std::erase(inputs, *clock);
-  }
-  const SlicedSim::BatchRequest request{inputs, outputs, clock, /*cycles=*/2};
-  std::vector<std::vector<BitVector>> stimuli(8);
-  for (auto& stimulus : stimuli) {
-    for (int cycle = 0; cycle < request.cycles; ++cycle) {
-      for (const rtl::SignalId input : inputs) {
-        stimulus.push_back(BitVector::random(module.signal(input).width, rng));
+  for (const rtl::SignalId clock : sliced.clocks()) std::erase(inputs, clock);
+  constexpr int kCycles = 16;  // past the FIR pipeline depth, so keys reach the outputs
+  constexpr int kVectors = 8;
+  std::vector<std::vector<BitVector>> stimuli;  // [cycle * inputs + i] -> lanes
+  for (int cycle = 0; cycle < kCycles; ++cycle) {
+    for (const rtl::SignalId input : inputs) {
+      auto& lanes = stimuli.emplace_back();
+      for (int v = 0; v < kVectors; ++v) {
+        lanes.push_back(BitVector::random(module.signal(input).width, rng));
       }
     }
   }
   std::vector<BitVector> keys;
-  for (int v = 0; v < 8; ++v) keys.push_back(BitVector::random(module.keyWidth(), rng));
+  for (int v = 0; v < kVectors; ++v) keys.push_back(BitVector::random(module.keyWidth(), rng));
 
-  (void)sliced.runVectors(request, stimuli, keys);  // keyed batch
-  const auto keyless = sliced.runVectors(request, stimuli, {});
+  // Outputs of every lane after each settle and clock edge.
+  const auto runBatch = [&](SlicedSim& sim) {
+    std::vector<BitVector> trace;
+    for (int cycle = 0; cycle < kCycles; ++cycle) {
+      for (std::size_t i = 0; i < inputs.size(); ++i) {
+        sim.setLaneValues(inputs[i], stimuli[static_cast<std::size_t>(cycle) * inputs.size() + i]);
+      }
+      sim.settle();
+      for (const rtl::SignalId clock : sim.clocks()) sim.clockEdge(clock);
+      for (const rtl::SignalId output : outputs) {
+        for (int lane = 0; lane < kVectors; ++lane) trace.push_back(sim.laneValue(output, lane));
+      }
+    }
+    return trace;
+  };
+
+  sliced.setKeys(keys);
+  const auto keyed = runBatch(sliced);
+  sliced.reset();
+  const auto keyless = runBatch(sliced);
 
   SlicedSim fresh{module};
-  const auto expected = fresh.runVectors(request, stimuli, {});
+  const auto expected = runBatch(fresh);
   ASSERT_EQ(keyless, expected);
+  EXPECT_NE(keyed, expected);  // the keyed batch really ran under other keys
 }
 
 TEST(SlicedSimTest, MaskedSetKeysMatchesPerLaneExpansion) {
@@ -427,12 +393,6 @@ TEST(SlicedSimTest, SharedProgramBacksIndependentInstances) {
   reference.settle();
   EXPECT_EQ(reference.value(y), first.laneValue(y, 0));
   EXPECT_EQ(reference.value(y), first.laneValue(y, 63));  // broadcast reaches every lane
-}
-
-TEST(SlicedSimTest, RejectsScalarPrograms) {
-  const rtl::Module module = makeFallbackMix(8);
-  auto scalar = std::make_shared<const Program>(Compiler::compile(module));
-  EXPECT_THROW(SlicedSim{scalar}, support::ContractViolation);
 }
 
 }  // namespace
