@@ -25,7 +25,6 @@ int main(int argc, char** argv) {
     config.testLocks = bench::countFlag(args, "samples", 2, service::kMaxSamples);
     config.snapshot.relockRounds = bench::countFlag(args, "relocks", 50, service::kMaxRounds);
     config.snapshot.automl.folds = 2;
-    config.threads = 1;  // sweep cells are the outer parallelism level
 
     bench::banner("Key-budget sweep — the 'half measures' claim",
                   "Sisejkovic et al., DAC'22, Sec. 5.1 (lessons learned)",

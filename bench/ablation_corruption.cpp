@@ -37,9 +37,7 @@ int main(int argc, char** argv) {
            {lock::Algorithm::AssureSerial, lock::Algorithm::Hra, lock::Algorithm::Era}) {
         rtl::Module locked = original.clone();
         lock::LockEngine engine{locked, lock::PairTable::fixed()};
-        const int budget = std::max(
-            1, static_cast<int>(budgetFraction *
-                                static_cast<double>(engine.initialLockableOps())));
+        const int budget = lock::keyBudget(budgetFraction, engine.initialLockableOps());
         lock::lockWithAlgorithm(engine, algorithm, budget, rng);
 
         sim::BitVector correct{locked.keyWidth()};

@@ -61,7 +61,7 @@ double replayAgreement(const std::vector<int>& observed, const rtl::Module& orig
 
 int main(int argc, char** argv) {
   return rtlock::bench::runBench([&] {
-    const support::CliArgs args(argc, argv, {"seed", "csv", "budget", "trials"});
+    const support::CliArgs args(argc, argv, {"seed", "csv", "trials"});
     const std::uint64_t seed = args.getU64("seed", 1);
     const bool csv = args.getBool("csv", false);
     const int trials = bench::countFlag(args, "trials", 5, service::kMaxSamples);

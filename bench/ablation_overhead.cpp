@@ -37,8 +37,7 @@ int main(int argc, char** argv) {
         const rtl::ModuleStats before = rtl::computeStats(module);
         lock::LockEngine engine{module, lock::PairTable::fixed()};
         const int opsBefore = engine.initialLockableOps();
-        const int budget =
-            std::max(1, static_cast<int>(budgetFraction * static_cast<double>(opsBefore)));
+        const int budget = lock::keyBudget(budgetFraction, opsBefore);
         const auto report = lock::lockWithAlgorithm(engine, algorithm, budget, rng);
         const rtl::ModuleStats after = rtl::computeStats(module);
 

@@ -41,7 +41,6 @@ int main(int argc, char** argv) {
       config.testLocks = bench::countFlag(args, "samples", 2, service::kMaxSamples);
       config.snapshot.relockRounds = roundGrid[index];
       config.snapshot.automl.folds = 2;
-      config.threads = 1;  // sweep cells are the outer parallelism level
 
       support::Rng rng = root.substream(index);
       Cell cell;

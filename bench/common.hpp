@@ -10,10 +10,12 @@
 // bounded as rtlock's request schema bounds them (countFlag, budgetFlag).
 // Benches routed through the experiment engine (fig4/5/6, run_baseline, the
 // evaluateBenchmark-based ablations) additionally accept
-//   --threads=N    experiment-engine workers in [0, 4096] (default:
-//                  RTLOCK_THREADS env, else hardware concurrency; 1 = serial
-//                  reference path), resolved by support::requestedThreads
-// and their results are bit-identical at every thread count (see
+//   --threads=N    workers for the bench's grid of cells in [0, 4096]
+//                  (default: RTLOCK_THREADS env, else hardware concurrency;
+//                  1 = serial reference path), resolved by
+//                  support::requestedThreads
+// The grid is the only level that fans out (a cell's samples run serially),
+// and results are bit-identical at every thread count (see
 // support/task_pool.hpp).  Other flags are documented in each main().
 #pragma once
 

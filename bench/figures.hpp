@@ -158,8 +158,7 @@ inline constexpr std::array<lock::Algorithm, 3> kFig6Algorithms{
     lock::Algorithm::AssureSerial, lock::Algorithm::Hra, lock::Algorithm::Era};
 
 /// The Fig. 6 setup at `samples` locked samples and `relocks` training
-/// rounds per sample, with 3-fold auto-ml.  The grid is the outer
-/// parallelism level, so each cell's sample loop stays serial.
+/// rounds per sample, with 3-fold auto-ml.
 inline attack::EvaluationConfig fig6Config(int samples, int relocks, double budget = 0.75,
                                            bool extendedFeatures = false) {
   attack::EvaluationConfig config;
@@ -169,7 +168,6 @@ inline attack::EvaluationConfig fig6Config(int samples, int relocks, double budg
   config.snapshot.relockBudgetFraction = budget;
   config.snapshot.locality.extendedFeatures = extendedFeatures;
   config.snapshot.automl.folds = 3;
-  config.threads = 1;
   return config;
 }
 

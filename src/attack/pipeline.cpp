@@ -1,18 +1,14 @@
 #include "attack/pipeline.hpp"
 
 #include <algorithm>
-#include <memory>
 
 #include "sim/harness.hpp"
-#include "support/task_pool.hpp"
 
 namespace rtlock::attack {
 
 namespace {
 
-/// Everything one locked sample contributes to the aggregate.  Tasks return
-/// these by value; aggregation happens serially in sample order so the
-/// floating-point sums are bit-identical at every thread count.
+/// Everything one locked sample contributes to the aggregate.
 struct SampleOutcome {
   double kpa = 0.0;
   double keyBits = 0.0;
@@ -22,28 +18,11 @@ struct SampleOutcome {
   bool functionalFailure = false;
 };
 
-/// Per-worker reusable module + engine.  Cloning the benchmark and
-/// rebuilding the op index per sample was the sample loop's dominant
-/// allocator; instead each worker clones once, and every sample restores the
-/// module through the engine's checkpoint/undo path (undoAll splices the
-/// trees back and re-pins the pools, so the restored state is exactly the
-/// freshly-cloned state — proved by EngineTest's fuzzed round-trips).
-struct WorkerSlot {
-  std::unique_ptr<rtl::Module> module;
-  std::unique_ptr<lock::LockEngine> engine;
-};
-
-SampleOutcome evaluateSample(WorkerSlot& slot, const rtl::Module& original,
+SampleOutcome evaluateSample(lock::LockEngine& engine, const rtl::Module& original,
                              lock::Algorithm algorithm, const lock::PairTable& table,
                              const EvaluationConfig& config, support::Rng rng) {
-  if (slot.engine == nullptr) {
-    slot.module = std::make_unique<rtl::Module>(original.clone());
-    slot.engine = std::make_unique<lock::LockEngine>(*slot.module, table);
-  }
-  lock::LockEngine& engine = *slot.engine;
-  const int budget =
-      std::max(1, static_cast<int>(config.keyBudgetFraction *
-                                   static_cast<double>(engine.initialLockableOps())));
+  rtl::Module& locked = engine.module();
+  const int budget = lock::keyBudget(config.keyBudgetFraction, engine.initialLockableOps());
   const lock::AlgorithmReport lockReport = lock::lockWithAlgorithm(
       engine, algorithm, budget, rng, lock::ReportDetail::Summary);
 
@@ -57,24 +36,24 @@ SampleOutcome evaluateSample(WorkerSlot& slot, const rtl::Module& original,
     // stream is an independent fixed seed: enabling the check perturbs no
     // rng draw the attack or metrics see, so every KPA/metric output bit is
     // unchanged.
-    sim::BitVector correctKey{slot.module->keyWidth()};
+    sim::BitVector correctKey{locked.keyWidth()};
     for (const lock::LockRecord& record : truth) {
       correctKey.setBit(record.keyIndex, record.keyValue);
     }
-    sim::Harness harness{original, *slot.module};
+    sim::Harness harness{original, locked};
     support::Rng verifyRng{0x76657269'66790001ULL};
     outcome.functionalFailure =
         harness.findMismatch(correctKey, {}, verifyRng).has_value();
   }
 
-  const SnapshotResult attack = snapshotAttack(*slot.module, truth, table, config.snapshot, rng);
+  const SnapshotResult attack = snapshotAttack(locked, truth, table, config.snapshot, rng);
   outcome.kpa = attack.kpa;
   outcome.keyBits = static_cast<double>(attack.keyBits);
   outcome.bitsUsed = static_cast<double>(lockReport.bitsUsed);
   outcome.globalMetric = lockReport.finalGlobalMetric;
   outcome.restrictedMetric = lockReport.finalRestrictedMetric;
 
-  // Restore the worker's module for the next sample.
+  // Restore the module for the next sample.
   engine.undoAll();
   return outcome;
 }
@@ -87,30 +66,26 @@ EvaluationResult evaluateBenchmark(const rtl::Module& original, const std::strin
   RTLOCK_REQUIRE(config.testLocks > 0, "evaluation needs at least one locked sample");
 
   // Seeding convention: one fork advances the caller's stream, then sample i
-  // draws from substream(i) of that root.  Sample streams therefore depend
-  // only on (caller stream, sample index), which is what makes the sharded
-  // loop bit-identical at every thread count.
+  // draws from substream(i) of that root, so sample streams depend only on
+  // (caller stream, sample index).
   const support::Rng sampleRoot = rng.fork();
 
-  support::TaskPool pool{
-      support::threadsForTasks(config.threads, static_cast<std::size_t>(config.testLocks))};
-  // One reusable slot per worker; a slot is only ever touched by its owning
-  // worker, and reuse cannot influence results (see WorkerSlot above).
-  std::vector<WorkerSlot> slots(static_cast<std::size_t>(pool.threadCount()));
-  const std::vector<SampleOutcome> outcomes =
-      pool.mapWithWorker(static_cast<std::size_t>(config.testLocks),
-                         [&](int worker, std::size_t sample) {
-                           return evaluateSample(slots[static_cast<std::size_t>(worker)],
-                                                 original, algorithm, table, config,
-                                                 sampleRoot.substream(sample));
-                         });
+  // Clone once; every sample restores the module through the engine's
+  // checkpoint/undo path (undoAll splices the trees back and re-pins the
+  // pools, so the restored state is exactly the freshly-cloned state —
+  // proved by EngineTest's fuzzed round-trips).
+  rtl::Module module = original.clone();
+  lock::LockEngine engine{module, table};
 
   EvaluationResult result;
   result.benchmark = benchmarkName;
   result.algorithm = algorithm;
   result.minKpa = 100.0;
   result.maxKpa = 0.0;
-  for (const SampleOutcome& outcome : outcomes) {
+  for (int sample = 0; sample < config.testLocks; ++sample) {
+    const SampleOutcome outcome =
+        evaluateSample(engine, original, algorithm, table, config,
+                       sampleRoot.substream(static_cast<std::uint64_t>(sample)));
     result.meanKpa += outcome.kpa;
     result.minKpa = std::min(result.minKpa, outcome.kpa);
     result.maxKpa = std::max(result.maxKpa, outcome.kpa);

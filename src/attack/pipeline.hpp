@@ -23,12 +23,6 @@ struct EvaluationConfig {
   /// stimulus stream, so enabling it changes no KPA/metric output bit.  The
   /// SnapShot attack itself is structural/ML and never simulates.
   bool verifyFunctional = false;
-  /// Worker threads for the sample loop: 0 = hardware concurrency,
-  /// 1 = serial reference path (no worker threads).  Results are
-  /// bit-identical at every thread count: sample i always draws from
-  /// `substream(i)` of a root forked once from the caller's rng, and the
-  /// per-sample outcomes are aggregated in sample order.
-  int threads = 0;
 };
 
 struct EvaluationResult {
@@ -47,23 +41,23 @@ struct EvaluationResult {
   int functionalFailures = 0;
 };
 
-/// Evaluates `algorithm` on per-worker clones of `original`.  The sample
-/// loop is sharded across `config.threads` workers; each worker clones the
-/// module once and restores it between samples through the engine's undo
-/// path, and each sample owns an Rng substream.
+/// Evaluates `algorithm` on one clone of `original`.  The `testLocks`
+/// samples run serially in sample order: sample i locks the clone, attacks
+/// it and restores it through the engine's undo path, drawing only from its
+/// own Rng substream.  Grid drivers fan out over (benchmark, algorithm)
+/// cells, so this loop never opens a pool of its own.
 ///
 /// Contract -------------------------------------------------------------------
 /// Ownership: `original` and `table` are borrowed const for the duration of
-///   the call and never mutated — all locking happens on private per-worker
-///   clones that die with the call.
+///   the call and never mutated — all locking happens on a private clone
+///   that dies with the call.
 /// Determinism: the result is a pure function of (original, algorithm,
-///   table, config minus threads, rng state); `config.threads` only selects
-///   the worker count and is proven not to change a single output bit
-///   (tests/integration/determinism_test.cpp).  `rng` advances by exactly
-///   one draw per call regardless of thread or sample count.
-/// Thread-safety: safe to call concurrently with distinct `rng` objects;
-///   internal workers never share mutable state.  Do not share one Rng
-///   across concurrent callers.
+///   table, config, rng state).  `rng` advances by exactly one fork per
+///   call regardless of sample count (tests/integration/determinism_test.cpp
+///   pins this), so a grid that hands cell k the stream as it stood before
+///   the k-th fork reproduces a serial loop over one shared Rng.
+/// Thread-safety: safe to call concurrently with distinct `rng` objects.
+///   Do not share one Rng across concurrent callers.
 [[nodiscard]] EvaluationResult evaluateBenchmark(const rtl::Module& original,
                                                  const std::string& benchmarkName,
                                                  lock::Algorithm algorithm,

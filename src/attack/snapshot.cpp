@@ -10,12 +10,6 @@ namespace rtlock::attack {
 
 namespace {
 
-/// Key budget of one relock round over `lockableOps` operations.
-int roundBudget(const SnapshotConfig& config, int lockableOps) {
-  return std::max(
-      1, static_cast<int>(config.relockBudgetFraction * static_cast<double>(lockableOps)));
-}
-
 /// Step 2 on the expression tree, for targets outside PoolRelocker's
 /// precondition.  Each round applies a fresh random-ASSURE relock with known
 /// key bits, harvests the new localities, and rolls the module back.
@@ -29,7 +23,7 @@ ml::Dataset relockOnTree(rtl::Module& target, const lock::PairTable& table,
   ml::Dataset training{featureCount(config.locality)};
   for (int round = 0; round < config.relockRounds; ++round) {
     const std::size_t checkpoint = engine.checkpoint();
-    const int budget = roundBudget(config, engine.totalLockableOps());
+    const int budget = lock::keyBudget(config.relockBudgetFraction, engine.totalLockableOps());
     harvester.beginRound();
     // Summary detail: the relock report is discarded, so skip the per-bit
     // metric trace (two ODT scans per lock).
@@ -70,7 +64,7 @@ SnapshotResult snapshotAttack(rtl::Module& lockedTarget,
   ml::AutoMlResult automl;
   std::optional<PoolRelocker> relocker = PoolRelocker::build(lockedTarget, table, config.locality);
   if (relocker.has_value()) {
-    const int budget = roundBudget(config, relocker->totalLockableOps());
+    const int budget = lock::keyBudget(config.relockBudgetFraction, relocker->totalLockableOps());
     relocker->reserveRows(static_cast<std::size_t>(budget) *
                           static_cast<std::size_t>(config.relockRounds));
     for (int round = 0; round < config.relockRounds; ++round) relocker->relockRound(budget, rng);

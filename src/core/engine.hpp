@@ -36,11 +36,12 @@
 //   nothing else; a (module, table, call sequence, rng seed) tuple fully
 //   determines the locked design, records() and all metrics, across
 //   platforms and thread counts.
-// Thread-safety: an engine is single-threaded (one engine per worker is the
+// Thread-safety: an engine is single-threaded (one engine per grid cell is the
 //   sharding pattern — see attack::evaluateBenchmark); distinct engines over
 //   distinct modules never share mutable state and may run concurrently.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <vector>
@@ -72,6 +73,14 @@ class LockObserver {
   virtual void onLock(const LockRecord& record, const rtl::ExprSlot& slot) = 0;
   virtual void onUndo(const LockRecord& record) = 0;
 };
+
+/// Key bits for locking `fraction` of `lockableOps` operations: the
+/// truncated product, and at least one.  The single budget rule behind the
+/// evaluation's samples, the attack's relock rounds and fractional `budget`
+/// requests.
+[[nodiscard]] inline int keyBudget(double fraction, int lockableOps) noexcept {
+  return std::max(1, static_cast<int>(fraction * static_cast<double>(lockableOps)));
+}
 
 class LockEngine {
  public:

@@ -397,7 +397,6 @@ EvalResponse runEval(SessionCache& cache, const EvalRequest& request) {
   config.snapshot.automl.folds = request.folds;
   config.snapshot.locality.extendedFeatures = request.extendedFeatures;
   config.verifyFunctional = request.verifyFunctional;
-  config.threads = 1;  // grid cells are the outer parallelism level
 
   const SessionCache::FetchResult fetched = cache.fetch(request.source, request.session);
   const rtl::Module& original =

@@ -37,7 +37,7 @@ const Field kCsv{"csv", Flag, kCli, "", "", "print the rows as CSV"};
       {"algos", List, kBoth, "serial,hra,era", "LIST", "comma-separated algorithms"},
       {"seeds", List, kBoth, "1", "LIST", "seeds: 1,2,7 or ranges 1..5, at most 10000"},
       {"samples", Count, kBoth, "10", "N", "locked samples per cell", "", 1, kMaxSamples},
-      {"rounds", Count, kBoth, "1000", "N", "training relock rounds", "", 0, kMaxRounds},
+      {"rounds", Count, kBoth, "1000", "N", "training relock rounds", "", 1, kMaxRounds},
       {"budget", Text, kBoth, "75%", "SPEC", "key budget fraction, also the relock budget"},
       kFolds, kExtended,
       {"verify-functional", Flag, kCli, "", "", "simulate samples under their key; fail on a diff"},

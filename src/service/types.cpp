@@ -3,6 +3,7 @@
 #include <optional>
 #include <utility>
 
+#include "core/engine.hpp"
 #include "support/cli.hpp"
 #include "support/strings.hpp"
 
@@ -74,8 +75,7 @@ std::vector<std::uint64_t> parseSeedList(const std::string& text) {
 
 int BudgetSpec::resolve(int lockableOps) const {
   if (!isFraction) return static_cast<int>(absolute);
-  const int bits = static_cast<int>(fraction * lockableOps);
-  return bits > 0 ? bits : 1;
+  return lock::keyBudget(fraction, lockableOps);
 }
 
 std::string BudgetSpec::describe() const {

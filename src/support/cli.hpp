@@ -43,8 +43,8 @@ inline constexpr int kMaxThreads = 4096;
 
 /// Requested worker count for a tool invocation: the --threads flag wins,
 /// then the RTLOCK_THREADS environment override, then 0 ("hardware
-/// concurrency").  Feed the result to TaskPool / EvaluationConfig::threads,
-/// which resolve 0 via resolveThreadCount.  The flag and RTLOCK_THREADS both
+/// concurrency").  Feed the result to a TaskPool (through threadsForTasks),
+/// which resolves 0 via resolveThreadCount.  The flag and RTLOCK_THREADS both
 /// take [0, kMaxThreads]; anything else fails loudly (same policy as CliArgs:
 /// typos must not silently run a default configuration).  Shared by the
 /// benches and the rtlock CLI.

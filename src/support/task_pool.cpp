@@ -24,7 +24,7 @@ TaskPool::TaskPool(int threads, std::size_t queueCapacity)
   if (threadCount_ > 1) {
     workers_.reserve(static_cast<std::size_t>(threadCount_));
     for (int i = 0; i < threadCount_; ++i) {
-      workers_.emplace_back([this, i] { workerLoop(i); });
+      workers_.emplace_back([this] { workerLoop(); });
     }
   }
 }
@@ -40,18 +40,11 @@ TaskPool::~TaskPool() {
 
 std::size_t TaskPool::submit(std::function<void()> task) {
   RTLOCK_REQUIRE(task != nullptr, "TaskPool::submit requires a callable task");
-  return submitWithWorker([task = std::move(task)](int /*worker*/) { task(); });
-}
-
-std::size_t TaskPool::submitWithWorker(std::function<void(int)> task) {
-  RTLOCK_REQUIRE(task != nullptr, "TaskPool::submitWithWorker requires a callable task");
   if (workers_.empty()) {
-    // Serial reference path: run inline (as worker 0), capture failures for
-    // wait() so the error contract matches the threaded pool exactly.  A
-    // stopped pool skips the task — the same drain semantics a worker
-    // applies when it dequeues after requestStop().
+    // Serial reference path: run inline, capture failures for wait() so the
+    // error contract matches the threaded pool exactly.
     const std::size_t index = nextIndex_++;
-    if (!stopRequested_.load(std::memory_order_acquire)) runTask(index, task, 0);
+    runTask(index, task);
     return index;
   }
   std::size_t index = 0;
@@ -75,17 +68,11 @@ bool TaskPool::trySubmit(std::function<void()> task) {
   {
     const std::lock_guard<std::mutex> lock{mutex_};
     if (queueCapacity_ != 0 && queue_.size() >= queueCapacity_) return false;
-    queue_.emplace_back(nextIndex_++, [task = std::move(task)](int /*worker*/) { task(); });
+    queue_.emplace_back(nextIndex_++, std::move(task));
     ++inFlight_;
   }
   workAvailable_.notify_one();
   return true;
-}
-
-std::size_t TaskPool::queueDepth() const {
-  if (workers_.empty()) return 0;
-  const std::lock_guard<std::mutex> lock{mutex_};
-  return queue_.size();
 }
 
 void TaskPool::wait() {
@@ -118,21 +105,9 @@ void TaskPool::wait() {
   if (first) std::rethrow_exception(first);
 }
 
-void TaskPool::requestStop() noexcept {
-  stopRequested_.store(true, std::memory_order_release);
-}
-
-bool TaskPool::stopRequested() const noexcept {
-  return stopRequested_.load(std::memory_order_acquire);
-}
-
-void TaskPool::clearStop() noexcept {
-  stopRequested_.store(false, std::memory_order_release);
-}
-
-void TaskPool::workerLoop(int workerId) {
+void TaskPool::workerLoop() {
   for (;;) {
-    std::pair<std::size_t, std::function<void(int)>> job;
+    std::pair<std::size_t, std::function<void()>> job;
     {
       std::unique_lock<std::mutex> lock{mutex_};
       workAvailable_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
@@ -140,12 +115,7 @@ void TaskPool::workerLoop(int workerId) {
       job = std::move(queue_.front());
       queue_.pop_front();
     }
-    // A stop request skips tasks that have not started yet; the inFlight_
-    // bookkeeping below still runs so wait() unblocks once running tasks
-    // drain.
-    if (!stopRequested_.load(std::memory_order_acquire)) {
-      runTask(job.first, job.second, workerId);
-    }
+    runTask(job.first, job.second);
     {
       const std::lock_guard<std::mutex> lock{mutex_};
       --inFlight_;
@@ -154,10 +124,9 @@ void TaskPool::workerLoop(int workerId) {
   }
 }
 
-void TaskPool::runTask(std::size_t index, const std::function<void(int)>& task,
-                       int workerId) noexcept {
+void TaskPool::runTask(std::size_t index, const std::function<void()>& task) noexcept {
   try {
-    task(workerId);
+    task();
   } catch (...) {
     if (workers_.empty()) {
       errors_.emplace_back(index, std::current_exception());

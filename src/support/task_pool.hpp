@@ -1,10 +1,12 @@
 // Deterministic fixed-size worker pool for the experiment engine.
 //
-// The evaluation pipeline (Sec. 5) is embarrassingly parallel: every locked
-// sample, every (benchmark, algorithm) grid cell, and every figure scenario
-// is an independent task once it owns its own RNG substream and module clone.
-// TaskPool shards such batches across a fixed set of workers while keeping
-// the *observable* behaviour identical to a serial loop:
+// The evaluation grids (Sec. 5) are embarrassingly parallel: every
+// (benchmark, algorithm) cell and every figure scenario is an independent
+// task once it owns its own RNG substream and module clone.  Cells are the
+// only level that fans out — a cell's locked samples run serially inside
+// it — so no task ever opens a pool of its own.  TaskPool shards such
+// batches across a fixed set of workers while keeping the *observable*
+// behaviour identical to a serial loop:
 //
 //  * results are collected in submission order, regardless of the order in
 //    which workers finish (map() fills a result slot per index);
@@ -21,7 +23,6 @@
 // Rng::substream for the seeding convention).
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -68,54 +69,20 @@ class TaskPool {
   /// batch.  Tasks may run in any order and on any worker.
   std::size_t submit(std::function<void()> task);
 
-  /// Like submit(), but the task receives the id of the worker executing it
-  /// (in [0, threadCount()); the inline serial path passes 0).  Worker ids
-  /// let tasks index per-worker reusable state — the ids are stable for the
-  /// pool's lifetime and never shared between concurrently running tasks.
-  std::size_t submitWithWorker(std::function<void(int)> task);
-
   /// Bounded-queue submit: enqueues like submit() unless the pool was built
   /// with a queueCapacity and that many tasks are already *queued* (running
   /// tasks don't count), in which case it returns false without touching any
   /// batch bookkeeping — the caller sheds load (HTTP 429) instead of
   /// buffering unboundedly.  On the serial (inline) path the queue never
-  /// holds tasks, so trySubmit always accepts.  After requestStop() the task
-  /// is accepted-and-skipped exactly like submit(): backpressure reports
-  /// *fullness*, not shutdown — the drain still owns shutdown semantics.
+  /// holds tasks, so trySubmit always accepts.
   [[nodiscard]] bool trySubmit(std::function<void()> task);
 
   [[nodiscard]] std::size_t queueCapacity() const noexcept { return queueCapacity_; }
-
-  /// Tasks currently queued (excluding running ones).  A snapshot for stats
-  /// surfaces; stale the moment it returns.
-  [[nodiscard]] std::size_t queueDepth() const;
 
   /// Blocks until every task submitted since the last wait() has finished,
   /// then rethrows the earliest failure by *submission* order (if any) and
   /// resets the batch so the pool can be reused.
   void wait();
-
-  // ---- cooperative cancellation ------------------------------------------
-  //
-  // requestStop() turns the pool into a drain: tasks already *running*
-  // finish normally (long-running tasks should poll stopRequested() and cut
-  // themselves short), tasks still queued are skipped entirely — their
-  // map()/mapWithWorker() result slots keep their default-constructed value
-  // and submit/wait bookkeeping stays consistent, so wait() still unblocks
-  // and the completed prefix of results is exactly what a serial loop that
-  // stopped at the same point would have produced.  The flag is sticky
-  // across batches (a SIGINT drain must not resume on the next batch);
-  // clearStop() re-arms the pool.  Both calls are safe from any thread,
-  // including from inside a running task.
-
-  /// Stop claiming queued tasks; running tasks drain.  Idempotent.
-  void requestStop() noexcept;
-
-  /// True once requestStop() was called (and clearStop() was not).
-  [[nodiscard]] bool stopRequested() const noexcept;
-
-  /// Re-arms a stopped pool for the next batch.
-  void clearStop() noexcept;
 
   /// Deterministic fan-out: runs `fn(index)` for every index in [0, count)
   /// and returns the results in index order regardless of completion order.
@@ -147,51 +114,24 @@ class TaskPool {
     return results;
   }
 
-  /// map() variant whose callable receives (workerId, index).  Determinism
-  /// contract unchanged: per-worker state must never influence a task's
-  /// observable result — it exists for reuse (allocation amortization), not
-  /// for communication.
-  template <typename Fn>
-  auto mapWithWorker(std::size_t count, Fn&& fn) {
-    using Result = std::decay_t<std::invoke_result_t<Fn&, int, std::size_t>>;
-    static_assert(!std::is_same_v<Result, bool>,
-                  "TaskPool::mapWithWorker cannot return bool (vector<bool> bit-packing races)");
-    std::vector<Result> results(count);
-    try {
-      for (std::size_t index = 0; index < count; ++index) {
-        submitWithWorker(
-            [&results, &fn, index](int worker) { results[index] = fn(worker, index); });
-      }
-    } catch (...) {
-      try {
-        wait();
-      } catch (...) {  // NOLINT(bugprone-empty-catch)
-      }
-      throw;
-    }
-    wait();
-    return results;
-  }
-
  private:
-  void workerLoop(int workerId);
-  void runTask(std::size_t index, const std::function<void(int)>& task, int workerId) noexcept;
+  void workerLoop();
+  void runTask(std::size_t index, const std::function<void()>& task) noexcept;
 
   int threadCount_ = 1;
   std::size_t queueCapacity_ = 0;  // trySubmit() bound; 0 = unbounded
   std::vector<std::thread> workers_;
 
-  mutable std::mutex mutex_;
+  std::mutex mutex_;
   std::condition_variable workAvailable_;
   std::condition_variable batchDone_;
-  std::deque<std::pair<std::size_t, std::function<void(int)>>> queue_;
+  std::deque<std::pair<std::size_t, std::function<void()>>> queue_;
   // Failures only, unordered: a long-running pool that never fails (the
   // serve worker pool) must not grow a slot per submission between wait()s.
   std::vector<std::pair<std::size_t, std::exception_ptr>> errors_;
   std::size_t nextIndex_ = 0;  // submissions in the current batch
   std::size_t inFlight_ = 0;   // queued + running tasks
   bool stopping_ = false;
-  std::atomic<bool> stopRequested_{false};  // cooperative cancellation flag
 };
 
 }  // namespace rtlock::support

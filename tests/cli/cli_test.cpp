@@ -73,6 +73,12 @@ TEST(CliDispatchTest, MalformedFlagValuesFailUsage) {
   EXPECT_EQ(runCli({"attack", "in.v", "--folds=1"}).exitCode, cli::kExitUsage);
   EXPECT_EQ(runCli({"eval", "in.v", "--folds=1"}).exitCode, cli::kExitUsage);
   EXPECT_EQ(runCli({"eval", "in.v", "--seeds=bogus"}).exitCode, cli::kExitUsage);
+  // Zero relock rounds leave the attack nothing to train on: a usage error
+  // for the grid commands as for attack, not a partial campaign of failed
+  // cells.
+  EXPECT_EQ(runCli({"attack", "in.v", "--rounds=0"}).exitCode, cli::kExitUsage);
+  EXPECT_EQ(runCli({"eval", "in.v", "--rounds=0"}).exitCode, cli::kExitUsage);
+  EXPECT_EQ(runCli({"work", "in.v", "--manifest=m", "--rounds=0"}).exitCode, cli::kExitUsage);
   // There is one simulator tape, so --sim-backend is an unknown flag.
   EXPECT_EQ(runCli({"eval", "in.v", "--sim-backend=sliced"}).exitCode, cli::kExitUsage);
 }

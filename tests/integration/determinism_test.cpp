@@ -4,8 +4,12 @@
 // about the same numbers).
 //
 // Covered here:
-//  * evaluateBenchmark at threads 1 / 4 / hardware — byte-identical
-//    EvaluationResult (every double compared by bit pattern, not epsilon);
+//  * the Fig. 6 grid (bench::runFig6 over FIR+SASC) at threads 1 / 4 /
+//    hardware — byte-identical EvaluationResult cells (every double compared
+//    by bit pattern, not epsilon).  The grid is the only level that fans
+//    out, so this is also the run that drives evaluateBenchmark concurrently;
+//  * evaluateBenchmark advancing the caller's Rng by exactly one fork — the
+//    contract the ablation_features grid's per-cell streams rely on;
 //  * the fig4 scenario grid sharded across pools of different sizes —
 //    identical observation streams;
 //  * two identically-seeded serial runs — the regression guard for the
@@ -48,50 +52,58 @@ void expectByteIdentical(const EvaluationResult& a, const EvaluationResult& b) {
   EXPECT_TRUE(bitEqual(a.meanRestrictedMetric, b.meanRestrictedMetric));
 }
 
-EvaluationConfig smallConfig(int threads) {
+EvaluationConfig smallConfig() {
   EvaluationConfig config;
   config.testLocks = 4;
   config.snapshot.relockRounds = 10;
   config.snapshot.automl.folds = 2;
-  config.threads = threads;
   return config;
 }
 
-EvaluationResult runEvaluation(lock::Algorithm algorithm, int threads, std::uint64_t seed) {
+EvaluationResult runEvaluation(lock::Algorithm algorithm, std::uint64_t seed) {
   support::Rng rng{seed};
   const auto original = designs::makePlusNetwork(40);
   return evaluateBenchmark(original, "plus40", algorithm, lock::PairTable::fixed(),
-                           smallConfig(threads), rng);
+                           smallConfig(), rng);
 }
 
-TEST(DeterminismTest, EvaluateBenchmarkIsThreadCountInvariant) {
-  for (const auto algorithm : {lock::Algorithm::AssureSerial, lock::Algorithm::Era}) {
-    const EvaluationResult serial = runEvaluation(algorithm, 1, 11);
-    const EvaluationResult four = runEvaluation(algorithm, 4, 11);
-    const EvaluationResult hardware = runEvaluation(algorithm, 0, 11);
-    expectByteIdentical(serial, four);
-    expectByteIdentical(serial, hardware);
+bench::Fig6Grid runFig6Grid(int threads) {
+  return bench::runFig6({"FIR", "SASC"}, bench::fig6Config(/*samples=*/2, /*relocks=*/10),
+                        support::Rng{11}, threads);
+}
+
+TEST(DeterminismTest, Fig6GridIsThreadCountInvariant) {
+  const bench::Fig6Grid serial = runFig6Grid(1);
+  const bench::Fig6Grid four = runFig6Grid(4);
+  const bench::Fig6Grid hardware = runFig6Grid(0);
+  ASSERT_EQ(serial.cells.size(), bench::kFig6Algorithms.size() * 2);
+  ASSERT_EQ(four.cells.size(), serial.cells.size());
+  ASSERT_EQ(hardware.cells.size(), serial.cells.size());
+  for (std::size_t i = 0; i < serial.cells.size(); ++i) {
+    SCOPED_TRACE(i);
+    expectByteIdentical(serial.cells[i], four.cells[i]);
+    expectByteIdentical(serial.cells[i], hardware.cells[i]);
   }
 }
 
 TEST(DeterminismTest, IdenticallySeededSerialRunsMatch) {
-  // Substream-convention regression guard: two serial runs from the same
-  // seed must agree with themselves (and, transitively, with the sharded
-  // runs the previous test pins to the serial path).
-  const EvaluationResult first = runEvaluation(lock::Algorithm::Hra, 1, 23);
-  const EvaluationResult second = runEvaluation(lock::Algorithm::Hra, 1, 23);
+  // Substream-convention regression guard: two runs from the same seed must
+  // agree with themselves.
+  const EvaluationResult first = runEvaluation(lock::Algorithm::Hra, 23);
+  const EvaluationResult second = runEvaluation(lock::Algorithm::Hra, 23);
   expectByteIdentical(first, second);
 }
 
 TEST(DeterminismTest, EvaluateBenchmarkAdvancesCallerRngByExactlyOneDraw) {
-  // The documented contract that makes grid drivers thread-invariant: the
-  // caller's stream moves by one fork per call, never by "however many
-  // draws the samples consumed".
+  // The documented contract behind the ablation_features grid: the caller's
+  // stream moves by one fork per call, never by "however many draws the
+  // samples consumed", so cell k can start from the stream as it stood
+  // before the k-th fork.
   support::Rng used{31};
   support::Rng witness{31};
   const auto original = designs::makePlusNetwork(30);
   (void)evaluateBenchmark(original, "plus30", lock::Algorithm::AssureSerial,
-                          lock::PairTable::fixed(), smallConfig(2), used);
+                          lock::PairTable::fixed(), smallConfig(), used);
   (void)witness();
   for (int i = 0; i < 10; ++i) EXPECT_EQ(used(), witness());
 }

@@ -207,6 +207,11 @@ TEST(RunEvalTest, RejectsEmptyGridAxes) {
     request.samples = 0;
     EXPECT_THROW((void)runEval(cache, request), BadRequest);
   }
+  {
+    EvalRequest request = evalRequest();
+    request.rounds = 0;
+    EXPECT_THROW((void)runEval(cache, request), BadRequest);
+  }
 }
 
 TEST(RunEvalTest, ParseFailureSurfacesAsError) {

@@ -180,114 +180,6 @@ TEST(TaskPoolTest, DestructorDrainsOutstandingTasks) {
   EXPECT_EQ(counter.load(), 64);
 }
 
-TEST(TaskPoolTest, MapWithWorkerPassesIdsInRange) {
-  TaskPool pool{4};
-  constexpr std::size_t kTasks = 200;
-  const auto workers = pool.mapWithWorker(kTasks, [&](int worker, std::size_t index) {
-    std::this_thread::sleep_for(std::chrono::microseconds((index * 131) % 97));
-    return worker;
-  });
-  ASSERT_EQ(workers.size(), kTasks);
-  for (const int worker : workers) {
-    EXPECT_GE(worker, 0);
-    EXPECT_LT(worker, pool.threadCount());
-  }
-}
-
-TEST(TaskPoolTest, MapWithWorkerSerialPathRunsInlineAsWorkerZero) {
-  TaskPool pool{1};
-  const auto mainId = std::this_thread::get_id();
-  const auto results = pool.mapWithWorker(8, [&](int worker, std::size_t index) {
-    EXPECT_EQ(std::this_thread::get_id(), mainId);
-    EXPECT_EQ(worker, 0);
-    return index * 2;
-  });
-  for (std::size_t i = 0; i < results.size(); ++i) EXPECT_EQ(results[i], i * 2);
-}
-
-TEST(TaskPoolTest, PerWorkerSlotsAreNeverShared) {
-  // The clone-free sample loop's contract: a slot indexed by worker id is
-  // only ever touched by one thread at a time.  Tag each slot with its
-  // owning thread and fail on any cross-thread access.
-  TaskPool pool{4};
-  struct Slot {
-    std::thread::id owner{};
-    int uses = 0;
-  };
-  std::vector<Slot> slots(static_cast<std::size_t>(pool.threadCount()));
-  const auto results = pool.mapWithWorker(300, [&](int worker, std::size_t index) {
-    Slot& slot = slots[static_cast<std::size_t>(worker)];
-    if (slot.uses == 0) {
-      slot.owner = std::this_thread::get_id();
-    } else {
-      EXPECT_EQ(slot.owner, std::this_thread::get_id());
-    }
-    ++slot.uses;
-    std::this_thread::sleep_for(std::chrono::microseconds(index % 53));
-    return 1;
-  });
-  int totalUses = 0;
-  for (const Slot& slot : slots) totalUses += slot.uses;
-  EXPECT_EQ(totalUses, 300);
-  EXPECT_EQ(results.size(), 300u);
-}
-
-TEST(TaskPoolTest, RequestStopSkipsQueuedTasksKeepsCompletedResults) {
-  // Cancel mid-map: a task flips the stop flag partway through the batch.
-  // Tasks that already ran keep their results; skipped tasks keep the
-  // default-constructed slot value — the completed prefix a serial loop
-  // stopping at the same point would produce.
-  TaskPool pool{1};  // serial: deterministic stop point
-  const std::size_t stopAt = 10;
-  const auto results = pool.map(100, [&](std::size_t index) {
-    if (index == stopAt) pool.requestStop();
-    return static_cast<int>(index) + 1;
-  });
-  ASSERT_EQ(results.size(), 100u);
-  for (std::size_t i = 0; i <= stopAt; ++i) {
-    EXPECT_EQ(results[i], static_cast<int>(i) + 1) << i;
-  }
-  for (std::size_t i = stopAt + 1; i < results.size(); ++i) {
-    EXPECT_EQ(results[i], 0) << i;  // skipped: default value
-  }
-  EXPECT_TRUE(pool.stopRequested());
-
-  // The flag is sticky across batches until cleared.
-  const auto drained = pool.map(5, [](std::size_t) { return 7; });
-  for (const int value : drained) EXPECT_EQ(value, 0);
-  pool.clearStop();
-  EXPECT_FALSE(pool.stopRequested());
-  const auto fresh = pool.map(5, [](std::size_t) { return 7; });
-  for (const int value : fresh) EXPECT_EQ(value, 7);
-}
-
-TEST(TaskPoolTest, RequestStopDrainsThreadedPool) {
-  // Threaded variant: the stop lands at a nondeterministic point, so only
-  // the invariants are asserted — every result is either computed or left
-  // at the default, wait() unblocks, and the batch after clearStop() runs
-  // in full.
-  TaskPool pool{4};
-  std::atomic<int> ran{0};
-  const auto results = pool.map(200, [&](std::size_t index) {
-    if (index == 50) pool.requestStop();
-    ran.fetch_add(1, std::memory_order_relaxed);
-    std::this_thread::sleep_for(std::chrono::microseconds(20));
-    return 1;
-  });
-  int computed = 0;
-  for (const int value : results) {
-    ASSERT_TRUE(value == 0 || value == 1);
-    computed += value;
-  }
-  EXPECT_EQ(computed, ran.load());
-  EXPECT_LT(computed, 200);  // something was actually skipped
-  pool.clearStop();
-  const auto fresh = pool.map(32, [](std::size_t) { return 1; });
-  int freshComputed = 0;
-  for (const int value : fresh) freshComputed += value;
-  EXPECT_EQ(freshComputed, 32);
-}
-
 TEST(TaskPoolTrySubmitTest, InlinePoolAlwaysAcceptsAndRunsImmediately) {
   TaskPool pool{1, /*queueCapacity=*/1};
   EXPECT_EQ(pool.queueCapacity(), 1u);
@@ -298,7 +190,6 @@ TEST(TaskPoolTrySubmitTest, InlinePoolAlwaysAcceptsAndRunsImmediately) {
     EXPECT_TRUE(pool.trySubmit([&ran] { ++ran; }));
     EXPECT_EQ(ran, i + 1);
   }
-  EXPECT_EQ(pool.queueDepth(), 0u);
   pool.wait();
 }
 
@@ -332,7 +223,6 @@ TEST(TaskPoolTrySubmitTest, RejectsExactlyAtQueueCapacity) {
   // Running tasks don't count toward capacity: two more fit in the queue...
   EXPECT_TRUE(pool.trySubmit([&ran] { ++ran; }));
   EXPECT_TRUE(pool.trySubmit([&ran] { ++ran; }));
-  EXPECT_EQ(pool.queueDepth(), 2u);
   // ...and the next one is shed, repeatably, with no bookkeeping damage.
   EXPECT_FALSE(pool.trySubmit([&ran] { ++ran; }));
   EXPECT_FALSE(pool.trySubmit([&ran] { ++ran; }));
@@ -340,7 +230,6 @@ TEST(TaskPoolTrySubmitTest, RejectsExactlyAtQueueCapacity) {
   release.store(true);
   pool.wait();
   EXPECT_EQ(ran.load(), 4);  // the two blockers + the two queued, none extra
-  EXPECT_EQ(pool.queueDepth(), 0u);
 
   // After the drain the queue has room again.
   EXPECT_TRUE(pool.trySubmit([&ran] { ++ran; }));
@@ -355,23 +244,6 @@ TEST(TaskPoolTrySubmitTest, SubmitAndMapIgnoreQueueCapacity) {
   const auto results = pool.map(64, [](std::size_t index) { return index; });
   ASSERT_EQ(results.size(), 64u);
   for (std::size_t i = 0; i < results.size(); ++i) EXPECT_EQ(results[i], i);
-}
-
-TEST(TaskPoolTrySubmitTest, AfterRequestStopAcceptsAndSkips) {
-  for (const int threads : {1, 4}) {
-    TaskPool pool{threads, /*queueCapacity=*/4};
-    pool.requestStop();
-    std::atomic<int> ran{0};
-    // Backpressure reports *fullness*, not shutdown: a stopped pool still
-    // accepts (true) and then skips the task, exactly like submit().
-    EXPECT_TRUE(pool.trySubmit([&ran] { ++ran; })) << "threads=" << threads;
-    pool.wait();
-    EXPECT_EQ(ran.load(), 0) << "threads=" << threads;
-    pool.clearStop();
-    EXPECT_TRUE(pool.trySubmit([&ran] { ++ran; })) << "threads=" << threads;
-    pool.wait();
-    EXPECT_EQ(ran.load(), 1) << "threads=" << threads;
-  }
 }
 
 TEST(TaskPoolTrySubmitTest, NullTaskIsRejected) {
