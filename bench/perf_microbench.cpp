@@ -1,11 +1,12 @@
 // Performance microbenchmarks (google-benchmark): throughput of the pieces
 // that dominate experiment wall-clock — locking, undo, locality extraction,
-// Verilog parsing/writing, simulation, corruption sweeps, static analysis,
-// classifier training, the attack's tree-free relock rounds
-// (BM_PoolRelockRound, ns per harvested row), auto-ml's row cap and fold
-// step (BM_SampleIndices, BM_PoolFoldAggregates beside
-// BM_DatasetFoldAggregates), and the fit of
-// each auto-ml portfolio candidate (BM_CandidateFit).  End-to-end timings of the attack, the session cache
+// Verilog parsing/writing (BM_ParseDesign, ns per operation), the JSON
+// encode of a served lock (BM_LockResponseDump), simulation, corruption
+// sweeps, static analysis, classifier training, the attack's tree-free
+// relock rounds (BM_PoolRelockRound, ns per harvested row), auto-ml's row
+// cap and fold step (BM_SampleIndices, BM_PoolFoldAggregates beside
+// BM_DatasetFoldAggregates), and the fit of each auto-ml portfolio candidate
+// (BM_CandidateFit).  End-to-end timings of the attack, the session cache
 // and HTTP serving live in perfbench/.
 #include <benchmark/benchmark.h>
 
@@ -20,8 +21,11 @@
 #include "attack/pool_relock.hpp"
 #include "core/algorithms.hpp"
 #include "designs/networks.hpp"
+#include "designs/random.hpp"
 #include "designs/registry.hpp"
 #include "ml/automl.hpp"
+#include "service/api.hpp"
+#include "service/session.hpp"
 #include "sim/compiler.hpp"
 #include "sim/evaluator.hpp"
 #include "sim/harness.hpp"
@@ -107,6 +111,43 @@ void BM_VerilogRoundTrip(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * static_cast<std::int64_t>(text.size()));
 }
 BENCHMARK(BM_VerilogRoundTrip);
+
+/// A served lock's cold netlist: a random module with slices off.
+std::string randomNetlist(int operations, std::uint64_t seed) {
+  support::Rng rng{seed};
+  designs::RandomModuleParams params;
+  params.operations = operations;
+  params.useSlices = false;
+  return verilog::writeModule(designs::makeRandomModule(rng, params));
+}
+
+void BM_ParseDesign(benchmark::State& state) {
+  // Lex, parse and verify; items are operations, so a flat ns-per-item rate
+  // across the sizes means the cold build is linear in the netlist.
+  const std::string text = randomNetlist(static_cast<int>(state.range(0)), 8);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(verilog::parseDesign(text));
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_ParseDesign)->Arg(250)->Arg(1000)->Arg(4000)->Unit(benchmark::kMicrosecond);
+
+void BM_LockResponseDump(benchmark::State& state) {
+  // The encode step of a cold served lock: the response document of a
+  // 1000-op netlist (locked Verilog plus key records) to bytes.
+  service::SessionCache cache;
+  service::LockRequest request;
+  request.source = randomNetlist(1000, 9);
+  const service::LockResponse response = service::runLock(cache, request);
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    const std::string body = service::lockResponseDocument(response).dump();
+    bytes = body.size();
+    benchmark::DoNotOptimize(body.data());
+  }
+  state.SetBytesProcessed(state.iterations() * static_cast<std::int64_t>(bytes));
+}
+BENCHMARK(BM_LockResponseDump)->Unit(benchmark::kMicrosecond);
 
 void BM_SimulateCycle(benchmark::State& state) {
   const rtl::Module module = designs::makeBenchmark("SHA256");

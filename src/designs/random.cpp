@@ -63,13 +63,18 @@ rtl::Module makeRandomModule(support::Rng& rng, const RandomModuleParams& params
       expr = b.mux(operand(), std::move(expr), operand());
     }
     if (params.useSlices && rng.chance(0.1)) {
-      std::vector<ExprPtr> parts;
-      parts.push_back(std::move(expr));
-      parts.push_back(operand());
-      expr = b.concat(std::move(parts));
+      ExprPtr low = operand();
+      // Signals are at most 64 bits wide, and Verilog slices only named
+      // signals, so a wider concatenation could not be narrowed: keep the
+      // expression as it is (the operand's draws are spent either way).
+      if (expr->width() + low->width() <= 64) {
+        std::vector<ExprPtr> parts;
+        parts.push_back(std::move(expr));
+        parts.push_back(std::move(low));
+        expr = b.concat(std::move(parts));
+      }
     }
-    const int width = std::min(expr->width(), 64);
-    if (expr->width() > 64) expr = rtl::makeSlice(std::move(expr), 63, 0);
+    const int width = expr->width();
     const SignalId wire = b.wire("w" + std::to_string(wireId++), width);
     b.assign(wire, std::move(expr));
     values.push_back(wire);

@@ -1,8 +1,19 @@
 #include "rtl/module.hpp"
 
 #include <algorithm>
+#include <functional>
 
 namespace rtlock::rtl {
+
+namespace {
+
+constexpr SignalId kNoSignal = UINT32_MAX;
+
+[[nodiscard]] std::size_t hashName(std::string_view name) noexcept {
+  return std::hash<std::string_view>{}(name);
+}
+
+}  // namespace
 
 // ---- ContAssign ----
 
@@ -24,11 +35,14 @@ Module::Module(std::string name) : name_(std::move(name)) {
 SignalId Module::addSignal(Signal signal) {
   RTLOCK_REQUIRE(!signal.name.empty(), "signals must be named");
   RTLOCK_REQUIRE(signal.width >= 1, "signal width must be positive");
-  RTLOCK_REQUIRE(!findSignal(signal.name).has_value(),
-                 "duplicate signal name: " + signal.name);
+  if ((signals_.size() + 1) * 2 > nameIndex_.size()) growNameIndex();
+  const std::size_t slot = nameSlot(signal.name);
+  RTLOCK_REQUIRE(nameIndex_[slot] == kNoSignal, "duplicate signal name: " + signal.name);
   RTLOCK_REQUIRE(signal.name != keyPortName_, "signal name collides with the key port");
+  const auto id = static_cast<SignalId>(signals_.size());
   signals_.push_back(std::move(signal));
-  return static_cast<SignalId>(signals_.size() - 1);
+  nameIndex_[slot] = id;
+  return id;
 }
 
 SignalId Module::addInput(std::string name, int width) {
@@ -53,10 +67,29 @@ const Signal& Module::signal(SignalId id) const {
 }
 
 std::optional<SignalId> Module::findSignal(std::string_view name) const noexcept {
-  const auto it = std::find_if(signals_.begin(), signals_.end(),
-                               [name](const Signal& s) { return s.name == name; });
-  if (it == signals_.end()) return std::nullopt;
-  return static_cast<SignalId>(it - signals_.begin());
+  if (nameIndex_.empty()) return std::nullopt;
+  const SignalId id = nameIndex_[nameSlot(name)];
+  if (id == kNoSignal) return std::nullopt;
+  return id;
+}
+
+std::size_t Module::nameSlot(std::string_view name) const noexcept {
+  const std::size_t mask = nameIndex_.size() - 1;
+  std::size_t slot = hashName(name) & mask;
+  while (nameIndex_[slot] != kNoSignal && signals_[nameIndex_[slot]].name != name) {
+    slot = (slot + 1) & mask;
+  }
+  return slot;
+}
+
+void Module::growNameIndex() {
+  nameIndex_.assign(nameIndex_.empty() ? 16 : nameIndex_.size() * 2, kNoSignal);
+  const std::size_t mask = nameIndex_.size() - 1;
+  for (SignalId id = 0; id < signals_.size(); ++id) {
+    std::size_t slot = hashName(signals_[id].name) & mask;
+    while (nameIndex_[slot] != kNoSignal) slot = (slot + 1) & mask;
+    nameIndex_[slot] = id;
+  }
 }
 
 std::vector<SignalId> Module::ports() const {
@@ -101,6 +134,7 @@ void Module::setKeyWidth(int width) {
 Module Module::clone() const {
   Module copy{name_};
   copy.signals_ = signals_;
+  copy.nameIndex_ = nameIndex_;
   copy.keyPortName_ = keyPortName_;
   copy.keyWidth_ = keyWidth_;
   copy.contAssigns_.reserve(contAssigns_.size());

@@ -81,8 +81,13 @@ class Module {
   SignalId addReg(std::string name, int width);
 
   [[nodiscard]] const Signal& signal(SignalId id) const;
+  /// Expected O(1): one hash of `name` and a short probe of the name index.
   [[nodiscard]] std::optional<SignalId> findSignal(std::string_view name) const noexcept;
   [[nodiscard]] std::size_t signalCount() const noexcept { return signals_.size(); }
+  /// Bytes held by the name index behind findSignal.
+  [[nodiscard]] std::size_t nameIndexBytes() const noexcept {
+    return nameIndex_.capacity() * sizeof(SignalId);
+  }
 
   /// Ports in declaration order.
   [[nodiscard]] std::vector<SignalId> ports() const;
@@ -121,8 +126,17 @@ class Module {
   [[nodiscard]] Module clone() const;
 
  private:
+  /// The slot holding `name`'s id, or the empty slot where it would go.
+  [[nodiscard]] std::size_t nameSlot(std::string_view name) const noexcept;
+  void growNameIndex();
+
   std::string name_;
   std::vector<Signal> signals_;
+  // Open-addressing index by name: each slot is a SignalId or kNoSignal, the
+  // capacity a power of two at least twice the signal count.  Probes compare
+  // against signals_[id].name, so the index stores no names and no hashes;
+  // nothing iterates it, so ids stay in insertion order.
+  std::vector<SignalId> nameIndex_;
   std::vector<std::unique_ptr<ContAssign>> contAssigns_;
   std::vector<std::unique_ptr<Process>> processes_;
   std::string keyPortName_ = "lock_key";

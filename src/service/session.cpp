@@ -18,8 +18,10 @@ DesignSession::DesignSession(std::string hash, std::string_view source,
   std::size_t bytes = source.size();
   for (std::size_t i = 0; i < design_.moduleCount(); ++i) {
     // IR size proxy: the expression-node count scales with every per-node
-    // allocation the module owns.
-    bytes += static_cast<std::size_t>(rtl::computeStats(design_.module(i)).exprNodes) * 64;
+    // allocation the module owns; the signal-name index is counted exactly.
+    const rtl::Module& module = design_.module(i);
+    bytes += static_cast<std::size_t>(rtl::computeStats(module).exprNodes) * 64 +
+             module.nameIndexBytes();
   }
   // Floor: even an empty-ish design occupies cache bookkeeping.
   approxBytes_ = bytes < 1024 ? 1024 : bytes;

@@ -74,9 +74,9 @@ class DesignSession {
   /// selection preserved) — the unit of work for requests that lock.
   [[nodiscard]] rtl::Design cloneDesign() const;
 
-  /// Rough retained size in bytes (source + IR estimate); the SessionCache
-  /// budget accounting unit.  An estimate, not an audit — stable for a given
-  /// session, never zero.
+  /// Rough retained size in bytes (source, IR estimate and each module's
+  /// signal-name index); the SessionCache budget accounting unit.  An
+  /// estimate, not an audit — stable for a given session, never zero.
   [[nodiscard]] std::size_t approxBytes() const noexcept { return approxBytes_; }
 
  private:

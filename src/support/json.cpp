@@ -1,11 +1,11 @@
 #include "support/json.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <ostream>
-#include <sstream>
 
 #include "support/diagnostics.hpp"
 
@@ -30,23 +30,79 @@ namespace {
 /// Formats a double the way the baseline writer does: integral values print
 /// without an exponent or trailing zeros, everything else via shortest
 /// round-trip %.17g trimmed.  Keeps emitted reports diffable and re-parsable.
-[[nodiscard]] std::string formatNumber(double value) {
+void appendNumber(std::string& out, double value) {
   if (std::isfinite(value) && value == std::floor(value) && std::abs(value) < 1e15) {
-    char buffer[32];
-    std::snprintf(buffer, sizeof buffer, "%.0f", value);
-    return buffer;
+    if (value == 0 && std::signbit(value)) {
+      out += "-0";  // the sign survives, as written reports and digests expect
+      return;
+    }
+    char buffer[24];
+    const auto end = std::to_chars(buffer, buffer + sizeof buffer,
+                                   static_cast<std::int64_t>(value)).ptr;
+    out.append(buffer, end);
+    return;
   }
   if (!std::isfinite(value)) throw Error{"JSON cannot represent a non-finite number"};
-  char buffer[40];
-  std::snprintf(buffer, sizeof buffer, "%.17g", value);
   // Prefer the shortest representation that round-trips.
+  char buffer[40];
   for (int precision = 1; precision < 17; ++precision) {
-    char shorter[40];
-    std::snprintf(shorter, sizeof shorter, "%.*g", precision, value);
-    if (std::strtod(shorter, nullptr) == value) return shorter;
+    std::snprintf(buffer, sizeof buffer, "%.*g", precision, value);
+    if (std::strtod(buffer, nullptr) == value) {
+      out += buffer;
+      return;
+    }
   }
-  return buffer;
+  std::snprintf(buffer, sizeof buffer, "%.17g", value);
+  out += buffer;
 }
+
+[[nodiscard]] std::string formatNumber(double value) {
+  std::string out;
+  appendNumber(out, value);
+  return out;
+}
+
+/// Appends `text` as JSON string content: quotes and backslashes escaped,
+/// control characters as \u escapes in lower-case hex, every other byte as
+/// is.
+void appendEscaped(std::string& out, std::string_view text) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  std::size_t plain = 0;  // start of the run not yet appended
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    const auto c = static_cast<unsigned char>(text[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(text, plain, i - plain);
+    if (c < 0x20) {
+      out += "\\u00";
+      out += kHex[c >> 4];
+      out += kHex[c & 0xf];
+    } else {
+      out += '\\';
+      out += static_cast<char>(c);
+    }
+    plain = i + 1;
+  }
+  out.append(text, plain);
+}
+
+void appendQuoted(std::string& out, std::string_view text) {
+  out += '"';
+  appendEscaped(out, text);
+  out += '"';
+}
+
+/// Compact output (depth < 0) separates items with ", "; indented output
+/// puts each item on its own line, two spaces deeper than its container.
+void breakLine(std::string& out, int depth) {
+  if (depth < 0) return;
+  out += '\n';
+  out.append(static_cast<std::size_t>(depth) * 2, ' ');
+}
+
+/// Deepest container nesting parseJson accepts.  The tools' documents nest a
+/// handful of levels; the cap keeps the recursive parser (and the recursive
+/// destructor of what it built) off the end of the stack on hostile input.
+constexpr int kMaxJsonDepth = 1024;
 
 class JsonParser {
  public:
@@ -102,8 +158,16 @@ class JsonParser {
   JsonValue parseValue() {
     skipWhitespace();
     switch (peek()) {
-      case '{': return parseObject();
-      case '[': return parseArray();
+      case '{':
+      case '[': {
+        if (depth_ == kMaxJsonDepth) {
+          fail("containers nested deeper than " + std::to_string(kMaxJsonDepth) + " levels");
+        }
+        ++depth_;
+        JsonValue value = peek() == '{' ? parseObject() : parseArray();
+        --depth_;
+        return value;
+      }
       case '"': return JsonValue{parseString()};
       case 't':
         if (acceptLiteral("true")) return JsonValue{true};
@@ -284,6 +348,7 @@ class JsonParser {
   std::size_t pos_ = 0;
   int line_ = 1;
   int column_ = 1;
+  int depth_ = 0;  // containers open around the current position
 };
 
 }  // namespace
@@ -363,90 +428,54 @@ void JsonValue::set(std::string_view key, JsonValue value) {
   asObject().emplace_back(std::string{key}, std::move(value));
 }
 
-void JsonValue::writeIndented(std::ostream& out, int depth) const {
-  const std::string indent(static_cast<std::size_t>(depth) * 2, ' ');
-  const std::string inner(static_cast<std::size_t>(depth + 1) * 2, ' ');
+void JsonValue::writeTo(std::string& out, int depth) const {
+  const int inner = depth < 0 ? depth : depth + 1;
   if (isNull()) {
-    out << "null";
+    out += "null";
   } else if (isBool()) {
-    out << (std::get<bool>(value_) ? "true" : "false");
+    out += std::get<bool>(value_) ? "true" : "false";
   } else if (isNumber()) {
-    out << formatNumber(std::get<double>(value_));
+    appendNumber(out, std::get<double>(value_));
   } else if (isString()) {
-    out << '"' << jsonEscape(std::get<std::string>(value_)) << '"';
+    appendQuoted(out, std::get<std::string>(value_));
   } else if (isArray()) {
     const JsonArray& items = std::get<JsonArray>(value_);
-    if (items.empty()) {
-      out << "[]";
-      return;
-    }
-    out << "[\n";
+    out += '[';
     for (std::size_t i = 0; i < items.size(); ++i) {
-      out << inner;
-      items[i].writeIndented(out, depth + 1);
-      out << (i + 1 < items.size() ? ",\n" : "\n");
+      if (i != 0) out += depth < 0 ? ", " : ",";
+      breakLine(out, inner);
+      items[i].writeTo(out, inner);
     }
-    out << indent << ']';
+    if (!items.empty()) breakLine(out, depth);
+    out += ']';
   } else {
     const JsonObject& members = std::get<JsonObject>(value_);
-    if (members.empty()) {
-      out << "{}";
-      return;
-    }
-    out << "{\n";
+    out += '{';
     for (std::size_t i = 0; i < members.size(); ++i) {
-      out << inner << '"' << jsonEscape(members[i].first) << "\": ";
-      members[i].second.writeIndented(out, depth + 1);
-      out << (i + 1 < members.size() ? ",\n" : "\n");
+      if (i != 0) out += depth < 0 ? ", " : ",";
+      breakLine(out, inner);
+      appendQuoted(out, members[i].first);
+      out += ": ";
+      members[i].second.writeTo(out, inner);
     }
-    out << indent << '}';
+    if (!members.empty()) breakLine(out, depth);
+    out += '}';
   }
 }
 
-void JsonValue::writeCompact(std::ostream& out) const {
-  if (isNull()) {
-    out << "null";
-  } else if (isBool()) {
-    out << (std::get<bool>(value_) ? "true" : "false");
-  } else if (isNumber()) {
-    out << formatNumber(std::get<double>(value_));
-  } else if (isString()) {
-    out << '"' << jsonEscape(std::get<std::string>(value_)) << '"';
-  } else if (isArray()) {
-    const JsonArray& items = std::get<JsonArray>(value_);
-    out << '[';
-    for (std::size_t i = 0; i < items.size(); ++i) {
-      if (i != 0) out << ", ";
-      items[i].writeCompact(out);
-    }
-    out << ']';
-  } else {
-    const JsonObject& members = std::get<JsonObject>(value_);
-    out << '{';
-    for (std::size_t i = 0; i < members.size(); ++i) {
-      if (i != 0) out << ", ";
-      out << '"' << jsonEscape(members[i].first) << "\": ";
-      members[i].second.writeCompact(out);
-    }
-    out << '}';
-  }
-}
-
-void JsonValue::write(std::ostream& out) const {
-  writeIndented(out, 0);
-  out << '\n';
-}
+void JsonValue::write(std::ostream& out) const { out << dump(); }
 
 std::string JsonValue::dumpLine() const {
-  std::ostringstream out;
-  writeCompact(out);
-  return out.str();
+  std::string out;
+  writeTo(out, -1);
+  return out;
 }
 
 std::string JsonValue::dump() const {
-  std::ostringstream out;
-  write(out);
-  return out.str();
+  std::string out;
+  writeTo(out, 0);
+  out += '\n';
+  return out;
 }
 
 JsonValue parseJson(std::string_view text) { return JsonParser{text}.parse(); }
@@ -454,18 +483,7 @@ JsonValue parseJson(std::string_view text) { return JsonParser{text}.parse(); }
 std::string jsonEscape(std::string_view text) {
   std::string out;
   out.reserve(text.size());
-  for (const char c : text) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buffer[8];
-      std::snprintf(buffer, sizeof buffer, "\\u%04x", static_cast<unsigned>(c));
-      out += buffer;
-    } else {
-      out.push_back(c);
-    }
-  }
+  appendEscaped(out, text);
   return out;
 }
 

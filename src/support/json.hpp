@@ -85,8 +85,8 @@ class JsonValue {
   [[nodiscard]] std::string dumpLine() const;
 
  private:
-  void writeIndented(std::ostream& out, int depth) const;
-  void writeCompact(std::ostream& out) const;
+  /// The one writer: indented at `depth` (>= 0), or compact when negative.
+  void writeTo(std::string& out, int depth) const;
 
   std::variant<std::nullptr_t, bool, double, std::string, JsonArray, JsonObject> value_;
 };

@@ -17,6 +17,13 @@ using rtl::ExprPtr;
 using rtl::OpKind;
 using rtl::StmtPtr;
 
+/// Nesting cap: the height of an expression tree, and the levels the parser
+/// recurses through (a parenthesis, an operand, a nested statement).  Locked
+/// registry designs stay near a dozen levels (tests/verilog/roundtrip_test.cpp
+/// locks each at full budget); the cap keeps hostile input off the end of the
+/// stack here and in every recursive pass over the IR.
+constexpr int kMaxNesting = 1024;
+
 struct BinOpInfo {
   OpKind op;
   bool rightAssoc;
@@ -100,6 +107,27 @@ class Parser {
     [[nodiscard]] int width() const noexcept { return msb - lsb + 1; }
   };
 
+  /// An expression and the height of its tree (a leaf has height 1).
+  struct Parsed {
+    ExprPtr expr;
+    int height = 1;
+  };
+
+  /// One level of parser recursion, held for the lifetime of the object.
+  class Nested {
+   public:
+    explicit Nested(Parser& parser) : parser_(parser) {
+      if (parser_.depth_ == kMaxNesting) parser_.failNesting();
+      ++parser_.depth_;
+    }
+    ~Nested() { --parser_.depth_; }
+    Nested(const Nested&) = delete;
+    Nested& operator=(const Nested&) = delete;
+
+   private:
+    Parser& parser_;
+  };
+
   // ---- token plumbing ----
 
   [[nodiscard]] const Token& peek(std::size_t lookahead = 0) const {
@@ -134,6 +162,17 @@ class Parser {
     const Token& token = peek();
     throw support::Error{"verilog parse error at line " + std::to_string(token.line) +
                          ", column " + std::to_string(token.column) + ": " + message};
+  }
+
+  [[noreturn]] void failNesting() const {
+    fail("expressions and statements may nest at most " + std::to_string(kMaxNesting) +
+         " levels deep");
+  }
+
+  /// `expr`, whose children are at most `childHeight` high.
+  [[nodiscard]] Parsed node(ExprPtr expr, int childHeight) const {
+    if (childHeight >= kMaxNesting) failNesting();
+    return {std::move(expr), childHeight + 1};
   }
 
   // ---- module structure ----
@@ -246,6 +285,7 @@ class Parser {
 
   std::int64_t parseConstPrimary() {
     if (accept(TokenKind::LParen)) {
+      const Nested nested{*this};
       const std::int64_t value = parseConstExpr();
       expect(TokenKind::RParen, "expected ')'");
       return value;
@@ -311,7 +351,7 @@ class Parser {
           advance();
           rtl::LValue lvalue;
           lvalue.signal = id;
-          module_->addContAssign(lvalue, parseExpression());
+          module_->addContAssign(lvalue, parseExpression().expr);
         }
       }
     } while (accept(TokenKind::Comma));
@@ -368,7 +408,7 @@ class Parser {
     advance();
     const rtl::LValue target = parseLValue();
     expect(TokenKind::Assign, "expected '=' in continuous assignment");
-    ExprPtr value = parseExpression();
+    ExprPtr value = parseExpression().expr;
     expect(TokenKind::Semicolon, "expected ';' after assignment");
     module_->addContAssign(target, std::move(value));
   }
@@ -435,6 +475,7 @@ class Parser {
   }
 
   StmtPtr parseStatement(bool sequential) {
+    const Nested nested{*this};
     if (accept(TokenKind::KwBegin)) {
       std::vector<StmtPtr> body;
       while (!check(TokenKind::KwEnd)) body.push_back(parseStatement(sequential));
@@ -443,7 +484,7 @@ class Parser {
     }
     if (accept(TokenKind::KwIf)) {
       expect(TokenKind::LParen, "expected '(' after 'if'");
-      ExprPtr cond = parseExpression();
+      ExprPtr cond = parseExpression().expr;
       expect(TokenKind::RParen, "expected ')' after if-condition");
       StmtPtr thenBranch = parseStatement(sequential);
       StmtPtr elseBranch;
@@ -452,7 +493,7 @@ class Parser {
     }
     if (accept(TokenKind::KwCase)) {
       expect(TokenKind::LParen, "expected '(' after 'case'");
-      ExprPtr subject = parseExpression();
+      ExprPtr subject = parseExpression().expr;
       expect(TokenKind::RParen, "expected ')' after case subject");
       std::vector<rtl::CaseItem> items;
       StmtPtr defaultBody;
@@ -490,93 +531,108 @@ class Parser {
     if (!sequential && nonBlocking) {
       fail("combinational blocks must use blocking assignments in this subset");
     }
-    ExprPtr value = parseExpression();
+    ExprPtr value = parseExpression().expr;
     expect(TokenKind::Semicolon, "expected ';' after assignment");
     return rtl::makeAssign(target, std::move(value), nonBlocking);
   }
 
   // ---- expressions ----
 
-  ExprPtr parseExpression() {
-    ExprPtr cond = parseBinary(1);
+  Parsed parseExpression() {
+    const Nested nested{*this};
+    Parsed cond = parseBinary(1);
     if (!accept(TokenKind::Question)) return cond;
-    ExprPtr thenExpr = parseExpression();
+    Parsed thenExpr = parseExpression();
     expect(TokenKind::Colon, "expected ':' in ternary expression");
-    ExprPtr elseExpr = parseExpression();
-    return rtl::makeTernary(std::move(cond), std::move(thenExpr), std::move(elseExpr));
+    Parsed elseExpr = parseExpression();
+    const int childHeight = std::max({cond.height, thenExpr.height, elseExpr.height});
+    return node(rtl::makeTernary(std::move(cond.expr), std::move(thenExpr.expr),
+                                 std::move(elseExpr.expr)),
+                childHeight);
   }
 
-  ExprPtr parseBinary(int minPrecedence) {
-    ExprPtr lhs = parseUnary();
+  Parsed parseBinary(int minPrecedence) {
+    Parsed lhs = parseUnary();
     for (;;) {
       const auto opInfo = binaryOpFor(peek().kind);
       if (!opInfo) return lhs;
       const int precedence = rtl::opPrecedence(opInfo->op);
       if (precedence < minPrecedence) return lhs;
       advance();
-      ExprPtr rhs = parseBinary(opInfo->rightAssoc ? precedence : precedence + 1);
-      lhs = rtl::makeBinary(opInfo->op, std::move(lhs), std::move(rhs));
+      const Nested nested{*this};
+      Parsed rhs = parseBinary(opInfo->rightAssoc ? precedence : precedence + 1);
+      const int childHeight = std::max(lhs.height, rhs.height);
+      lhs = node(rtl::makeBinary(opInfo->op, std::move(lhs.expr), std::move(rhs.expr)),
+                 childHeight);
     }
   }
 
-  ExprPtr parseUnary() {
+  Parsed parseUnary() {
+    rtl::UnaryOp op{};
     switch (peek().kind) {
-      case TokenKind::Minus: advance(); return rtl::makeUnary(rtl::UnaryOp::Neg, parseUnary());
-      case TokenKind::Tilde: advance(); return rtl::makeUnary(rtl::UnaryOp::BitNot, parseUnary());
-      case TokenKind::Bang: advance(); return rtl::makeUnary(rtl::UnaryOp::LogNot, parseUnary());
-      case TokenKind::Amp: advance(); return rtl::makeUnary(rtl::UnaryOp::RedAnd, parseUnary());
-      case TokenKind::Pipe: advance(); return rtl::makeUnary(rtl::UnaryOp::RedOr, parseUnary());
-      case TokenKind::Caret: advance(); return rtl::makeUnary(rtl::UnaryOp::RedXor, parseUnary());
+      case TokenKind::Minus: op = rtl::UnaryOp::Neg; break;
+      case TokenKind::Tilde: op = rtl::UnaryOp::BitNot; break;
+      case TokenKind::Bang: op = rtl::UnaryOp::LogNot; break;
+      case TokenKind::Amp: op = rtl::UnaryOp::RedAnd; break;
+      case TokenKind::Pipe: op = rtl::UnaryOp::RedOr; break;
+      case TokenKind::Caret: op = rtl::UnaryOp::RedXor; break;
       default: return parsePrimary();
     }
+    advance();
+    const Nested nested{*this};
+    Parsed operand = parseUnary();
+    return node(rtl::makeUnary(op, std::move(operand.expr)), operand.height);
   }
 
-  ExprPtr parsePrimary() {
+  Parsed parsePrimary() {
     if (accept(TokenKind::LParen)) {
-      ExprPtr inner = parseExpression();
+      Parsed inner = parseExpression();
       expect(TokenKind::RParen, "expected ')'");
       return inner;
     }
     if (check(TokenKind::Number)) {
       const Token& token = advance();
       const int width = token.numberWidth > 0 ? token.numberWidth : options_.unsizedLiteralWidth;
-      return rtl::makeConstant(token.value, width);
+      return {rtl::makeConstant(token.value, width)};
     }
     if (check(TokenKind::LBrace)) return parseConcatOrReplication();
     if (check(TokenKind::Identifier)) return parseReference();
     fail("expected an expression");
   }
 
-  ExprPtr parseConcatOrReplication() {
+  Parsed parseConcatOrReplication() {
     expect(TokenKind::LBrace, "expected '{'");
     // Replication: {N{expr}} — N must be a literal.
     if (check(TokenKind::Number) && peek(1).kind == TokenKind::LBrace) {
       const Token& count = advance();
       expect(TokenKind::LBrace, "expected '{' in replication");
-      ExprPtr body = parseExpression();
+      Parsed body = parseExpression();
       expect(TokenKind::RBrace, "expected '}' in replication");
       expect(TokenKind::RBrace, "expected '}' closing replication");
       if (count.value == 0 || count.value > 64) fail("replication count out of range");
       std::vector<ExprPtr> parts;
       parts.reserve(static_cast<std::size_t>(count.value));
-      for (std::uint64_t i = 0; i < count.value; ++i) parts.push_back(body->clone());
-      return rtl::makeConcat(std::move(parts));
+      for (std::uint64_t i = 0; i < count.value; ++i) parts.push_back(body.expr->clone());
+      return node(rtl::makeConcat(std::move(parts)), body.height);
     }
     std::vector<ExprPtr> parts;
+    int childHeight = 0;
     do {
-      parts.push_back(parseExpression());
+      Parsed part = parseExpression();
+      childHeight = std::max(childHeight, part.height);
+      parts.push_back(std::move(part.expr));
     } while (accept(TokenKind::Comma));
     expect(TokenKind::RBrace, "expected '}' after concatenation");
-    return rtl::makeConcat(std::move(parts));
+    return node(rtl::makeConcat(std::move(parts)), childHeight);
   }
 
-  ExprPtr parseReference() {
+  Parsed parseReference() {
     const std::string name = expect(TokenKind::Identifier, "expected identifier").text;
     if (const auto param = params_.find(name); param != params_.end()) {
       if (check(TokenKind::LBracket)) fail("bit-selects on parameters are not supported");
       const int width =
           param->second.width > 0 ? param->second.width : options_.unsizedLiteralWidth;
-      return rtl::makeConstant(static_cast<std::uint64_t>(param->second.value), width);
+      return {rtl::makeConstant(static_cast<std::uint64_t>(param->second.value), width)};
     }
     std::optional<std::pair<int, int>> range;
     if (accept(TokenKind::LBracket)) {
@@ -597,10 +653,10 @@ class Parser {
         const auto [hi, lo] = *range;
         if (lo < 0 || hi < lo) fail("bad key bit select");
         keyWidth_ = std::max(keyWidth_, hi + 1);
-        return rtl::makeKeyRef(lo, hi - lo + 1);
+        return {rtl::makeKeyRef(lo, hi - lo + 1)};
       }
       if (keyWidth_ == 0) fail("bare key reference before key declaration");
-      return rtl::makeKeyRef(0, keyWidth_);
+      return {rtl::makeKeyRef(0, keyWidth_)};
     }
 
     const auto id = module_->findSignal(name);
@@ -611,9 +667,9 @@ class Parser {
       if (lo < 0 || hi < lo || hi >= module_->signal(*id).width) {
         fail("bit/part-select out of range on '" + name + "'");
       }
-      return rtl::makeSlice(std::move(ref), hi, lo);
+      return {rtl::makeSlice(std::move(ref), hi, lo), 2};
     }
-    return ref;
+    return {std::move(ref)};
   }
 
   ParserOptions options_;
@@ -629,6 +685,7 @@ class Parser {
   std::vector<std::pair<std::string, bool>> pendingPorts_;  // name, direction-seen
   std::map<std::string, Parameter> params_;
   int keyWidth_ = 0;
+  int depth_ = 0;  // Nested levels open
 };
 
 }  // namespace

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
+#include "designs/random.hpp"
 #include "support/diagnostics.hpp"
+#include "support/rng.hpp"
 
 namespace rtlock::rtl {
 namespace {
@@ -25,12 +30,88 @@ TEST(ModuleTest, SignalDeclarationAndLookup) {
 TEST(ModuleTest, DuplicateSignalNameThrows) {
   Module m{"top"};
   m.addInput("a", 8);
-  EXPECT_THROW(m.addWire("a", 4), support::ContractViolation);
+  try {
+    m.addWire("a", 4);
+    FAIL() << "duplicate accepted";
+  } catch (const support::ContractViolation& error) {
+    EXPECT_NE(std::string{error.what()}.find("duplicate signal name: a"), std::string::npos)
+        << error.what();
+  }
+  EXPECT_EQ(m.signalCount(), 1u);
+  EXPECT_EQ(m.findSignal("a"), std::optional<SignalId>{0});
 }
 
 TEST(ModuleTest, KeyPortNameCollisionThrows) {
   Module m{"top"};
   EXPECT_THROW(m.addWire("lock_key", 4), support::ContractViolation);
+}
+
+/// The id of the first signal named `name`, by a scan of the signal table.
+std::optional<SignalId> scanForSignal(const Module& m, std::string_view name) {
+  for (SignalId id = 0; id < m.signalCount(); ++id) {
+    if (m.signal(id).name == name) return id;
+  }
+  return std::nullopt;
+}
+
+void expectLookupsMatchScan(const Module& m, const std::string& context) {
+  for (SignalId id = 0; id < m.signalCount(); ++id) {
+    const std::string& name = m.signal(id).name;
+    ASSERT_EQ(m.findSignal(name), std::optional<SignalId>{id}) << context << ": " << name;
+    ASSERT_EQ(m.findSignal(name), scanForSignal(m, name)) << context << ": " << name;
+    // Near misses: prefixes and extensions of real names are (mostly) absent.
+    for (const std::string& absent : {name + "_", name.substr(0, name.size() - 1), "x" + name}) {
+      ASSERT_EQ(m.findSignal(absent), scanForSignal(m, absent)) << context << ": " << absent;
+    }
+  }
+  EXPECT_EQ(m.findSignal(""), std::nullopt) << context;
+  EXPECT_EQ(m.findSignal(m.keyPortName()), std::nullopt) << context;
+}
+
+TEST(ModuleTest, NameIndexMatchesScanOnRandomModules) {
+  const support::Rng root{2024};
+  for (std::uint64_t i = 0; i < 200; ++i) {
+    support::Rng rng = root.substream(i);
+    designs::RandomModuleParams params;
+    params.operations = 5 + static_cast<int>(i % 60);
+    params.useSlices = i % 2 == 0;
+    Module m = designs::makeRandomModule(rng, params);
+    const std::string context = "module " + std::to_string(i);
+    expectLookupsMatchScan(m, context);
+    const Module copy = m.clone();
+    expectLookupsMatchScan(copy, context + " clone");
+    Module moved = std::move(m);
+    expectLookupsMatchScan(moved, context + " moved");
+    m = std::move(moved);
+    expectLookupsMatchScan(m, context + " moved back");
+    if (HasFailure()) return;
+  }
+}
+
+TEST(ModuleTest, NameIndexSurvivesGrowth) {
+  Module m{"top"};
+  EXPECT_EQ(m.findSignal("s0"), std::nullopt);
+  EXPECT_EQ(m.nameIndexBytes(), 0u);
+  for (int count = 1; count <= 5000; ++count) {
+    const std::string name = "s" + std::to_string(count - 1);
+    ASSERT_EQ(m.addWire(name, 1 + count % 64), static_cast<SignalId>(count - 1));
+    // Each new signal must not hide an old one: spot-check the first, the
+    // newest and one in the middle, plus the next name (still absent).
+    ASSERT_EQ(m.findSignal("s0"), std::optional<SignalId>{0});
+    ASSERT_EQ(m.findSignal(name), std::optional<SignalId>{static_cast<SignalId>(count - 1)});
+    ASSERT_EQ(m.findSignal("s" + std::to_string(count / 2)),
+              std::optional<SignalId>{static_cast<SignalId>(count / 2)});
+    ASSERT_EQ(m.findSignal("s" + std::to_string(count)), std::nullopt);
+    // Power-of-two capacity, at least twice the signal count.
+    const std::size_t slots = m.nameIndexBytes() / sizeof(SignalId);
+    ASSERT_GE(slots, 2u * m.signalCount());
+    ASSERT_EQ(slots & (slots - 1), 0u);
+  }
+  expectLookupsMatchScan(m, "5000 signals");
+  EXPECT_THROW(m.addReg("s4999", 1), support::ContractViolation);
+  EXPECT_THROW(m.addInput("lock_key", 1), support::ContractViolation);
+  EXPECT_EQ(m.signalCount(), 5000u);
+  expectLookupsMatchScan(m, "after rejected adds");
 }
 
 TEST(ModuleTest, PortsInDeclarationOrder) {

@@ -109,6 +109,33 @@ TEST_F(DispatchTest, UnparsableVerilogIs400) {
   EXPECT_EQ(response.status, 400);
 }
 
+TEST_F(DispatchTest, DeeplyNestedBodiesAre400) {
+  // Each body is far under the default body limit, and each used to kill the
+  // daemon with a stack overflow: two in the Verilog parser or the passes
+  // over what it built, one in the JSON parser.
+  const auto lockBody = [](const std::string& expr) {
+    support::JsonValue body;
+    body.set("source", "module m (input [7:0] a, output [7:0] y);\n  assign y = " + expr +
+                           ";\nendmodule\n");
+    return body.dumpLine();
+  };
+  std::string chain = "a";
+  chain.reserve(4'000'000);
+  for (int i = 1; i < 1'000'000; ++i) chain += " + a";
+  const std::string bodies[] = {
+      lockBody(std::string(30000, '(') + "a" + std::string(30000, ')')),
+      lockBody(chain),
+      R"({"source": )" + std::string(100000, '[') + std::string(100000, ']') + "}",
+  };
+  for (const std::string& body : bodies) {
+    const HttpResponse response = dispatcher_.handle(makeRequest("POST", "/v1/lock", body));
+    EXPECT_EQ(response.status, 400) << body.substr(0, 80);
+    const support::JsonValue document = support::parseJson(response.body);
+    EXPECT_NE(document.at("error").asString().find("levels"), std::string::npos)
+        << document.at("error").asString();
+  }
+}
+
 TEST_F(DispatchTest, LockMissThenHitBodiesAreByteIdentical) {
   support::JsonValue body;
   body.set("source", kMixer);

@@ -9,7 +9,10 @@
 #include <thread>
 #include <vector>
 
+#include "designs/registry.hpp"
+#include "rtl/stats.hpp"
 #include "support/diagnostics.hpp"
+#include "verilog/writer.hpp"
 
 namespace rtlock::service {
 namespace {
@@ -37,6 +40,20 @@ TEST(SessionHashTest, DeterministicAndContentSensitive) {
   renamed.keyPortName = "secret_key";
   EXPECT_NE(SessionCache::contentHash(kMixer, options),
             SessionCache::contentHash(kMixer, renamed));
+}
+
+TEST(SessionTest, ApproxBytesCountsTheNameIndex) {
+  // Source bytes, 64 per expression node, and the exact size of each
+  // module's signal-name index: the cache budget covers what a session holds.
+  const std::string source = verilog::writeModule(designs::makeBenchmark("N_1023"));
+  SessionCache cache;
+  const SessionPtr session = cache.fetch(source, SessionOptions{}).session;
+  ASSERT_EQ(session->moduleCount(), 1u);
+  const rtl::Module& module = session->module(0);
+  EXPECT_GE(module.nameIndexBytes(), 2 * module.signalCount() * sizeof(rtl::SignalId));
+  EXPECT_EQ(session->approxBytes(),
+            source.size() + static_cast<std::size_t>(rtl::computeStats(module).exprNodes) * 64 +
+                module.nameIndexBytes());
 }
 
 TEST(SessionTest, BuildsSessionForEveryModule) {

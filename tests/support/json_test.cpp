@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+
 #include "support/diagnostics.hpp"
 
 namespace rtlock::support {
@@ -220,6 +223,115 @@ TEST(JsonTest, ByteMutationFuzzNeverCrashesOrPartiallyAccepts) {
     } catch (const Error&) {
       // Rejected cleanly: exactly what a torn/corrupt journal line needs.
     }
+  }
+}
+
+/// dump(), write() and dumpLine() of `value` must be exactly these bytes.
+void expectWritten(const JsonValue& value, const std::string& indented, const std::string& line) {
+  EXPECT_EQ(value.dump(), indented + "\n");
+  std::ostringstream out;
+  value.write(out);
+  EXPECT_EQ(out.str(), indented + "\n");
+  EXPECT_EQ(value.dumpLine(), line);
+}
+
+TEST(JsonTest, NumberBytesArePinned) {
+  const std::pair<double, const char*> cases[] = {
+      {-0.0, "-0"},
+      {0.0, "0"},
+      {1e15, "1e+15"},
+      {-1e15, "-1e+15"},
+      {999999999999999.0, "999999999999999"},
+      {-999999999999999.0, "-999999999999999"},
+      {0.5, "0.5"},
+      {1e-07, "1e-07"},
+      {123456789.125, "123456789.125"},
+      {1e300, "1e+300"},
+      {-7.0, "-7"},
+      {0.1, "0.1"},
+      {2.0 / 3.0, "0.6666666666666666"},
+      {0.1 + 0.2, "0.30000000000000004"},
+  };
+  for (const auto& [number, text] : cases) {
+    expectWritten(JsonValue{number}, text, text);
+  }
+}
+
+TEST(JsonTest, StringBytesArePinned) {
+  const std::pair<std::string, std::string> cases[] = {
+      {"\"", "\\\""},
+      {"\\", "\\\\"},
+      {"\n", "\\u000a"},
+      {"\t", "\\u0009"},
+      {"\x01", "\\u0001"},
+      {"\x1f", "\\u001f"},
+      {"\x7f", "\x7f"},
+      {"", ""},
+      {"plain / text", "plain / text"},
+      {"a\"b\\c\nd\x7f\xc3\xa9", "a\\\"b\\\\c\\u000ad\x7f\xc3\xa9"},
+  };
+  for (const auto& [raw, escaped] : cases) {
+    EXPECT_EQ(jsonEscape(raw), escaped);
+    expectWritten(JsonValue{raw}, '"' + escaped + '"', '"' + escaped + '"');
+    JsonValue object;
+    object.set(raw, raw);
+    expectWritten(object, "{\n  \"" + escaped + "\": \"" + escaped + "\"\n}",
+                  "{\"" + escaped + "\": \"" + escaped + "\"}");
+  }
+}
+
+TEST(JsonTest, ContainerBytesArePinned) {
+  expectWritten(JsonValue{JsonArray{}}, "[]", "[]");
+  expectWritten(JsonValue{JsonObject{}}, "{}", "{}");
+  expectWritten(JsonValue{}, "null", "null");
+  expectWritten(JsonValue{true}, "true", "true");
+  expectWritten(parseJson("[[[]]]"), "[\n  [\n    []\n  ]\n]", "[[[]]]");
+  expectWritten(parseJson(R"({"a": {"b": {}}})"), "{\n  \"a\": {\n    \"b\": {}\n  }\n}",
+                R"({"a": {"b": {}}})");
+  const JsonValue nested =
+      parseJson(R"({"a": [], "b": {}, "c": [1, [2, {"d": [null, true]}]], "e": "x"})");
+  expectWritten(nested,
+                "{\n"
+                "  \"a\": [],\n"
+                "  \"b\": {},\n"
+                "  \"c\": [\n"
+                "    1,\n"
+                "    [\n"
+                "      2,\n"
+                "      {\n"
+                "        \"d\": [\n"
+                "          null,\n"
+                "          true\n"
+                "        ]\n"
+                "      }\n"
+                "    ]\n"
+                "  ],\n"
+                "  \"e\": \"x\"\n"
+                "}",
+                R"({"a": [], "b": {}, "c": [1, [2, {"d": [null, true]}]], "e": "x"})");
+}
+
+std::string nestedArrays(int depth) {
+  return std::string(static_cast<std::size_t>(depth), '[') +
+         std::string(static_cast<std::size_t>(depth), ']');
+}
+
+TEST(JsonTest, ContainerDepthIsCapped) {
+  // 1024 levels parse; one more is rejected before the recursion goes on.
+  EXPECT_EQ(parseJson(nestedArrays(1024)).dumpLine(), nestedArrays(1024));
+  EXPECT_THROW((void)parseJson(nestedArrays(1025)), Error);
+  std::string objects;
+  for (int i = 0; i < 1025; ++i) objects += R"({"k": )";
+  objects += "1" + std::string(1025, '}');
+  EXPECT_THROW((void)parseJson(objects), Error);
+  // A request-sized hostile body: 100,000 levels inside a member.
+  const std::string deep = R"({"source": )" + nestedArrays(100000) + "}";
+  try {
+    (void)parseJson(deep);
+    FAIL() << "100,000 nested arrays accepted";
+  } catch (const Error& error) {
+    EXPECT_NE(std::string{error.what()}.find("nested deeper than 1024"), std::string::npos)
+        << error.what();
   }
 }
 

@@ -2,16 +2,18 @@
 // must fail with a support::Error (never a crash or silent acceptance).
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "support/diagnostics.hpp"
 #include "verilog/parser.hpp"
 
 namespace rtlock::verilog {
 namespace {
 
-void expectRejected(const char* source, const char* fragment) {
+void expectRejected(const std::string& source, const char* fragment) {
   try {
     (void)parseModule(source);
-    FAIL() << "expected rejection of: " << source;
+    FAIL() << "expected rejection of: " << source.substr(0, 200);
   } catch (const support::Error& error) {
     EXPECT_NE(std::string{error.what()}.find(fragment), std::string::npos)
         << "got: " << error.what();
@@ -143,6 +145,73 @@ TEST(ParserErrorsTest, GoodErrorLocationReporting) {
   } catch (const support::Error& error) {
     EXPECT_NE(std::string{error.what()}.find("line 3"), std::string::npos) << error.what();
   }
+}
+
+// ---- Nesting caps ----
+//
+// Each deep input below used to exhaust the stack, either in the parser's own
+// recursion or in a recursive pass over the tree it built.  The cap turns
+// them into ordinary parse errors.
+
+constexpr const char* kNestingError = "nest at most 1024 levels";
+
+std::string assignOf(const std::string& expr) {
+  return "module m (input [7:0] a, output [7:0] y); assign y = " + expr + "; endmodule";
+}
+
+std::string repeated(const std::string& unit, int count) {
+  std::string out;
+  out.reserve(unit.size() * static_cast<std::size_t>(count));
+  for (int i = 0; i < count; ++i) out += unit;
+  return out;
+}
+
+std::string parenthesized(const std::string& inner, int levels) {
+  return repeated("(", levels) + inner + repeated(")", levels);
+}
+
+/// `a + a + ... + a` with `terms` terms: the parser loops, but the tree it
+/// builds is `terms` levels high.
+std::string chainOf(int terms) { return "a" + repeated(" + a", terms - 1); }
+
+TEST(ParserErrorsTest, DeepParenthesesRejected) {
+  expectRejected(assignOf(parenthesized("a", 30000)), kNestingError);
+}
+
+TEST(ParserErrorsTest, LongOperatorChainRejected) {
+  expectRejected(assignOf(chainOf(100000)), kNestingError);
+}
+
+TEST(ParserErrorsTest, DeepOperatorNestingRejected) {
+  expectRejected(assignOf(repeated("~", 30000) + "a"), kNestingError);
+  expectRejected(assignOf(repeated("a ** ", 30000) + "a"), kNestingError);  // right-assoc
+  expectRejected(assignOf(repeated("a ? a : ", 30000) + "a"), kNestingError);
+  expectRejected(assignOf(repeated("{", 30000) + "a" + repeated("}", 30000)), kNestingError);
+  expectRejected(assignOf(repeated("a + (", 30000) + "a" + repeated(")", 30000)),
+                 kNestingError);
+}
+
+TEST(ParserErrorsTest, DeepStatementNestingRejected) {
+  const std::string head = "module m (input a, output reg y); always @(*) ";
+  expectRejected(head + repeated("begin ", 30000) + "y = a;" + repeated(" end", 30000) +
+                     " endmodule",
+                 kNestingError);
+  expectRejected(head + repeated("if (a) ", 30000) + "y = a; endmodule", kNestingError);
+}
+
+TEST(ParserErrorsTest, DeepConstantExpressionRejected) {
+  expectRejected("module m (input [" + parenthesized("7", 30000) +
+                     ":0] a, output y); assign y = a[0]; endmodule",
+                 kNestingError);
+}
+
+TEST(ParserErrorsTest, NestingUpToTheCapParses) {
+  // The assignment's expression is level 1, each parenthesis one more.
+  EXPECT_NO_THROW((void)parseModule(assignOf(parenthesized("a", 1023))));
+  expectRejected(assignOf(parenthesized("a", 1024)), kNestingError);
+  // A tree of height 1024 is accepted, one level more is not.
+  EXPECT_NO_THROW((void)parseModule(assignOf(chainOf(1024))));
+  expectRejected(assignOf(chainOf(1025)), kNestingError);
 }
 
 }  // namespace

@@ -3,6 +3,10 @@
 // every benchmark generator, and locked designs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <tuple>
+
 #include "core/algorithms.hpp"
 #include "designs/registry.hpp"
 #include "rtl/builder.hpp"
@@ -128,6 +132,32 @@ INSTANTIATE_TEST_SUITE_P(AllAlgorithms, LockedRoundTrip,
                                       ? std::string{"AssureRandom"}
                                       : std::string{lock::algorithmName(info.param)};
                          });
+
+// Every registry design, locked at full budget (every lockable op), still
+// fits the parser's nesting cap and survives write -> parse.
+class FullBudgetRoundTrip
+    : public ::testing::TestWithParam<std::tuple<std::string, lock::Algorithm>> {};
+
+TEST_P(FullBudgetRoundTrip, LockedRegistryDesignSurvives) {
+  const auto& [name, algorithm] = GetParam();
+  rtl::Module m = designs::makeBenchmark(name);
+  support::Rng rng{7};
+  lock::LockEngine engine{m, lock::PairTable::fixed()};
+  (void)lock::lockWithAlgorithm(engine, algorithm, engine.initialLockableOps(), rng);
+  expectStableRoundTrip(m);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RegistryByAlgorithm, FullBudgetRoundTrip,
+    ::testing::Combine(::testing::ValuesIn(designs::benchmarkNames()),
+                       ::testing::Values(lock::Algorithm::AssureSerial,
+                                         lock::Algorithm::AssureRandom, lock::Algorithm::Hra,
+                                         lock::Algorithm::Greedy, lock::Algorithm::Era)),
+    [](const auto& info) {
+      std::string algorithm{lock::algorithmName(std::get<1>(info.param))};
+      algorithm.erase(std::remove(algorithm.begin(), algorithm.end(), '-'), algorithm.end());
+      return std::get<0>(info.param) + "_" + algorithm;
+    });
 
 }  // namespace
 }  // namespace rtlock::verilog
