@@ -3,7 +3,9 @@
 // Verilog parsing/writing (BM_ParseDesign, ns per operation), the JSON
 // encode of a served lock (BM_LockResponseDump), simulation, corruption
 // sweeps, static analysis, classifier training, the attack's tree-free
-// relock rounds (BM_PoolRelockRound, ns per harvested row), auto-ml's row
+// relock rounds (BM_PoolRelockRound, ns per harvested row, beside
+// BM_TreeRelockRound, the LockEngine + LocalityHarvester oracle loop on the
+// same target), auto-ml's row
 // cap and fold step (BM_SampleIndices, BM_PoolFoldAggregates beside
 // BM_DatasetFoldAggregates), and the fit of each auto-ml portfolio candidate
 // (BM_CandidateFit).  End-to-end timings of the attack, the session cache
@@ -11,12 +13,12 @@
 #include <benchmark/benchmark.h>
 
 #include <array>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "analysis/lint.hpp"
 #include "analysis/verifier.hpp"
+#include "attack/harvest.hpp"
 #include "attack/locality.hpp"
 #include "attack/pool_relock.hpp"
 #include "core/algorithms.hpp"
@@ -279,21 +281,27 @@ void BM_SampleIndices(benchmark::State& state) {
 BENCHMARK(BM_SampleIndices)->Arg(175000)->Arg(2800000)->Unit(benchmark::kMillisecond);
 
 /// `design` locked under ASSURE at 75 % with `rng`, as the SnapShot
-/// attack's target, ready for tree-free relock rounds.
-attack::PoolRelocker poolRelocker(const char* design, bool extendedFeatures, support::Rng& rng) {
+/// attack's target.
+rtl::Module lockedTarget(const char* design, support::Rng& rng) {
   rtl::Module module = designs::makeBenchmark(design);
   lock::LockEngine engine{module, lock::PairTable::fixed()};
   (void)lock::lockWithAlgorithm(engine, lock::Algorithm::AssureSerial,
                                 static_cast<int>(0.75 * engine.initialLockableOps()), rng,
                                 lock::ReportDetail::Summary);
+  return module;
+}
+
+/// lockedTarget, ready for tree-free relock rounds.
+attack::PoolRelocker poolRelocker(const char* design, bool extendedFeatures, support::Rng& rng) {
   attack::LocalityConfig config;
   config.extendedFeatures = extendedFeatures;
-  return *attack::PoolRelocker::build(module, lock::PairTable::fixed(), config);
+  return attack::PoolRelocker::build(lockedTarget(design, rng), lock::PairTable::fixed(), config);
 }
 
 /// BM_PoolRelockRound/<design>: the attack's relock step, 100 rounds at a
 /// 75 % budget on a fresh relocker per iteration; items are harvested rows,
-/// so the rate reads as rows per second.
+/// so the rate reads as rows per second.  SASC and SIM_SPI nest lockable
+/// operations, so their dummies clone operand subtrees and key muxes.
 void BM_PoolRelockRound(benchmark::State& state, const char* design) {
   support::Rng rng{10};
   const attack::PoolRelocker target = poolRelocker(design, false, rng);
@@ -312,6 +320,35 @@ void BM_PoolRelockRound(benchmark::State& state, const char* design) {
 }
 BENCHMARK_CAPTURE(BM_PoolRelockRound, DES3, "DES3")->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_PoolRelockRound, N_2046, "N_2046")->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_PoolRelockRound, SASC, "SASC")->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_PoolRelockRound, SIM_SPI, "SIM_SPI")->Unit(benchmark::kMillisecond);
+
+/// BM_TreeRelockRound/<design>: the same 100 rounds on the tree (relock
+/// the live module, harvest into a Dataset, undo), the oracle
+/// PoolRelocker is tested against; items are harvested rows.
+void BM_TreeRelockRound(benchmark::State& state, const char* design) {
+  support::Rng rng{10};
+  rtl::Module target = lockedTarget(design, rng);
+  lock::LockEngine engine{target, lock::PairTable::fixed()};
+  const int budget = static_cast<int>(0.75 * engine.totalLockableOps());
+  constexpr int kRounds = 100;
+  std::size_t rows = 0;
+  for (auto _ : state) {
+    attack::LocalityHarvester harvester{engine, {}};
+    ml::Dataset training{attack::featureCount({})};
+    for (int round = 0; round < kRounds; ++round) {
+      const std::size_t checkpoint = engine.checkpoint();
+      harvester.beginRound();
+      (void)lock::assureRandomLock(engine, budget, rng, lock::ReportDetail::Summary);
+      harvester.harvestInto(training);
+      engine.undoTo(checkpoint);
+    }
+    rows += training.size();
+    benchmark::DoNotOptimize(training.size());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(rows));
+}
+BENCHMARK_CAPTURE(BM_TreeRelockRound, SASC, "SASC")->Unit(benchmark::kMillisecond);
 
 /// DES3 after 1000 tree-free relock rounds: 175k rows in the compact row
 /// store, so the 100k-row cap samples.

@@ -1,13 +1,15 @@
 // Incremental locality harvesting — the O(relock budget) replacement for
 // re-walking the whole module with extractLocalities() after every relock
-// round of the SnapShot attack.
+// round of the SnapShot attack, on the live expression tree.
 //
-// snapshotAttack runs its relock rounds tree-free (attack/pool_relock.hpp)
-// whenever the target's lockable operations never nest; this harvester is
-// the fallback for the other targets (SASC, SIM_SPI in the registry) and
-// the paper-sized oracle: tests/attack/pool_relock_test compares the two
-// row for row, and the benchmark's traced replay runs every cell through
-// this path and byte-compares the result.
+// The product does not relock on the tree: snapshotAttack runs every
+// target's rounds tree-free (attack/pool_relock.hpp).  This harvester, with
+// LockEngine and assureRandomLock, is the row-for-row oracle those rounds are
+// tested against (tests/attack/pool_relock_test.cpp), and the path the
+// benchmark's traced replay (perfbench/) times layer by layer and
+// byte-compares.  A round in which a dummy clones a key mux of the same
+// round has duplicate key indices; harvestInto emits it through
+// extractLocalities, whose std::sort tie order PoolRelocker reproduces.
 //
 // The harvester observes a LockEngine: every lockOpAt records the freshly
 // installed key mux (plus any key muxes cloned into its dummy operand

@@ -7,14 +7,14 @@
 //  1. extracts the target's localities — one [C1, C2] pair per key bit;
 //  2. builds a training set by self-referencing: relocking the target
 //     `relockRounds` times with fresh random ASSURE locks whose key bits are
-//     known, extracting the new localities, and undoing the relock.  When
-//     no lockable operation and no key mux sit inside a lockable
-//     operation's operands, the rounds run tree-free over per-kind pool
-//     counts (attack/pool_relock.hpp) and the rows auto-ml keeps fold
-//     straight from their compact store into auto-ml's folds.  Other
-//     targets fall back to the LockEngine + LocalityHarvester path
-//     (attack/harvest.hpp), which also stays the oracle the tree-free
-//     rounds must match row for row;
+//     known, extracting the new localities, and undoing the relock.  The
+//     rounds run tree-free for every target, over an index arena of its
+//     lockable operations and key muxes that follows nesting, dummy clones
+//     and the tree path's tie order (attack/pool_relock.hpp), and the rows
+//     auto-ml keeps fold straight from their compact store into auto-ml's
+//     folds.  The LockEngine + LocalityHarvester tree path
+//     (attack/harvest.hpp) stays the oracle the rounds must match row for
+//     row;
 //  3. trains an auto-ml-selected classifier on (locality -> key bit);
 //  4. predicts every target key bit and reports the Key Prediction Accuracy.
 //
@@ -53,19 +53,16 @@ struct SnapshotResult {
 /// ground truth used only for scoring (the classifier never sees it).
 ///
 /// Contract -------------------------------------------------------------------
-/// Ownership: `lockedTarget` is borrowed mutably — fallback relock rounds
-///   edit it in place — and is restored bit-exactly before returning (also
-///   on throw the undo path unwinds cleanly); tree-free rounds never touch
-///   it.  The caller keeps exclusive ownership;
-///   nothing retains a pointer past the call.
+/// Ownership: `lockedTarget` is borrowed read-only for the call; nothing
+///   retains a reference past it, and the target is never edited.
 /// Determinism: (lockedTarget, targetRecords, table, config, rng state)
 ///   fully determines the result, including the auto-ml winner — model
 ///   selection runs under a row-count budget (ml::AutoMlConfig), never
 ///   wall-clock, so outcomes cannot differ across machines.
-/// Thread-safety: the attack itself is single-threaded over its target;
-///   concurrent attacks need distinct target modules and distinct Rngs
-///   (attack repeats in the CLI clone per repeat — the sharding pattern).
-[[nodiscard]] SnapshotResult snapshotAttack(rtl::Module& lockedTarget,
+/// Thread-safety: the attack itself is single-threaded; concurrent attacks
+///   may share a target but need distinct Rngs (attack repeats in the CLI
+///   share the target and take one substream each).
+[[nodiscard]] SnapshotResult snapshotAttack(const rtl::Module& lockedTarget,
                                             const std::vector<lock::LockRecord>& targetRecords,
                                             const lock::PairTable& table,
                                             const SnapshotConfig& config, support::Rng& rng);

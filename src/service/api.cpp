@@ -205,7 +205,8 @@ AttackResponse runAttack(SessionCache& cache, const AttackRequest& request,
   }
   if (truth.empty()) throw support::Error{"module " + target.name() + " has no key muxes"};
 
-  // Repeats shard across the pool; each owns a clone and a substream.
+  // Repeats shard across the pool; each reads the target and owns a
+  // substream.
   const support::Rng root{request.seed};
   support::TaskPool pool{
       support::threadsForTasks(request.threads, static_cast<std::size_t>(request.repeats))};
@@ -213,11 +214,10 @@ AttackResponse runAttack(SessionCache& cache, const AttackRequest& request,
   response.repeats = pool.map(static_cast<std::size_t>(request.repeats), [&](std::size_t index) {
     checkDeadline(deadline);
     const auto repeatStart = Clock::now();
-    rtl::Module clone = target.clone();
     support::Rng repeatRng = root.substream(index);
     AttackRepeat outcome;
     outcome.result =
-        attack::snapshotAttack(clone, truth, lock::PairTable::fixed(), config, repeatRng);
+        attack::snapshotAttack(target, truth, lock::PairTable::fixed(), config, repeatRng);
     outcome.wallMs = elapsedMs(repeatStart);
     return outcome;
   });

@@ -71,10 +71,10 @@ void Lexer::fail(const std::string& message) const {
                        std::to_string(tokenColumn_) + ": " + message};
 }
 
-Token Lexer::makeToken(TokenKind kind, std::string text) const {
+Token Lexer::makeToken(TokenKind kind, std::string_view text) const {
   Token token;
   token.kind = kind;
-  token.text = std::move(text);
+  token.text = text;
   token.line = tokenLine_;
   token.column = tokenColumn_;
   return token;
@@ -123,49 +123,47 @@ std::vector<Token> Lexer::tokenize() {
 }
 
 Token Lexer::lexIdentifierOrKeyword() {
-  std::string name;
   if (peek() == '\\') {
     // Escaped identifier: backslash to next whitespace.
     advance();
-    while (!atEnd() && !std::isspace(static_cast<unsigned char>(peek()))) {
-      name.push_back(advance());
-    }
-    if (name.empty()) fail("empty escaped identifier");
-    return makeToken(TokenKind::Identifier, std::move(name));
+    const std::size_t start = pos_;
+    while (!atEnd() && !std::isspace(static_cast<unsigned char>(peek()))) advance();
+    if (pos_ == start) fail("empty escaped identifier");
+    return makeToken(TokenKind::Identifier, source_.substr(start, pos_ - start));
   }
-  while (!atEnd() && isIdentBody(peek())) name.push_back(advance());
+  const std::size_t start = pos_;
+  while (!atEnd() && isIdentBody(peek())) advance();
+  const std::string_view name = source_.substr(start, pos_ - start);
   const auto it = keywordTable().find(name);
-  if (it != keywordTable().end()) return makeToken(it->second, std::move(name));
-  return makeToken(TokenKind::Identifier, std::move(name));
+  if (it != keywordTable().end()) return makeToken(it->second, name);
+  return makeToken(TokenKind::Identifier, name);
 }
 
 Token Lexer::lexNumber() {
-  std::string text;
+  const std::size_t start = pos_;
   std::uint64_t sizePrefix = 0;
   bool hasSizePrefix = false;
 
   while (!atEnd() && (std::isdigit(static_cast<unsigned char>(peek())) != 0 || peek() == '_')) {
     const char c = advance();
-    text.push_back(c);
     if (c != '_') sizePrefix = sizePrefix * 10 + static_cast<std::uint64_t>(c - '0');
   }
-  if (!text.empty()) hasSizePrefix = true;
+  if (pos_ != start) hasSizePrefix = true;
 
   if (atEnd() || peek() != '\'') {
     // Plain decimal literal.
     if (!hasSizePrefix) fail("expected a number");
-    Token token = makeToken(TokenKind::Number, std::move(text));
+    Token token = makeToken(TokenKind::Number, source_.substr(start, pos_ - start));
     token.value = sizePrefix;
     token.numberWidth = 0;  // unsized
     return token;
   }
 
   // Based literal: [size]'[base]digits
-  text.push_back(advance());  // consume '
+  advance();  // consume '
   if (atEnd()) fail("unterminated based literal");
   int base = 0;
   const char baseChar = advance();
-  text.push_back(baseChar);
   switch (std::tolower(static_cast<unsigned char>(baseChar))) {
     case 'b': base = 2; break;
     case 'o': base = 8; break;
@@ -179,7 +177,7 @@ Token Lexer::lexNumber() {
   while (!atEnd()) {
     const char c = peek();
     if (c == '_') {
-      text.push_back(advance());
+      advance();
       continue;
     }
     const int digit = digitValue(c, base);
@@ -190,7 +188,7 @@ Token Lexer::lexNumber() {
       fail("constant exceeds 64 bits (unsupported subset)");
     }
     value = value * static_cast<std::uint64_t>(base) + static_cast<std::uint64_t>(digit);
-    text.push_back(advance());
+    advance();
     sawDigit = true;
   }
   if (!sawDigit) fail("based literal has no digits");
@@ -199,7 +197,7 @@ Token Lexer::lexNumber() {
     fail("literal size must be between 1 and 64 bits");
   }
 
-  Token token = makeToken(TokenKind::Number, std::move(text));
+  Token token = makeToken(TokenKind::Number, source_.substr(start, pos_ - start));
   token.value = value;
   token.numberWidth = hasSizePrefix ? static_cast<int>(sizePrefix) : 0;
   return token;

@@ -17,8 +17,9 @@ class Lexer {
  public:
   explicit Lexer(std::string_view source);
 
-  /// Tokenize the whole input (EndOfFile-terminated).  Throws
-  /// support::Error on malformed input.
+  /// Tokenize the whole input (EndOfFile-terminated).  Token texts view the
+  /// source, so the tokens must not outlive it.  Throws support::Error on
+  /// malformed input.
   [[nodiscard]] std::vector<Token> tokenize();
 
  private:
@@ -34,7 +35,7 @@ class Lexer {
 
   [[noreturn]] void fail(const std::string& message) const;
 
-  Token makeToken(TokenKind kind, std::string text = {}) const;
+  Token makeToken(TokenKind kind, std::string_view text = {}) const;
 
   std::string_view source_;
   std::size_t pos_ = 0;

@@ -24,6 +24,11 @@ using rtl::StmtPtr;
 /// stack here and in every recursive pass over the IR.
 constexpr int kMaxNesting = 1024;
 
+/// Size cap: a range's msb, the bits of a concatenation and the nodes one
+/// replication clones.  Replications multiply, so without it a few dozen
+/// bytes of nested `{64{...}}` grow into millions of nodes.
+constexpr std::int64_t kMaxBits = std::int64_t{1} << 20;
+
 struct BinOpInfo {
   OpKind op;
   bool rightAssoc;
@@ -72,7 +77,7 @@ class Parser {
 
   rtl::Module parseModule() {
     expect(TokenKind::KwModule, "expected 'module'");
-    const std::string name = expect(TokenKind::Identifier, "expected module name").text;
+    const std::string name{expect(TokenKind::Identifier, "expected module name").text};
 
     module_.emplace(name);
     module_->setKeyPortName(options_.keyPortName);
@@ -155,7 +160,7 @@ class Parser {
   }
 
   [[nodiscard]] static std::string describe(const Token& token) {
-    return token.text.empty() ? std::string{tokenKindName(token.kind)} : token.text;
+    return std::string{token.text.empty() ? tokenKindName(token.kind) : token.text};
   }
 
   [[noreturn]] void fail(const std::string& message) const {
@@ -192,7 +197,7 @@ class Parser {
   void parseParameterAssignment() {
     rejectSigned();
     const Range range = check(TokenKind::LBracket) ? parseOptionalRange() : Range{-1, 0};
-    const std::string name = expect(TokenKind::Identifier, "expected parameter name").text;
+    const std::string name{expect(TokenKind::Identifier, "expected parameter name").text};
     if (params_.count(name) != 0) fail("parameter '" + name + "' declared twice");
     if (name == options_.keyPortName) fail("the key port name cannot be used as a parameter");
     expect(TokenKind::Assign, "expected '=' in parameter declaration");
@@ -216,7 +221,7 @@ class Parser {
       } else if (carried) {
         declareAnsiPort(*carried);
       } else {
-        const std::string name = expect(TokenKind::Identifier, "expected port name").text;
+        const std::string name{expect(TokenKind::Identifier, "expected port name").text};
         pendingPorts_.emplace_back(name, false);
       }
     } while (accept(TokenKind::Comma));
@@ -242,7 +247,7 @@ class Parser {
   }
 
   void declareAnsiPort(const AnsiHead& head) {
-    const std::string name = expect(TokenKind::Identifier, "expected port name").text;
+    const std::string name{expect(TokenKind::Identifier, "expected port name").text};
     declareSignal(name, head.range.width(), head.isInput,
                   head.isReg ? rtl::NetKind::Reg : rtl::NetKind::Wire, /*isPort=*/true);
   }
@@ -260,7 +265,7 @@ class Parser {
     const auto lsb = parseConstExpr();
     expect(TokenKind::RBracket, "expected ']' after range");
     if (lsb != 0) fail("only [msb:0] ranges are supported");
-    if (msb < 0 || msb > (1 << 20)) fail("range msb out of supported bounds");
+    if (msb < 0 || msb > kMaxBits) fail("range msb out of supported bounds");
     return Range{static_cast<int>(msb), 0};
   }
 
@@ -294,7 +299,8 @@ class Parser {
       const Token& token = advance();
       const auto it = params_.find(token.text);
       if (it == params_.end()) {
-        fail("'" + token.text + "' is not a declared parameter (only literals and parameters "
+        fail("'" + std::string{token.text} +
+             "' is not a declared parameter (only literals and parameters "
              "may appear in constant expressions)");
       }
       return it->second.value;
@@ -339,7 +345,7 @@ class Parser {
     rejectSigned();
     const Range range = parseOptionalRange();
     do {
-      const std::string name = expect(TokenKind::Identifier, "expected signal name").text;
+      const std::string name{expect(TokenKind::Identifier, "expected signal name").text};
       if (isPortDecl) {
         declarePendingPort(name, range.width(), isInput, isReg);
       } else {
@@ -414,7 +420,7 @@ class Parser {
   }
 
   rtl::LValue parseLValue() {
-    const std::string name = expect(TokenKind::Identifier, "expected assignment target").text;
+    const std::string name{expect(TokenKind::Identifier, "expected assignment target").text};
     if (name == options_.keyPortName) fail("cannot assign to the key input");
     const auto id = module_->findSignal(name);
     if (!id) fail("assignment to undeclared signal '" + name + "'");
@@ -446,8 +452,8 @@ class Parser {
       if (accept(TokenKind::Star)) {
         expect(TokenKind::RParen, "expected ')'");
       } else if (accept(TokenKind::KwPosedge)) {
-        const std::string clockName =
-            expect(TokenKind::Identifier, "expected clock signal name").text;
+        const std::string clockName{
+            expect(TokenKind::Identifier, "expected clock signal name").text};
         const auto id = module_->findSignal(clockName);
         if (!id) fail("undeclared clock '" + clockName + "'");
         clock = *id;
@@ -610,6 +616,13 @@ class Parser {
       expect(TokenKind::RBrace, "expected '}' in replication");
       expect(TokenKind::RBrace, "expected '}' closing replication");
       if (count.value == 0 || count.value > 64) fail("replication count out of range");
+      const auto copies = static_cast<std::int64_t>(count.value);
+      if (copies * rtl::exprSize(*body.expr) > kMaxBits) {
+        fail("replication clones more than " + std::to_string(kMaxBits) + " expression nodes");
+      }
+      if (copies * body.expr->width() > kMaxBits) {
+        fail("concatenation wider than " + std::to_string(kMaxBits) + " bits");
+      }
       std::vector<ExprPtr> parts;
       parts.reserve(static_cast<std::size_t>(count.value));
       for (std::uint64_t i = 0; i < count.value; ++i) parts.push_back(body.expr->clone());
@@ -617,9 +630,12 @@ class Parser {
     }
     std::vector<ExprPtr> parts;
     int childHeight = 0;
+    std::int64_t width = 0;
     do {
       Parsed part = parseExpression();
       childHeight = std::max(childHeight, part.height);
+      width += part.expr->width();
+      if (width > kMaxBits) fail("concatenation wider than " + std::to_string(kMaxBits) + " bits");
       parts.push_back(std::move(part.expr));
     } while (accept(TokenKind::Comma));
     expect(TokenKind::RBrace, "expected '}' after concatenation");
@@ -627,7 +643,7 @@ class Parser {
   }
 
   Parsed parseReference() {
-    const std::string name = expect(TokenKind::Identifier, "expected identifier").text;
+    const std::string name{expect(TokenKind::Identifier, "expected identifier").text};
     if (const auto param = params_.find(name); param != params_.end()) {
       if (check(TokenKind::LBracket)) fail("bit-selects on parameters are not supported");
       const int width =
@@ -683,7 +699,7 @@ class Parser {
 
   std::optional<rtl::Module> module_;
   std::vector<std::pair<std::string, bool>> pendingPorts_;  // name, direction-seen
-  std::map<std::string, Parameter> params_;
+  std::map<std::string, Parameter, std::less<>> params_;
   int keyWidth_ = 0;
   int depth_ = 0;  // Nested levels open
 };

@@ -80,12 +80,12 @@ enum class TokenKind : std::uint8_t {
 [[nodiscard]] std::string_view tokenKindName(TokenKind kind) noexcept;
 
 struct Token {
-  TokenKind kind = TokenKind::EndOfFile;
-  std::string text;          // identifier spelling or literal text
+  std::string_view text;     // identifier spelling or literal text, in the lexed source
   std::uint64_t value = 0;   // numeric value for Number tokens
   int numberWidth = 0;       // explicit size of a sized literal; 0 = unsized
   int line = 1;
   int column = 1;
+  TokenKind kind = TokenKind::EndOfFile;
 };
 
 }  // namespace rtlock::verilog

@@ -1,7 +1,9 @@
 // Differential suite for tree-free relock rounds: PoolRelocker must draw
 // exactly what LockEngine + assureRandomLock draw and emit exactly the rows
-// LocalityHarvester harvests, for every registry design that meets its
-// precondition; snapshotAttack must give the tree path's result.
+// LocalityHarvester harvests (the tree path, run here as the oracle) on
+// every target — registry designs, the external fixtures, and random
+// modules whose lockable operations nest — and snapshotAttack must give the
+// tree path's result.
 #include "attack/pool_relock.hpp"
 
 #include <gtest/gtest.h>
@@ -9,7 +11,9 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <fstream>
 #include <limits>
+#include <sstream>
 #include <string>
 
 #include "attack/harvest.hpp"
@@ -18,6 +22,7 @@
 #include "designs/random.hpp"
 #include "designs/registry.hpp"
 #include "rtl/builder.hpp"
+#include "verilog/parser.hpp"
 
 namespace rtlock::attack {
 namespace {
@@ -38,9 +43,9 @@ rtl::Module lockedWith(rtl::Module module, lock::Algorithm algorithm, std::uint6
 
 int roundBudget(int lockableOps) { return std::max(1, static_cast<int>(0.75 * lockableOps)); }
 
-/// The tree path: relock the live module, harvest, undo.
-ml::Dataset treeRows(rtl::Module& target, const lock::PairTable& table,
-                     const LocalityConfig& config, int rounds, support::Rng& rng) {
+/// The tree path, the oracle: relock the live module, harvest, undo.
+ml::Dataset relockOnTree(rtl::Module& target, const lock::PairTable& table,
+                         const LocalityConfig& config, int rounds, support::Rng& rng) {
   lock::LockEngine engine{target, table};
   LocalityHarvester harvester{engine, config};
   ml::Dataset rows{featureCount(config)};
@@ -76,12 +81,6 @@ ml::Dataset keptRows(const PoolRelocker& relocker, const LocalityConfig& config,
   return rows;
 }
 
-ml::Dataset poolRows(PoolRelocker relocker, const LocalityConfig& config, int rounds,
-                     support::Rng& rng) {
-  relockRounds(relocker, rounds, rng);
-  return keptRows(relocker, config, kAllRows, rng);
-}
-
 std::uint64_t bitsOf(double value) { return std::bit_cast<std::uint64_t>(value); }
 
 /// Equal row count, and per row equal feature bits, label and weight bits.
@@ -97,47 +96,104 @@ void expectSameRows(const ml::Dataset& actual, const ml::Dataset& expected,
   }
 }
 
-/// Compares both paths on one locked target; returns false when the target
-/// does not qualify.
-bool matchesTreePath(const rtl::Module& locked, const LocalityConfig& config, int rounds,
+/// Rounds in which key indices repeated, and in which rows of one key
+/// differed.
+struct Ties {
+  std::size_t rounds = 0;
+  std::size_t ordered = 0;
+  Ties& operator+=(const Ties& other) {
+    rounds += other.rounds;
+    ordered += other.ordered;
+    return *this;
+  }
+};
+
+/// Compares both paths on one target: rows, labels, weights and the final
+/// Rng state.
+Ties matchesTreePath(const rtl::Module& locked, const LocalityConfig& config, int rounds,
                      std::uint64_t seed, const std::string& context,
                      const lock::PairTable& table = lock::PairTable::fixed()) {
-  const std::optional<PoolRelocker> relocker = PoolRelocker::build(locked, table, config);
-  if (!relocker.has_value()) return false;
+  const PoolRelocker relocker = PoolRelocker::build(locked, table, config);
   rtl::Module tree = locked.clone();
   {
     const lock::LockEngine engine{tree, table};
-    EXPECT_EQ(relocker->totalLockableOps(), engine.totalLockableOps()) << context;
+    EXPECT_EQ(relocker.totalLockableOps(), engine.totalLockableOps()) << context;
   }
   support::Rng treeRng{seed};
   support::Rng poolRng{seed};
-  const ml::Dataset expected = treeRows(tree, table, config, rounds, treeRng);
-  const ml::Dataset actual = poolRows(*relocker, config, rounds, poolRng);
+  const ml::Dataset expected = relockOnTree(tree, table, config, rounds, treeRng);
+  PoolRelocker relocked = relocker;
+  relockRounds(relocked, rounds, poolRng);
+  const ml::Dataset actual = keptRows(relocked, config, kAllRows, poolRng);
   expectSameRows(actual, expected, context);
   EXPECT_TRUE(poolRng == treeRng) << context << ": Rng states differ";
-  return true;
+  return {relocked.tieRounds(), relocked.orderedTieRounds()};
 }
 
-/// Registry designs meeting the precondition: all but the two whose dummies
-/// clone key muxes.
-bool qualifies(const std::string& design) { return design != "SASC" && design != "SIM_SPI"; }
+/// Both feature sets.
+Ties matchesTreePathBothFeatures(const rtl::Module& locked, int rounds, std::uint64_t seed,
+                                 const std::string& context,
+                                 const lock::PairTable& table = lock::PairTable::fixed()) {
+  Ties ties;
+  for (const bool extended : {false, true}) {
+    LocalityConfig config;
+    config.extendedFeatures = extended;
+    ties += matchesTreePath(locked, config, rounds, seed,
+                            context + (extended ? " extended" : " basic"), table);
+  }
+  return ties;
+}
 
-TEST(PoolRelockTest, RowsMatchTreePathOnEveryQualifyingDesign) {
+TEST(PoolRelockTest, RowsMatchTreePathOnEveryRegistryDesign) {
+  Ties ties;
   for (const std::string& name : designs::benchmarkNames()) {
-    if (!qualifies(name)) continue;
+    Ties designTies;
     for (const lock::Algorithm algorithm : kAlgorithms) {
       for (const std::uint64_t seed : {1u, 2u, 3u}) {
         const rtl::Module locked = lockedWith(designs::makeBenchmark(name), algorithm, seed);
-        for (const bool extended : {false, true}) {
-          LocalityConfig config;
-          config.extendedFeatures = extended;
-          std::string context = name + " " + std::string{lock::algorithmName(algorithm)};
-          context += (extended ? " extended seed " : " basic seed ") + std::to_string(seed);
-          EXPECT_TRUE(matchesTreePath(locked, config, 50, seed + 1000, context)) << context;
+        std::string context = name + " " + std::string{lock::algorithmName(algorithm)};
+        context += " seed " + std::to_string(seed);
+        designTies += matchesTreePathBothFeatures(locked, 50, seed + 1000, context);
+      }
+    }
+    // Dummies clone key muxes only where lockable operations nest.
+    if (name == "SASC" || name == "SIM_SPI") {
+      EXPECT_GT(designTies.rounds, 0u) << name;
+    }
+    ties += designTies;
+  }
+  // Both orders occur: rows of one key all equal, and rows of one key that
+  // differ, which only the tree path's tie order places.
+  EXPECT_GT(ties.rounds, ties.ordered);
+  EXPECT_GT(ties.ordered, 0u);
+}
+
+std::string readFixture(const char* name) {
+  std::ifstream in{std::string{RTLOCK_EXAMPLES_DIR} + "/external/" + name};
+  EXPECT_TRUE(in.good()) << name;
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+TEST(PoolRelockTest, RowsMatchTreePathOnExternalFixtures) {
+  Ties ties;
+  for (const char* file : {"alu8.v", "conv3.v"}) {
+    const rtl::Design design = verilog::parseDesign(readFixture(file));
+    for (std::size_t m = 0; m < design.moduleCount(); ++m) {
+      const rtl::Module& module = design.module(m);
+      ties += matchesTreePathBothFeatures(module, 40, 5, std::string{file} + " unlocked");
+      for (const lock::Algorithm algorithm : kAlgorithms) {
+        for (const std::uint64_t seed : {1u, 2u}) {
+          const rtl::Module locked = lockedWith(module.clone(), algorithm, seed);
+          std::string context = std::string{file} + " " + module.name() + " ";
+          context += std::string{lock::algorithmName(algorithm)} + " seed " + std::to_string(seed);
+          ties += matchesTreePathBothFeatures(locked, 40, seed + 50, context);
         }
       }
     }
   }
+  EXPECT_GT(ties.rounds, 0u);
 }
 
 /// Non-leaf operands (cloned into every dummy) and lockable operations
@@ -164,11 +220,31 @@ TEST(PoolRelockTest, RowsMatchTreePathWithDeepOperands) {
     LocalityConfig config;
     config.extendedFeatures = extended;
     for (const std::uint64_t seed : {4u, 5u, 6u}) {
-      EXPECT_TRUE(matchesTreePath(deepOperandModule(), config, 60, seed, "deep"));
+      (void)matchesTreePath(deepOperandModule(), config, 60, seed, "deep");
       const rtl::Module locked = lockedWith(deepOperandModule(), lock::Algorithm::Hra, seed);
-      EXPECT_TRUE(matchesTreePath(locked, config, 60, seed, "deep locked"));
+      (void)matchesTreePath(locked, config, 60, seed, "deep locked");
     }
   }
+}
+
+TEST(PoolRelockTest, RowsMatchTreePathWhenMuxesWidenOperands) {
+  // A ** mux is as wide as its % dummy, max(4, 12) bits, not 4: once a
+  // round wraps the **, a clone of the + above it is 12 bits wide while the
+  // + itself keeps its 4, and the + mux's width bucket follows the clone.
+  rtl::ModuleBuilder b{"widening"};
+  const auto a = b.input("a", 4);
+  const auto c = b.input("c", 12);
+  const auto d = b.input("d", 4);
+  for (int i = 0; i < 8; ++i) {
+    b.assign(b.output("y" + std::to_string(i), 16),
+             b.add(b.bin(OpKind::Pow, b.ref(a), b.ref(c)), b.ref(d)));
+  }
+  const rtl::Module module = b.take();
+  LocalityConfig extended;
+  extended.extendedFeatures = true;
+  (void)matchesTreePath(module, extended, 40, 26, "widening");
+  const rtl::Module locked = lockedWith(module.clone(), lock::Algorithm::AssureSerial, 27);
+  (void)matchesTreePath(locked, extended, 40, 28, "widening locked");
 }
 
 TEST(PoolRelockTest, RowsMatchTreePathUnderOriginalAssurePairs) {
@@ -183,7 +259,7 @@ TEST(PoolRelockTest, RowsMatchTreePathUnderOriginalAssurePairs) {
       lock::LockEngine engine{locked, table};
       support::Rng rng{21};
       (void)lock::assureRandomLock(engine, roundBudget(engine.initialLockableOps()), rng);
-      EXPECT_TRUE(matchesTreePath(locked, config, 50, 22, name, table)) << name;
+      (void)matchesTreePath(locked, config, 50, 22, name, table);
     }
   }
 }
@@ -204,14 +280,13 @@ TEST(PoolRelockTest, RowsMatchTreePathThroughTransitiveDummyKinds) {
   for (const bool extended : {false, true}) {
     LocalityConfig config;
     config.extendedFeatures = extended;
-    EXPECT_TRUE(matchesTreePath(module, config, 20, 23, "pow_only",
-                                lock::PairTable::assureOriginal()));
+    (void)matchesTreePath(module, config, 20, 23, "pow_only", lock::PairTable::assureOriginal());
   }
 }
 
 TEST(PoolRelockTest, RowsMatchTreePathOnRandomModules) {
-  // Fixed-seed differential sweep: every random module meets the
-  // precondition, under both pair tables and both feature sets.
+  // Fixed-seed differential sweep over flat random modules, under both pair
+  // tables and both feature sets.
   support::Rng moduleRng{24};
   for (int i = 0; i < 200; ++i) {
     const rtl::Module module = designs::makeRandomModule(moduleRng);
@@ -223,34 +298,137 @@ TEST(PoolRelockTest, RowsMatchTreePathOnRandomModules) {
         std::string context = "random module " + std::to_string(i);
         context += table == &lock::PairTable::fixed() ? " fixed" : " assureOriginal";
         context += extended ? " extended" : " basic";
-        ASSERT_TRUE(matchesTreePath(module, config, 20, 1000 + i, context, *table)) << context;
+        (void)matchesTreePath(module, config, 20, 1000 + i, context, *table);
+        ASSERT_FALSE(HasFailure()) << context;
       }
     }
   }
 }
 
-TEST(PoolRelockTest, PreconditionAcceptsTwelveRegistryDesigns) {
+/// A random module whose lockable operations nest: expression trees up to
+/// four levels deep over lockable and unlockable operators, unary and
+/// slice wrappers, design ternaries and key muxes, in continuous
+/// assignments and in the statements of a combinational and a sequential
+/// process.  Test-local, so designs::makeRandomModule stays as it is.
+class NestedModuleGenerator {
+ public:
+  explicit NestedModuleGenerator(support::Rng& rng) : rng_(rng) {}
+
+  rtl::Module make(int index) {
+    rtl::ModuleBuilder b{"nested" + std::to_string(index)};
+    builder_ = &b;
+    keyBits_ = 0;
+    inputs_.clear();
+    const int inputCount = 2 + static_cast<int>(rng_.below(3));
+    for (int i = 0; i < inputCount; ++i) {
+      inputs_.push_back(b.input("i" + std::to_string(i), 1 + static_cast<int>(rng_.below(12))));
+    }
+    sel_ = b.input("sel", 1);
+    const rtl::SignalId clk = b.input("clk", 1);
+    const int assigns = 1 + static_cast<int>(rng_.below(4));
+    for (int i = 0; i < assigns; ++i) {
+      b.assign(b.output("y" + std::to_string(i), 16), expr(1 + static_cast<int>(rng_.below(4))));
+    }
+    const rtl::SignalId comb = b.outputReg("c", 16);
+    std::vector<rtl::StmtPtr> body;
+    body.push_back(rtl::makeAssign(rtl::LValue{comb, std::nullopt}, expr(3), false));
+    body.push_back(
+        rtl::makeIf(expr(2), rtl::makeAssign(rtl::LValue{comb, std::nullopt}, expr(3), false),
+                    rtl::makeAssign(rtl::LValue{comb, std::nullopt}, expr(1), false)));
+    b.combProcess(rtl::makeBlock(std::move(body)));
+    b.regAssign(clk, b.outputReg("q", 16), expr(3));
+    rtl::Module module = b.take();
+    if (keyBits_ > 0) (void)module.allocateKeyBits(keyBits_);
+    return module;
+  }
+
+ private:
+  rtl::ExprPtr leaf() {
+    const rtl::SignalId input = inputs_[rng_.below(inputs_.size())];
+    switch (rng_.below(4)) {
+      case 0: return builder_->lit(rng_.below(16), 4);
+      case 1: {
+        const int width = builder_->module().signal(input).width;
+        return width > 1 ? builder_->slice(builder_->ref(input), width - 1, 1)
+                         : builder_->ref(input);
+      }
+      default: return builder_->ref(input);
+    }
+  }
+
+  rtl::ExprPtr expr(int depth) {
+    if (depth == 0) return leaf();
+    static constexpr OpKind kKinds[] = {OpKind::Add, OpKind::Sub, OpKind::Mul, OpKind::Div,
+                                        OpKind::And, OpKind::Or,  OpKind::Xor, OpKind::Shl,
+                                        OpKind::Shr, OpKind::AShr, OpKind::Lt, OpKind::Eq,
+                                        OpKind::Pow, OpKind::Mod, OpKind::LAnd, OpKind::Xnor};
+    switch (rng_.below(8)) {
+      case 0: return leaf();
+      case 1: return builder_->notE(expr(depth - 1));
+      case 2: return builder_->mux(builder_->ref(sel_), expr(depth - 1), expr(depth - 1));
+      case 3: {
+        // A key mux of the target's own key, as locking leaves one.
+        const int key = keyBits_++;
+        return builder_->mux(rtl::makeKeyRef(key), expr(depth - 1), expr(depth - 1));
+      }
+      default: {
+        const OpKind kind = kKinds[rng_.below(std::size(kKinds))];
+        return builder_->bin(kind, expr(depth - 1), expr(depth - 1));
+      }
+    }
+  }
+
+  support::Rng& rng_;
+  rtl::ModuleBuilder* builder_ = nullptr;
+  std::vector<rtl::SignalId> inputs_;
+  rtl::SignalId sel_{};
+  int keyBits_ = 0;
+};
+
+TEST(PoolRelockTest, RowsMatchTreePathOnNestedRandomModules) {
+  support::Rng moduleRng{25};
+  NestedModuleGenerator generator{moduleRng};
+  Ties ties;
+  for (int i = 0; i < 200; ++i) {
+    rtl::Module module = generator.make(i);
+    // Three in four modules are locked first, as an attacked target is.
+    if (i % 4 != 0) module = lockedWith(std::move(module), kAlgorithms[i % 3], 100 + i);
+    for (const lock::PairTable* table :
+         {&lock::PairTable::fixed(), &lock::PairTable::assureOriginal()}) {
+      std::string context = "nested module " + std::to_string(i);
+      context += table == &lock::PairTable::fixed() ? " fixed" : " assureOriginal";
+      ties += matchesTreePathBothFeatures(module, 20, 2000 + i, context, *table);
+      ASSERT_FALSE(HasFailure()) << context;
+    }
+  }
+  // Rounds whose dummies clone a mux of the same round, so the tie order is
+  // exercised.
+  EXPECT_GT(ties.ordered, 0u);
+}
+
+TEST(PoolRelockTest, RowsMatchTreePathOnLockedRegistryDesignsAtAnotherSeed) {
+  // Every registry design locked at another seed, relocked with the
+  // default (basic) features.
   for (const std::string& name : designs::benchmarkNames()) {
     for (const lock::Algorithm algorithm : kAlgorithms) {
       const rtl::Module locked = lockedWith(designs::makeBenchmark(name), algorithm, 7);
-      EXPECT_EQ(PoolRelocker::build(locked, lock::PairTable::fixed(), {}).has_value(),
-                qualifies(name))
-          << name << " " << lock::algorithmName(algorithm);
+      (void)matchesTreePath(locked, {}, 30, 7,
+                            name + " " + std::string{lock::algorithmName(algorithm)});
     }
   }
 }
 
-TEST(PoolRelockTest, PreconditionRejectsLockableOperationInsideOperand) {
+TEST(PoolRelockTest, RowsMatchTreePathWithLockableOperationInsideOperand) {
   rtl::ModuleBuilder b{"nested"};
   const auto a = b.input("a", 8);
   const auto c = b.input("c", 8);
   const auto y = b.output("y", 8);
   b.assign(y, b.mul(b.add(b.ref(a), b.ref(c)), b.ref(c)));
   const rtl::Module module = b.take();
-  EXPECT_FALSE(PoolRelocker::build(module, lock::PairTable::fixed(), {}).has_value());
+  (void)matchesTreePathBothFeatures(module, 40, 8, "nested");
 }
 
-TEST(PoolRelockTest, PreconditionRejectsKeyMuxInsideOperand) {
+TEST(PoolRelockTest, RowsMatchTreePathWithKeyMuxInsideOperand) {
   rtl::ModuleBuilder b{"keyed"};
   const auto a = b.input("a", 8);
   const auto c = b.input("c", 8);
@@ -258,7 +436,7 @@ TEST(PoolRelockTest, PreconditionRejectsKeyMuxInsideOperand) {
   b.assign(y, b.add(b.mux(rtl::makeKeyRef(0), b.ref(a), b.ref(c)), b.ref(c)));
   rtl::Module module = b.take();
   (void)module.allocateKeyBits(1);
-  EXPECT_FALSE(PoolRelocker::build(module, lock::PairTable::fixed(), {}).has_value());
+  (void)matchesTreePathBothFeatures(module, 40, 9, "keyed");
 }
 
 /// snapshotAttack's steps, all on the tree path.
@@ -266,7 +444,7 @@ SnapshotResult treeReferenceAttack(rtl::Module& target, const std::vector<lock::
                                    const SnapshotConfig& config, support::Rng& rng) {
   const std::vector<Locality> localities = extractLocalities(target, config.locality);
   const ml::Dataset training =
-      treeRows(target, lock::PairTable::fixed(), config.locality, config.relockRounds, rng);
+      relockOnTree(target, lock::PairTable::fixed(), config.locality, config.relockRounds, rng);
   const ml::AutoMlResult automl = ml::autoSelect(training, config.automl, rng);
   SnapshotResult result;
   result.modelName = automl.bestName;
@@ -287,14 +465,13 @@ TEST(PoolRelockTest, SnapshotSamplingBranchMatchesTreePath) {
     config.automl.folds = 2;
     config.automl.maxTrainingRows = 257;  // far below the ~30 * budget rows harvested
     config.locality.extendedFeatures = extended;
-    for (const char* name : {"FIR", "MD5", "N_1023"}) {
+    for (const char* name : {"FIR", "MD5", "N_1023", "SASC"}) {
       rtl::Module module = designs::makeBenchmark(name);
       lock::LockEngine engine{module, lock::PairTable::fixed()};
       support::Rng lockRng{11};
       (void)lock::lockWithAlgorithm(engine, lock::Algorithm::AssureSerial,
                                     roundBudget(engine.initialLockableOps()), lockRng);
       const std::vector<lock::LockRecord> truth = engine.records();
-      ASSERT_TRUE(PoolRelocker::build(module, lock::PairTable::fixed(), config.locality));
 
       support::Rng attackRng{12};
       const SnapshotResult actual =
@@ -317,15 +494,13 @@ TEST(PoolRelockTest, FoldAggregatesMatchMaterializedRows) {
   for (const bool extended : {false, true}) {
     LocalityConfig config;
     config.extendedFeatures = extended;
-    for (const char* name : {"FIR", "MD5", "N_1023"}) {
+    for (const char* name : {"FIR", "MD5", "N_1023", "SASC"}) {
       const rtl::Module locked =
           lockedWith(designs::makeBenchmark(name), lock::Algorithm::AssureSerial, 11);
-      std::optional<PoolRelocker> relocker =
-          PoolRelocker::build(locked, lock::PairTable::fixed(), config);
-      ASSERT_TRUE(relocker.has_value()) << name;
+      PoolRelocker relocker = PoolRelocker::build(locked, lock::PairTable::fixed(), config);
       support::Rng roundRng{31};
-      relockRounds(*relocker, 30, roundRng);
-      const std::size_t rows = relocker->rowCount();
+      relockRounds(relocker, 30, roundRng);
+      const std::size_t rows = relocker.rowCount();
       // Under the cap (whole, and exactly at it) and over it (a third, and
       // a cap of 257 that keeps few duplicates).
       for (const std::size_t maxRows : {kAllRows, rows, rows / 3, std::size_t{257}}) {
@@ -335,9 +510,9 @@ TEST(PoolRelockTest, FoldAggregatesMatchMaterializedRows) {
                      std::to_string(rows) + " folds " + std::to_string(folds);
           support::Rng rng{32};
           support::Rng oracleRng{32};
-          const ml::KFoldAggregates actual = relocker->foldAggregates(maxRows, folds, rng);
+          const ml::KFoldAggregates actual = relocker.foldAggregates(maxRows, folds, rng);
           const ml::KFoldAggregates expected =
-              keptRows(*relocker, config, maxRows, oracleRng).kFoldAggregated(folds, oracleRng);
+              keptRows(relocker, config, maxRows, oracleRng).kFoldAggregated(folds, oracleRng);
           expectSameRows(actual.all, expected.all, context + " all");
           ASSERT_EQ(actual.folds.size(), expected.folds.size()) << context;
           for (std::size_t f = 0; f < actual.folds.size(); ++f) {

@@ -136,6 +136,19 @@ TEST_F(DispatchTest, DeeplyNestedBodiesAre400) {
   }
 }
 
+TEST_F(DispatchTest, ReplicationBlowUpIs400) {
+  // 79 bytes of nested replication used to clone into 16.7M nodes and end
+  // in std::bad_alloc.
+  support::JsonValue body;
+  body.set("source",
+           "module m (input a, output y); assign y = {64{{64{{64{{64{a}}}}}}}}; endmodule\n");
+  const HttpResponse response = dispatcher_.handle(makeRequest("POST", "/v1/lock", body.dump()));
+  EXPECT_EQ(response.status, 400);
+  const support::JsonValue document = support::parseJson(response.body);
+  EXPECT_NE(document.at("error").asString().find("expression nodes"), std::string::npos)
+      << document.at("error").asString();
+}
+
 TEST_F(DispatchTest, LockMissThenHitBodiesAreByteIdentical) {
   support::JsonValue body;
   body.set("source", kMixer);

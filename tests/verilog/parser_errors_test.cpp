@@ -138,6 +138,26 @@ TEST(ParserErrorsTest, ReplicationCountZero) {
                  "replication count");
 }
 
+TEST(ParserErrorsTest, NestedReplicationRejectedBeforeCloning) {
+  // 64^4 copies of `a`: each level multiplies the clones by 64, so the
+  // fourth would build 16.7M nodes.  The third (262,144) is within the cap.
+  expectRejected("module m (input a, output y); assign y = {64{{64{{64{{64{a}}}}}}}}; endmodule",
+                 "replication clones more than 1048576 expression nodes");
+  EXPECT_NO_THROW((void)parseModule(
+      "module m (input a, output y); assign y = {64{{64{{64{a}}}}}}; endmodule"));
+}
+
+TEST(ParserErrorsTest, WideConcatenationRejected) {
+  // 64^3 clones of a 64-bit signal: within the node cap, 16M bits wide.
+  expectRejected(
+      "module m (input [63:0] a, output y); assign y = {64{{64{{64{a}}}}}}; endmodule",
+      "concatenation wider than 1048576 bits");
+  std::string parts = "a";
+  for (int i = 0; i < 16384; ++i) parts += ", a";
+  expectRejected("module m (input [63:0] a, output y); assign y = {" + parts + "}; endmodule",
+                 "concatenation wider than 1048576 bits");
+}
+
 TEST(ParserErrorsTest, GoodErrorLocationReporting) {
   try {
     (void)parseModule("module m (input a,\n output y);\n assign z = a;\nendmodule");
