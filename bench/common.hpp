@@ -1,22 +1,20 @@
-// Shared plumbing for the figure-reproduction benches.
+// Shared plumbing for the figure-reproduction and ablation benches.
 //
-// Every bench accepts:
+// Every bench declares its flags as service::Field rows and decodes them
+// with service::decodeFlags, the request-schema mechanism behind rtlock's
+// flags: an unknown flag, a malformed value or an out-of-range count is an
+// error naming the flag and the rejected value.  Rows most benches share:
 //   --seed=N       master RNG seed (default 1)
 //   --csv          emit CSV instead of an aligned table
-//   --samples=N    locked samples per configuration (paper: 10)
-//   --relocks=N    training relock rounds per sample (paper: 1000)
-// Counts (--samples, --trials, --vectors in [1, 10^6], --relocks in
-// [1, 10^9]) and --budget (a fraction: 0.75 or 75%) are read strictly and
-// bounded as rtlock's request schema bounds them (countFlag, budgetFlag).
-// Benches routed through the experiment engine (fig4/5/6, run_baseline, the
-// evaluateBenchmark-based ablations) additionally accept
+//   --samples=N    locked samples per configuration (paper: 10), in [1, 10^6]
+//   --relocks=N    training relock rounds per sample (paper: 1000), in [1, 10^9]
+//   --budget=SPEC  key budget fraction: 0.75 or 75% (a bit count is rejected)
 //   --threads=N    workers for the bench's grid of cells in [0, 4096]
 //                  (default: RTLOCK_THREADS env, else hardware concurrency;
-//                  1 = serial reference path), resolved by
-//                  support::requestedThreads
+//                  1 = serial reference path)
 // The grid is the only level that fans out (a cell's samples run serially),
 // and results are bit-identical at every thread count (see
-// support/task_pool.hpp).  Other flags are documented in each main().
+// support/task_pool.hpp).  Other flags are documented with each bench.
 #pragma once
 
 #include <iostream>
@@ -31,6 +29,41 @@
 #include "support/task_pool.hpp"
 
 namespace rtlock::bench {
+
+using service::Field;
+using service::FieldKind;
+
+/// A bare --name switch.
+inline Field flagField(std::string_view name) {
+  return {name, FieldKind::Flag, service::kCli, "", "", ""};
+}
+inline const Field kSeedField{"seed", FieldKind::Count, service::kCli, "1", "N", ""};
+inline const Field kCsvField = flagField("csv");
+inline const Field kThreadsField{"threads", FieldKind::Threads, service::kCli, "", "N", "", "", 0,
+                                 support::kMaxThreads};
+
+/// A count flag in [min, max], `fallback` when absent.
+inline Field countField(std::string_view name, std::string_view fallback, std::uint64_t max,
+                        std::uint64_t min = 1) {
+  return {name, FieldKind::Count, service::kCli, fallback, "N", "", "", min, max};
+}
+inline Field samplesField(std::string_view fallback) {
+  return countField("samples", fallback, service::kMaxSamples);
+}
+inline Field relocksField(std::string_view fallback) {
+  return countField("relocks", fallback, service::kMaxRounds);
+}
+inline Field textField(std::string_view name, std::string_view fallback) {
+  return {name, FieldKind::Text, service::kCli, fallback, "", ""};
+}
+
+/// The --budget row as a key budget fraction in (0, 1], parsed as rtlock's
+/// --budget is; a bit count is rejected.
+inline double budgetFraction(const service::FieldValues& flags) {
+  const service::BudgetSpec spec = service::parseBudget(flags.text("budget"));
+  service::requireFraction(spec, "--budget");
+  return spec.fraction;
+}
 
 /// Renders a table according to the --csv flag.
 inline void emit(const support::Table& table, bool csv) {
@@ -47,25 +80,6 @@ inline void banner(const std::string& title, const std::string& paperRef,
   std::cout << "== " << title << " ==\n"
             << "reproduces: " << paperRef << "\n"
             << "expected shape: " << expectation << "\n\n";
-}
-
-/// Count flag `name` in [1, max], read with the strict getU64.
-inline int countFlag(const support::CliArgs& args, std::string_view name, int fallback,
-                     std::uint64_t max) {
-  const std::uint64_t value = args.getU64(name, static_cast<std::uint64_t>(fallback));
-  if (value < 1 || value > max) {
-    throw support::Error{"--" + std::string{name} + " must be in [1, " + std::to_string(max) +
-                         "], got " + std::to_string(value)};
-  }
-  return static_cast<int>(value);
-}
-
-/// --budget as a key budget fraction in (0, 1], parsed as rtlock's --budget
-/// is; a bit count is rejected.
-inline double budgetFlag(const support::CliArgs& args, std::string_view fallback) {
-  const service::BudgetSpec spec = service::parseBudget(args.get("budget", fallback));
-  service::requireFraction(spec, "--budget");
-  return spec.fraction;
 }
 
 /// Wraps main-body execution with uniform error reporting.

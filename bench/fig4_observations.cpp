@@ -59,14 +59,19 @@ void report(const std::string& scenario, const std::string& figure,
 
 int main(int argc, char** argv) {
   return rtlock::bench::runBench([&] {
-    const support::CliArgs args(argc, argv,
-                                {"seed", "csv", "network", "bits", "relocks", "threads"});
-    const std::uint64_t seed = args.getU64("seed", 1);
-    const bool csv = args.getBool("csv", false);
-    const int network = bench::countFlag(args, "network", 64, kMaxNetwork);
-    const int bits = bench::countFlag(args, "bits", 32, static_cast<std::uint64_t>(network));
-    const int rounds = bench::countFlag(args, "relocks", 200, service::kMaxRounds);
-    const int threads = support::requestedThreads(args);
+    const service::Schema schema{
+        "fig4_observations", "",
+        {bench::kSeedField, bench::kCsvField, bench::countField("network", "64", kMaxNetwork),
+         bench::countField("bits", "32", kMaxNetwork), bench::relocksField("200"),
+         bench::kThreadsField}};
+    const service::FieldValues flags = service::decodeFlags(schema, {argv + 1, argv + argc});
+    const int network = flags.integer("network");
+    const int bits = flags.integer("bits");
+    // The one bound between two flags: the test lock fits the network.
+    if (bits > network) {
+      throw support::Error{"--bits must not exceed --network=" + std::to_string(network) +
+                           ", got " + std::to_string(bits)};
+    }
 
     rtlock::bench::banner(
         "Fig. 4 — operation selection vs. learning resilience",
@@ -79,9 +84,10 @@ int main(int argc, char** argv) {
         {"serial test + serial relocking", "Fig. 4b/4e"},
         {"random test + random relocking (overlapping)", "Fig. 4c/4f"},
         {"serial test + disjoint training (no overlap)", "Fig. 4d/4g"}};
-    const auto observations = bench::observeFig4Scenarios(seed, network, bits, rounds, threads);
+    const auto observations = bench::observeFig4Scenarios(
+        flags.count("seed"), network, bits, flags.integer("relocks"), flags.integer("threads"));
     for (std::size_t index = 0; index < observations.size(); ++index) {
-      report(titles[index].first, titles[index].second, observations[index], csv);
+      report(titles[index].first, titles[index].second, observations[index], flags.flag("csv"));
     }
   });
 }

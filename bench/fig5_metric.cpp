@@ -92,19 +92,19 @@ void evolution(bool csv, std::uint64_t seed, int budget, int threads) {
 
 int main(int argc, char** argv) {
   return rtlock::bench::runBench([&] {
-    const support::CliArgs args(argc, argv, {"seed", "csv", "grid-step", "budget", "threads"});
-    const std::uint64_t seed = args.getU64("seed", 1);
-    const bool csv = args.getBool("csv", false);
     // The step walks the surface's x range [0, 25].
-    const int step = bench::countFlag(args, "grid-step", 5, 25);
-    const int budget = bench::countFlag(args, "budget", 60, kMaxBudgetBits);
-    const int threads = support::requestedThreads(args);
+    const service::Schema schema{
+        "fig5_metric", "",
+        {bench::kSeedField, bench::kCsvField, bench::countField("grid-step", "5", 25),
+         bench::countField("budget", "60", kMaxBudgetBits), bench::kThreadsField}};
+    const service::FieldValues flags = service::decodeFlags(schema, {argv + 1, argv + argc});
+    const bool csv = flags.flag("csv");
 
     rtlock::bench::banner("Fig. 5 — metric surface and evolution",
                           "Sisejkovic et al., DAC'22, Fig. 5a/5b",
                           "monotone surface; Greedy secures at 35 bits, HRA later, ERA in "
                           "two coarse jumps");
-    surface(csv, step);
-    evolution(csv, seed, budget, threads);
+    surface(csv, flags.integer("grid-step"));
+    evolution(csv, flags.count("seed"), flags.integer("budget"), flags.integer("threads"));
   });
 }

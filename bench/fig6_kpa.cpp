@@ -19,20 +19,19 @@
 int main(int argc, char** argv) {
   using namespace rtlock;
   return bench::runBench([&] {
-    const support::CliArgs args(argc, argv, {"seed", "csv", "samples", "relocks", "budget",
-                                             "benchmarks", "extended", "threads"});
-    const std::uint64_t seed = args.getU64("seed", 1);
-    const bool csv = args.getBool("csv", false);
-    const int threads = support::requestedThreads(args);
-    const attack::EvaluationConfig config = bench::fig6Config(
-        bench::countFlag(args, "samples", 3, service::kMaxSamples),
-        bench::countFlag(args, "relocks", 60, service::kMaxRounds), bench::budgetFlag(args, "0.75"),
-        args.getBool("extended", false));
+    const service::Schema schema{
+        "fig6_kpa", "",
+        {bench::kSeedField, bench::kCsvField, bench::samplesField("3"), bench::relocksField("60"),
+         bench::textField("budget", "0.75"), bench::textField("benchmarks", ""),
+         bench::flagField("extended"), bench::kThreadsField}};
+    const service::FieldValues flags = service::decodeFlags(schema, {argv + 1, argv + argc});
+    const bool csv = flags.flag("csv");
+    const attack::EvaluationConfig config =
+        bench::fig6Config(flags.integer("samples"), flags.integer("relocks"),
+                          bench::budgetFraction(flags), flags.flag("extended"));
 
     std::vector<std::string> benchmarks = designs::benchmarkNames();
-    if (args.has("benchmarks")) {
-      benchmarks = support::split(args.get("benchmarks", ""), ',');
-    }
+    if (flags.has("benchmarks")) benchmarks = support::split(flags.text("benchmarks"), ',');
 
     bench::banner(
         "Fig. 6 — SnapShot-RTL attack vs. locking algorithms",
@@ -40,7 +39,8 @@ int main(int argc, char** argv) {
         "paper averages: ASSURE 74.78, HRA 74.26, ERA 47.92 KPA%; ERA ~= 50 everywhere, "
         "N_2046 ~= 100 for ASSURE");
 
-    const bench::Fig6Grid grid = bench::runFig6(benchmarks, config, support::Rng{seed}, threads);
+    const bench::Fig6Grid grid = bench::runFig6(
+        benchmarks, config, support::Rng{flags.count("seed")}, flags.integer("threads"));
     const auto& algorithms = bench::kFig6Algorithms;
 
     support::Table perBenchmark{{"benchmark", "ops", "ASSURE KPA%", "HRA KPA%", "ERA KPA%",

@@ -1,10 +1,12 @@
 // Baseline runner: the quality gate.  It re-runs the headline figure
 // reproductions (Fig. 4/5/6) through the same figures.hpp grids the figure
-// benches print, with fixed seeds, and emits a machine-readable
-// BENCH_baseline.json.  Besides the 12 quality rows it records the three
-// perf rows CI gates: the quick Fig. 6 grid's wall time and the journal and
-// manifest overhead of a campaign over that grid.  Hot-path timings live in
-// perf_microbench (google-benchmark) and end-to-end timings in perfbench/.
+// benches print, and every ablation through the ablations.hpp runs
+// `ablation <name>` prints, with fixed seeds, and emits a machine-readable
+// BENCH_baseline.json.  Besides the quality rows (12 figure rows, then the
+// ablation rows in a second table) it records the three perf rows CI gates:
+// the quick Fig. 6 grid's wall time and the journal and manifest overhead of
+// a campaign over that grid.  Hot-path timings live in perf_microbench
+// (google-benchmark) and end-to-end timings in perfbench/.
 //
 // Flags:
 //   --seed=N    master seed (default 1; every section derives fixed offsets)
@@ -32,6 +34,7 @@
 #include <string>
 #include <vector>
 
+#include "ablations.hpp"
 #include "campaign/journal.hpp"
 #include "campaign/manifest.hpp"
 #include "common.hpp"
@@ -173,6 +176,26 @@ void runFig6(std::vector<Row>& rows, std::uint64_t seed, bool full, int threads)
   std::filesystem::remove_all(manifestPath + ".claims");
 }
 
+// --- ablations: the gated values of every ablations.hpp run -----------------
+//
+// Each ablation runs at its `ablation <name>` defaults on this run's seed, so
+// at --seed=1 every row is a number the default table prints (oracle's gated
+// grid is N_ADD_128 alone, the first rows of its full table).
+
+void runAblations(std::vector<Row>& rows, std::uint64_t seed, int threads) {
+  for (const bench::Ablation& ablation : bench::ablations()) {
+    const service::Schema& schema = ablation.schema;
+    service::FieldValues flags{schema};
+    if (flags.knows("seed")) flags.set(schema.at("seed"), seed);
+    if (flags.knows("threads")) {
+      flags.set(schema.at("threads"), static_cast<std::uint64_t>(threads));
+    }
+    for (const bench::GatedValue& gated : ablation.run(flags, /*gate=*/true).gated) {
+      rows.push_back({std::string{schema.command}, gated.config, gated.metric, gated.value});
+    }
+  }
+}
+
 // --- quality gate -----------------------------------------------------------
 //
 // --check=PATH re-reads a committed baseline JSON and compares every
@@ -259,15 +282,16 @@ void writeJson(std::ostream& out, const std::vector<Row>& rows, std::uint64_t se
 
 int main(int argc, char** argv) {
   return rtlock::bench::runBench([&] {
-    const support::CliArgs args(argc, argv,
-                                {"seed", "json", "out", "full", "csv", "threads", "check"});
-    const std::uint64_t seed = args.getU64("seed", 1);
-    const bool json = args.getBool("json", false);
-    const bool full = args.getBool("full", false);
-    const bool csv = args.getBool("csv", false);
-    const int threads = support::requestedThreads(args);
-    const std::string outPath = args.get("out", "BENCH_baseline.json");
-    const std::string checkPath = args.get("check", "");
+    const service::Schema schema{
+        "run_baseline", "",
+        {bench::kSeedField, bench::flagField("json"),
+         bench::textField("out", "BENCH_baseline.json"), bench::flagField("full"),
+         bench::kCsvField, bench::kThreadsField, bench::textField("check", "")}};
+    const service::FieldValues flags = service::decodeFlags(schema, {argv + 1, argv + argc});
+    const std::uint64_t seed = flags.count("seed");
+    const int threads = flags.integer("threads");
+    const std::string outPath = flags.text("out");
+    const std::string checkPath = flags.text("check");
 
     rtlock::bench::banner("baseline runner — quality gate",
                           "Fig. 4/5/6 headline numbers (figures.hpp grids), fixed seeds",
@@ -277,18 +301,27 @@ int main(int argc, char** argv) {
     const auto start = Clock::now();
     runFig4(rows, seed, threads);
     runFig5(rows, seed, threads);
-    runFig6(rows, seed, full, threads);
+    runFig6(rows, seed, flags.flag("full"), threads);
+    const std::size_t figureRows = rows.size();
+    runAblations(rows, seed, threads);
 
-    support::Table table{{"bench", "config", "metric", "value", "wall_ms"}};
-    for (const Row& row : rows) {
-      table.addRow({row.bench, row.config, row.metric, support::formatDouble(row.value, 4),
-                    support::formatDouble(row.wallMs, 2)});
+    // The ablation rows print as a second table, so the figure table keeps
+    // its column widths.
+    for (const auto& [first, last] : {std::pair{std::size_t{0}, figureRows},
+                                      std::pair{figureRows, rows.size()}}) {
+      support::Table table{{"bench", "config", "metric", "value", "wall_ms"}};
+      for (std::size_t index = first; index < last; ++index) {
+        const Row& row = rows[index];
+        table.addRow({row.bench, row.config, row.metric, support::formatDouble(row.value, 4),
+                      support::formatDouble(row.wallMs, 2)});
+      }
+      std::cout << (first == 0 ? "" : "\n");
+      rtlock::bench::emit(table, flags.flag("csv"));
     }
-    rtlock::bench::emit(table, csv);
     std::cout << "\n" << rows.size() << " metric rows in "
               << support::formatDouble(elapsedMs(start), 0) << " ms\n";
 
-    if (json) {
+    if (flags.flag("json")) {
       std::ofstream file{outPath};
       if (!file) throw support::Error("cannot open " + outPath + " for writing");
       writeJson(file, rows, seed);

@@ -15,6 +15,7 @@ struct SampleOutcome {
   double bitsUsed = 0.0;
   double globalMetric = 0.0;
   double restrictedMetric = 0.0;
+  double trainingRows = 0.0;
   bool functionalFailure = false;
 };
 
@@ -52,6 +53,7 @@ SampleOutcome evaluateSample(lock::LockEngine& engine, const rtl::Module& origin
   outcome.bitsUsed = static_cast<double>(lockReport.bitsUsed);
   outcome.globalMetric = lockReport.finalGlobalMetric;
   outcome.restrictedMetric = lockReport.finalRestrictedMetric;
+  outcome.trainingRows = static_cast<double>(attack.trainingRows);
 
   // Restore the module for the next sample.
   engine.undoAll();
@@ -93,6 +95,7 @@ EvaluationResult evaluateBenchmark(const rtl::Module& original, const std::strin
     result.meanBitsUsed += outcome.bitsUsed;
     result.meanGlobalMetric += outcome.globalMetric;
     result.meanRestrictedMetric += outcome.restrictedMetric;
+    result.meanTrainingRows += outcome.trainingRows;
     if (outcome.functionalFailure) ++result.functionalFailures;
     ++result.samples;
   }
@@ -103,6 +106,7 @@ EvaluationResult evaluateBenchmark(const rtl::Module& original, const std::strin
   result.meanBitsUsed /= n;
   result.meanGlobalMetric /= n;
   result.meanRestrictedMetric /= n;
+  result.meanTrainingRows /= n;
   return result;
 }
 

@@ -36,6 +36,7 @@ struct EvaluationResult {
   double meanBitsUsed = 0.0;       // key bits consumed by locking (ERA may exceed budget)
   double meanGlobalMetric = 0.0;   // M^g_sec of the locked samples
   double meanRestrictedMetric = 0.0;
+  double meanTrainingRows = 0.0;   // harvested training rows (before auto-ml's row cap)
   /// Samples whose locked module misbehaved under the correct key; always 0
   /// unless config.verifyFunctional found a locking bug.
   int functionalFailures = 0;

@@ -12,7 +12,7 @@
 //    the original ASSURE implementation: (*, +), (+, -), (-, +) etc.  The
 //    mapping is not involutive for mul, div, mod, pow and xor, which leaks
 //    the real operation whenever an asymmetric pair is observed (reproduced
-//    by bench/ablation_leakage).
+//    by `ablation leakage`, bench/ablations.hpp).
 #pragma once
 
 #include <utility>

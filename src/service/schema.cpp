@@ -1,6 +1,8 @@
 #include "service/schema.hpp"
 
 #include <algorithm>
+#include <array>
+#include <charconv>
 #include <optional>
 #include <stdexcept>
 
@@ -316,8 +318,10 @@ FieldValues decodeJson(const Schema& schema, const support::JsonValue& body) {
 
 void checkRange(const Field& field, double value, std::string_view spelling) {
   if (!(value >= static_cast<double>(field.min) && value <= static_cast<double>(field.max))) {
+    std::array<char, 32> got{};
+    const auto end = std::to_chars(got.data(), got.data() + got.size(), value).ptr;
     throw BadRequest{std::string{spelling} + " must be in [" + std::to_string(field.min) + ", " +
-                     std::to_string(field.max) + "]"};
+                     std::to_string(field.max) + "], got " + std::string(got.data(), end)};
   }
 }
 

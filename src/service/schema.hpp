@@ -118,8 +118,9 @@ class FieldValues {
 [[nodiscard]] FieldValues decodeFlags(const Schema& schema, const std::vector<std::string>& args);
 [[nodiscard]] FieldValues decodeJson(const Schema& schema, const support::JsonValue& body);
 
-/// The one bounds check: BadRequest naming `spelling` unless `value` lies in
-/// [field.min, field.max] (NaN never does).
+/// The one bounds check: BadRequest naming `spelling`, the bounds and the
+/// rejected value unless `value` lies in [field.min, field.max] (NaN never
+/// does).
 void checkRange(const Field& field, double value, std::string_view spelling);
 
 [[nodiscard]] LockRequest lockRequestFrom(const FieldValues& values);

@@ -143,16 +143,20 @@ Token Lexer::lexNumber() {
   const std::size_t start = pos_;
   std::uint64_t sizePrefix = 0;
   bool hasSizePrefix = false;
+  bool overflow = false;
 
   while (!atEnd() && (std::isdigit(static_cast<unsigned char>(peek())) != 0 || peek() == '_')) {
     const char c = advance();
-    if (c != '_') sizePrefix = sizePrefix * 10 + static_cast<std::uint64_t>(c - '0');
+    if (c == '_') continue;
+    overflow = overflow || __builtin_mul_overflow(sizePrefix, 10, &sizePrefix) ||
+               __builtin_add_overflow(sizePrefix, c - '0', &sizePrefix);
   }
   if (pos_ != start) hasSizePrefix = true;
 
   if (atEnd() || peek() != '\'') {
     // Plain decimal literal.
     if (!hasSizePrefix) fail("expected a number");
+    if (overflow) fail("constant exceeds 64 bits (unsupported subset)");
     Token token = makeToken(TokenKind::Number, source_.substr(start, pos_ - start));
     token.value = sizePrefix;
     token.numberWidth = 0;  // unsized
@@ -193,7 +197,7 @@ Token Lexer::lexNumber() {
   }
   if (!sawDigit) fail("based literal has no digits");
 
-  if (hasSizePrefix && (sizePrefix == 0 || sizePrefix > 64)) {
+  if (hasSizePrefix && (overflow || sizePrefix == 0 || sizePrefix > 64)) {
     fail("literal size must be between 1 and 64 bits");
   }
 

@@ -1,6 +1,7 @@
 #include "verilog/parser.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <optional>
 #include <utility>
@@ -272,20 +273,41 @@ class Parser {
   /// Constant expression in declarations/ranges: + - * over literals,
   /// parameters and parenthesized subexpressions, with * binding tighter
   /// than + and - (standard precedence — `1 + 2 * 8` is 17).
+  /// Every literal, sum, difference and product is checked against the
+  /// signed 64-bit range: an overflow is an error, never a wrap.
   std::int64_t parseConstExpr() {
     std::int64_t value = parseConstTerm();
     while (check(TokenKind::Plus) || check(TokenKind::Minus)) {
       const TokenKind op = advance().kind;
       const std::int64_t rhs = parseConstTerm();
-      value = op == TokenKind::Plus ? value + rhs : value - rhs;
+      if (op == TokenKind::Plus ? __builtin_add_overflow(value, rhs, &value)
+                                : __builtin_sub_overflow(value, rhs, &value)) {
+        failConstOverflow();
+      }
     }
     return value;
   }
 
   std::int64_t parseConstTerm() {
     std::int64_t value = parseConstPrimary();
-    while (accept(TokenKind::Star)) value *= parseConstPrimary();
+    while (accept(TokenKind::Star)) {
+      if (__builtin_mul_overflow(value, parseConstPrimary(), &value)) failConstOverflow();
+    }
     return value;
+  }
+
+  [[noreturn]] void failConstOverflow() const {
+    fail("constant expression overflows a signed 64-bit value");
+  }
+
+  /// A constant bit index in [0, kMaxBits], the range-msb bound, so the
+  /// narrowing to int and `index + 1` cannot overflow.
+  int parseConstIndex() {
+    const std::int64_t value = parseConstExpr();
+    if (value < 0 || value > kMaxBits) {
+      fail("constant bit index " + std::to_string(value) + " out of range");
+    }
+    return static_cast<int>(value);
   }
 
   std::int64_t parseConstPrimary() {
@@ -306,6 +328,9 @@ class Parser {
       return it->second.value;
     }
     const Token& token = expect(TokenKind::Number, "expected a constant");
+    if (token.value > static_cast<std::uint64_t>(std::numeric_limits<std::int64_t>::max())) {
+      failConstOverflow();
+    }
     return static_cast<std::int64_t>(token.value);
   }
 
@@ -427,12 +452,8 @@ class Parser {
     rtl::LValue lvalue;
     lvalue.signal = *id;
     if (accept(TokenKind::LBracket)) {
-      const std::int64_t first = parseConstExpr();
-      int hi = static_cast<int>(first);
-      int lo = hi;
-      if (accept(TokenKind::Colon)) {
-        lo = static_cast<int>(parseConstExpr());
-      }
+      const int hi = parseConstIndex();
+      const int lo = accept(TokenKind::Colon) ? parseConstIndex() : hi;
       expect(TokenKind::RBracket, "expected ']'");
       if (lo < 0 || hi < lo || hi >= module_->signal(*id).width) {
         fail("part-select out of range on '" + name + "'");
@@ -657,9 +678,8 @@ class Parser {
       if (!check(TokenKind::Number) && !check(TokenKind::LParen) && !paramIndex) {
         fail("only constant bit/part-selects are supported in this subset");
       }
-      const int hi = static_cast<int>(parseConstExpr());
-      int lo = hi;
-      if (accept(TokenKind::Colon)) lo = static_cast<int>(parseConstExpr());
+      const int hi = parseConstIndex();
+      const int lo = accept(TokenKind::Colon) ? parseConstIndex() : hi;
       expect(TokenKind::RBracket, "expected ']'");
       range = std::make_pair(hi, lo);
     }

@@ -9,7 +9,7 @@
 //    by bit pattern, not epsilon).  The grid is the only level that fans
 //    out, so this is also the run that drives evaluateBenchmark concurrently;
 //  * evaluateBenchmark advancing the caller's Rng by exactly one fork — the
-//    contract the ablation_features grid's per-cell streams rely on;
+//    contract the `ablation features` grid's per-cell streams rely on;
 //  * the fig4 scenario grid sharded across pools of different sizes —
 //    identical observation streams;
 //  * two identically-seeded serial runs — the regression guard for the
@@ -50,6 +50,7 @@ void expectByteIdentical(const EvaluationResult& a, const EvaluationResult& b) {
   EXPECT_TRUE(bitEqual(a.meanBitsUsed, b.meanBitsUsed));
   EXPECT_TRUE(bitEqual(a.meanGlobalMetric, b.meanGlobalMetric));
   EXPECT_TRUE(bitEqual(a.meanRestrictedMetric, b.meanRestrictedMetric));
+  EXPECT_TRUE(bitEqual(a.meanTrainingRows, b.meanTrainingRows));
 }
 
 EvaluationConfig smallConfig() {
@@ -95,7 +96,7 @@ TEST(DeterminismTest, IdenticallySeededSerialRunsMatch) {
 }
 
 TEST(DeterminismTest, EvaluateBenchmarkAdvancesCallerRngByExactlyOneDraw) {
-  // The documented contract behind the ablation_features grid: the caller's
+  // The documented contract behind the `ablation features` grid: the caller's
   // stream moves by one fork per call, never by "however many draws the
   // samples consumed", so cell k can start from the stream as it stood
   // before the k-th fork.

@@ -109,6 +109,17 @@ TEST_F(DispatchTest, UnparsableVerilogIs400) {
   EXPECT_EQ(response.status, 400);
 }
 
+TEST_F(DispatchTest, OutOfRangeBitIndexIs400) {
+  support::JsonValue body;
+  body.set("source",
+           "module m (input [7:0] a, output [7:0] y); assign y[4294967296] = a[0]; endmodule\n");
+  const HttpResponse response = dispatcher_.handle(makeRequest("POST", "/v1/lock", body.dump()));
+  EXPECT_EQ(response.status, 400);
+  const support::JsonValue document = support::parseJson(response.body);
+  EXPECT_NE(document.at("error").asString().find("out of range"), std::string::npos)
+      << document.at("error").asString();
+}
+
 TEST_F(DispatchTest, DeeplyNestedBodiesAre400) {
   // Each body is far under the default body limit, and each used to kill the
   // daemon with a stack overflow: two in the Verilog parser or the passes

@@ -234,5 +234,42 @@ TEST(ParserErrorsTest, NestingUpToTheCapParses) {
   expectRejected(assignOf(chainOf(1025)), kNestingError);
 }
 
+// Constant arithmetic is checked, never wrapped: each of these once parsed
+// into a different, valid-looking design.
+TEST(ParserErrorsTest, BitIndexBeyondIntRejected) {
+  // Used to narrow to y[0] and write back as `assign y[0] = a[0];`.
+  expectRejected("module m (input [7:0] a, output [7:0] y); assign y[4294967296] = a[0]; "
+                 "endmodule",
+                 "constant bit index 4294967296 out of range");
+  expectRejected("module m (input [7:0] a, output y); assign y = a[4294967296]; endmodule",
+                 "constant bit index 4294967296 out of range");
+  // A key bit select sets the key width to index + 1, which must not wrap.
+  expectRejected("module m (input a, output y, input [3:0] lock_key); "
+                 "assign y = a ^ lock_key[2147483647]; endmodule",
+                 "constant bit index 2147483647 out of range");
+}
+
+TEST(ParserErrorsTest, DecimalLiteralBeyond64BitsRejected) {
+  // The decimal branch wrapped modulo 2^64; the based branch always failed.
+  expectRejected("module m (input a, output y); parameter P = 99999999999999999999999; "
+                 "assign y = a; endmodule",
+                 "constant exceeds 64 bits");
+  expectRejected("module m (input a, output y); assign y = 99999999999999999999999'd1; "
+                 "endmodule",
+                 "literal size must be between 1 and 64 bits");
+}
+
+TEST(ParserErrorsTest, ConstantExpressionOverflowRejected) {
+  for (const char* expr : {"4294967296 * 4294967296", "9223372036854775807 + 1",
+                           "0 - 9223372036854775807 - 2", "'hFFFFFFFFFFFFFFFF"}) {
+    expectRejected("module m (input a, output y); parameter P = " + std::string{expr} +
+                       "; assign y = a; endmodule",
+                   "constant expression overflows a signed 64-bit value");
+  }
+  expectRejected("module m (input a, output y); parameter W = 9223372036854775807; "
+                 "wire [W+1:0] w; assign y = a; endmodule",
+                 "constant expression overflows a signed 64-bit value");
+}
+
 }  // namespace
 }  // namespace rtlock::verilog
