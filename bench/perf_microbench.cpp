@@ -7,12 +7,15 @@
 // BM_TreeRelockRound, the LockEngine + LocalityHarvester oracle loop on the
 // same target), auto-ml's row
 // cap and fold step (BM_SampleIndices, BM_PoolFoldAggregates beside
-// BM_DatasetFoldAggregates), and the fit of each auto-ml portfolio candidate
-// (BM_CandidateFit).  End-to-end timings of the attack, the session cache
+// BM_DatasetFoldAggregates), the fit of each auto-ml portfolio candidate
+// (BM_CandidateFit), and the MLP's fit and tanh (BM_MlpFit, BM_Tanh/owned
+// beside BM_Tanh/libm, ns per element).  End-to-end timings of the attack, the session cache
 // and HTTP serving live in perfbench/.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <array>
+#include <cmath>
 #include <string>
 #include <vector>
 
@@ -26,6 +29,7 @@
 #include "designs/random.hpp"
 #include "designs/registry.hpp"
 #include "ml/automl.hpp"
+#include "ml/tanh.hpp"
 #include "service/api.hpp"
 #include "service/session.hpp"
 #include "sim/compiler.hpp"
@@ -427,6 +431,47 @@ BENCHMARK(BM_CandidateFit)
                        0, static_cast<int>(ml::defaultPortfolio().size()) - 1, 1),
                    {2, 6}})
     ->Unit(benchmark::kMicrosecond);
+
+/// BM_MlpFit: auto-ml's MLP candidate on one 2-feature code-tuple fold (the
+/// candidateFold above), the fit the owned tanh and the four-lane backward
+/// pass serve.
+void BM_MlpFit(benchmark::State& state) {
+  auto portfolio = ml::defaultPortfolio();
+  const auto mlp = std::find_if(portfolio.begin(), portfolio.end(),
+                                [](const auto& c) { return c->name().starts_with("mlp("); });
+  const ml::Dataset fold = candidateFold(2);
+  state.SetLabel((*mlp)->name() + ", " + std::to_string(fold.size()) + " rows");
+  for (auto _ : state) {
+    auto model = (*mlp)->fresh();
+    support::Rng rng{12};
+    model->fit(fold, rng);
+    benchmark::DoNotOptimize(model->predictProba(fold.row(0)));
+  }
+}
+BENCHMARK(BM_MlpFit)->Unit(benchmark::kMicrosecond);
+
+/// BM_Tanh/{owned,libm}: 4096 MLP-like pre-activations (normal, sd 2)
+/// through ml::tanhInPlace or std::tanh; ns per element is the inverse of
+/// items_per_second.
+void BM_Tanh(benchmark::State& state, bool owned) {
+  support::Rng rng{5};
+  std::vector<double> inputs(4096);
+  for (double& x : inputs) x = 2.0 * rng.gaussian();
+  std::vector<double> out(inputs.size());
+  for (auto _ : state) {
+    if (owned) {
+      std::copy(inputs.begin(), inputs.end(), out.begin());
+      ml::tanhInPlace(out);
+    } else {
+      for (std::size_t i = 0; i < inputs.size(); ++i) out[i] = std::tanh(inputs[i]);
+    }
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(inputs.size()));
+}
+BENCHMARK_CAPTURE(BM_Tanh, owned, true);
+BENCHMARK_CAPTURE(BM_Tanh, libm, false);
 
 }  // namespace
 

@@ -9,7 +9,9 @@
 //   - the 64-bit pattern of predictProba for every row, for every
 //     defaultPortfolio() candidate fitted on the dataset;
 //   - autoSelect's leaderboard accuracies (bit patterns), its winner and the
-//     refit winner's predictions.
+//     refit winner's predictions;
+//   - the predictions of an MLP whose hidden units do not fill whole
+//     four-unit lane blocks.
 //
 // The tables were recorded from the plain per-row kernels.  On a mismatch
 // the test prints the observed table in the same syntax; replacing a table
@@ -24,6 +26,7 @@
 #include <vector>
 
 #include "ml/automl.hpp"
+#include "ml/mlp.hpp"
 
 namespace rtlock::ml {
 namespace {
@@ -942,6 +945,25 @@ const AutoMlGolden kSampledRawAutoMl = {
      0x3fec8f9d31b6465eull, 0x3fc4f4bd164b5bfaull, 0x3fcb44980541a42aull,
      0x3fed71133d07964aull}};
 
+/// predictProba bits per row of an MLP with 6 hidden units (one four-unit
+/// lane block plus two units on their own) fitted for 80 epochs on
+/// extendedRows(), seed 4242.
+const Bits kPartialLaneMlpProba = {
+    0x3fee7ce776bc3a11ull, 0x3fee7ce776bc3a11ull, 0x3fc8b17e449d8b84ull,
+     0x3fc8b17e449d8b84ull, 0x3fe7d7a9ceb40d8dull, 0x3fe7d7a9ceb40d8dull,
+     0x3fa00f15b04020c6ull, 0x3fe98f2bffdf28e7ull, 0x3fe98f2bffdf28e7ull,
+     0x3fe5ce92f0419a4eull, 0x3fe5ce92f0419a4eull, 0x3fd3eec0b398938full,
+     0x3fd3eec0b398938full, 0x3fb18171966b5d41ull, 0x3fcd01a51e8c84cbull,
+     0x3fcd01a51e8c84cbull, 0x3fd1a610e84bf825ull, 0x3fd1a610e84bf825ull,
+     0x3fee442ae9627564ull, 0x3fee442ae9627564ull, 0x3fef95ccb88f7e3dull,
+     0x3fe73538e18eecbbull, 0x3fe73538e18eecbbull, 0x3fd3bc3c794fd2b3ull,
+     0x3fd3bc3c794fd2b3ull, 0x3fd4eb326c9af3f7ull, 0x3fd4eb326c9af3f7ull,
+     0x3fef72e164796c6bull, 0x3fc6633a3f3f119eull, 0x3fc6633a3f3f119eull,
+     0x3fd3509f599ad3c8ull, 0x3fd3509f599ad3c8ull, 0x3fce3afafad1e0a5ull,
+     0x3fce3afafad1e0a5ull, 0x3fd44fb701139249ull, 0x3fde07b535503b16ull,
+     0x3fde07b535503b16ull, 0x3fec780b5ea77871ull, 0x3fec780b5ea77871ull,
+     0x3fef17c67a628ac5ull, 0x3fef17c67a628ac5ull, 0x3fee5bb37978f8c1ull};
+
 // ---------------------------------------------------------------------------
 // Checks.
 
@@ -1040,6 +1062,18 @@ TEST(KernelGoldenTest, PortfolioPredictionsOnExtendedRows) {
 
 TEST(KernelGoldenTest, PortfolioPredictionsOnScaledWeightsWithSignedZero) {
   expectPortfolioGolden("kScaledWeightsProba", scaledWeights(), kScaledWeightsProba);
+}
+
+TEST(KernelGoldenTest, MlpWithPartialLaneBlockOnExtendedRows) {
+  const Dataset data = extendedRows();
+  MlpClassifier model{MlpHyper{6, 0.05, 80, 1e-5}};
+  support::Rng rng{4242};
+  model.fit(data, rng);
+  Bits actual;
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    actual.push_back(bitsOf(model.predictProba(data.row(i))));
+  }
+  EXPECT_EQ(actual, kPartialLaneMlpProba) << "observed table:\n" << formatBits(actual);
 }
 
 TEST(KernelGoldenTest, AutoSelectOnCodeTuples) {
