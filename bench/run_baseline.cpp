@@ -3,17 +3,20 @@
 // benches print, and every ablation through the ablations.hpp runs
 // `ablation <name>` prints, with fixed seeds, and emits a machine-readable
 // BENCH_baseline.json.  Besides the quality rows (12 figure rows, then the
-// ablation rows in a second table) it records the three perf rows CI gates:
-// the quick Fig. 6 grid's wall time and the journal and manifest overhead of
-// a campaign over that grid.  Hot-path timings live in perf_microbench
+// ablation rows in a second table, then with --full the paper-sized Fig. 6
+// rows in a third) it records the three perf rows CI gates: the quick Fig. 6
+// grid's wall time and the journal and manifest overhead of a campaign over
+// that grid.  Hot-path timings live in perf_microbench
 // (google-benchmark) and end-to-end timings in perfbench/.
 //
 // Flags:
 //   --seed=N    master seed (default 1; every section derives fixed offsets)
 //   --json      write BENCH_baseline.json (see --out) in addition to stdout
 //   --out=PATH  JSON output path (default BENCH_baseline.json)
-//   --full      paper-sized fig6 configuration (slow); default is a quick,
-//               fixed-seed configuration sized for CI
+//   --full      also run the paper-sized Fig. 6 grid (14 designs x 10
+//               samples x 1000 relock rounds, seconds on 4 threads) and
+//               emit its 42 cells and 3 means as `fig6_full` rows, plus
+//               its wall time as perf/fig6_full/wall_ms
 //   --csv       emit CSV instead of an aligned table
 //   --threads=N experiment-engine workers (default: RTLOCK_THREADS env, else
 //               hardware concurrency).  Quality rows are bit-identical at
@@ -21,6 +24,8 @@
 //   --check=PATH quality gate: compare every non-perf row of this run against
 //               the committed baseline JSON at PATH and fail on any drift
 //               (CI runs this against the repo-root BENCH_baseline.json).
+//               Without --full the committed fig6_full rows are not run,
+//               so they are left out of the comparison.
 //
 // JSON schema: {"schema": "...", "seed": N, "rows": [{bench, config, metric,
 // value, wall_ms}, ...]}, one row object per line (CI's awk gates rely on
@@ -33,6 +38,8 @@
 #include <sstream>
 #include <string>
 #include <vector>
+
+#include <unistd.h>
 
 #include "ablations.hpp"
 #include "campaign/journal.hpp"
@@ -59,6 +66,14 @@ double elapsedMs(Clock::time_point start) {
   return std::chrono::duration<double, std::milli>(Clock::now() - start).count();
 }
 
+/// A temp-directory path of this process's own, so concurrent runs (CTest
+/// runs the gate and its drift twins in parallel) never share a journal or
+/// a claim directory.
+std::string scratchPath(const std::string& name) {
+  const std::string file = "rtlock_bench_" + std::to_string(::getpid()) + "_" + name;
+  return (std::filesystem::temp_directory_path() / file).string();
+}
+
 // --- Fig. 4: worst key-correlated locality bias per relocking scenario -----
 
 void runFig4(std::vector<Row>& rows, std::uint64_t seed, int threads) {
@@ -83,22 +98,19 @@ void runFig5(std::vector<Row>& rows, std::uint64_t seed, int threads) {
 // --- Fig. 6: mean SnapShot-RTL KPA per algorithm ---------------------------
 //
 // The grid runs on root Rng{seed + 100}, so these rows equal fig6_kpa
-// --seed=<seed + 100> at the same configuration.  The whole grid is timed as
-// one batch and recorded as the fig6_quick/wall_ms (or fig6_full/wall_ms)
-// perf row; the journal and manifest rows time a campaign's bookkeeping over
-// the same cells, and CI gates both under 5 % of that wall.
+// --seed=<seed + 100> at the same configuration.  The quick grid is timed as
+// one batch and recorded as the fig6_quick/wall_ms perf row; the journal and
+// manifest rows time a campaign's bookkeeping over the same cells, and CI
+// gates both under 5 % of that wall.
 
-void runFig6(std::vector<Row>& rows, std::uint64_t seed, bool full, int threads) {
-  const std::vector<std::string> benchmarks =
-      full ? designs::benchmarkNames() : std::vector<std::string>{"FIR", "SASC"};
-  const std::string benchConfig =
-      support::join(benchmarks, "+") + (full ? " (paper-sized)" : " (quick)");
-  const std::string perfConfig = full ? "fig6_full" : "fig6_quick";
+void runFig6(std::vector<Row>& rows, std::uint64_t seed, int threads) {
+  const std::vector<std::string> benchmarks{"FIR", "SASC"};
+  const std::string benchConfig = support::join(benchmarks, "+") + " (quick)";
+  const std::string perfConfig = "fig6_quick";
 
   const auto start = Clock::now();
-  const bench::Fig6Grid grid = bench::runFig6(
-      benchmarks, bench::fig6Config(full ? 10 : 1, full ? 1000 : 30), support::Rng{seed + 100},
-      threads);
+  const bench::Fig6Grid grid =
+      bench::runFig6(benchmarks, bench::fig6Config(1, 30), support::Rng{seed + 100}, threads);
   const double gridWallMs = elapsedMs(start);
 
   for (std::size_t a = 0; a < bench::kFig6Algorithms.size(); ++a) {
@@ -119,8 +131,7 @@ void runFig6(std::vector<Row>& rows, std::uint64_t seed, bool full, int threads)
   // Journal overhead: append one representative checkpoint row per grid
   // cell to a real journal (serialize + single write + flush, the campaign
   // engine's per-cell cost) and record the total.
-  const std::string journalPath =
-      (std::filesystem::temp_directory_path() / "rtlock_bench_journal.jsonl").string();
+  const std::string journalPath = scratchPath("journal.jsonl");
   std::filesystem::remove(journalPath);
   {
     campaign::Journal journal{journalPath, identity};
@@ -148,8 +159,7 @@ void runFig6(std::vector<Row>& rows, std::uint64_t seed, bool full, int threads)
   // Manifest/claim overhead: the multi-host coordination cost per grid cell
   // (manifest write + O_CREAT|O_EXCL claim + atomic done marker — what
   // `rtlock work` adds on top of journaling).
-  const std::string manifestPath =
-      (std::filesystem::temp_directory_path() / "rtlock_bench_campaign.manifest").string();
+  const std::string manifestPath = scratchPath("campaign.manifest");
   std::filesystem::remove(manifestPath);
   std::filesystem::remove_all(manifestPath + ".claims");
   {
@@ -174,6 +184,33 @@ void runFig6(std::vector<Row>& rows, std::uint64_t seed, bool full, int threads)
   }
   std::filesystem::remove(manifestPath);
   std::filesystem::remove_all(manifestPath + ".claims");
+}
+
+// --- Fig. 6, paper-sized (--full) ----------------------------------------
+//
+// fig6_kpa --seed=<seed + 100> --samples=10 --relocks=1000 over every
+// registry design: one row per (algorithm, design) cell with the cell's mean
+// KPA over its samples, then the three Fig. 6b means.  At 1000 rounds the
+// large designs harvest more rows than auto-ml's 100k-row cap, so these rows
+// are the only gate on the capped (non-integer weight) training folds.
+
+void runFig6Full(std::vector<Row>& rows, std::uint64_t seed, int threads) {
+  const std::vector<std::string> benchmarks = designs::benchmarkNames();
+  const auto start = Clock::now();
+  const bench::Fig6Grid grid =
+      bench::runFig6(benchmarks, bench::fig6Config(10, 1000), support::Rng{seed + 100}, threads);
+  const double gridWallMs = elapsedMs(start);
+
+  for (std::size_t a = 0; a < bench::kFig6Algorithms.size(); ++a) {
+    const std::string algorithm{lock::algorithmName(bench::kFig6Algorithms[a])};
+    for (std::size_t b = 0; b < benchmarks.size(); ++b) {
+      rows.push_back({"fig6_full", algorithm + " / " + benchmarks[b], "mean_kpa_percent",
+                      grid.at(a, b).meanKpa});
+    }
+    rows.push_back({"fig6_full", algorithm + " / all designs", "mean_kpa_percent",
+                    grid.meanKpa(a)});
+  }
+  rows.push_back({"perf", "fig6_full", "wall_ms", gridWallMs, gridWallMs});
 }
 
 // --- ablations: the gated values of every ablations.hpp run -----------------
@@ -211,7 +248,7 @@ std::string qualityKey(const std::string& bench, const std::string& config,
   return bench + " | " + config + " | " + metric;
 }
 
-QualityValues committedQuality(const std::string& path) {
+QualityValues committedQuality(const std::string& path, bool full) {
   std::ifstream file{path};
   if (!file) throw support::Error("cannot open committed baseline " + path);
   std::ostringstream text;
@@ -220,7 +257,8 @@ QualityValues committedQuality(const std::string& path) {
   QualityValues values;
   for (const support::JsonValue& row : document.at("rows").asArray()) {
     const std::string& bench = row.at("bench").asString();
-    if (bench == "perf") continue;  // timings are machine-dependent
+    if (bench == "perf") continue;                // timings are machine-dependent
+    if (bench == "fig6_full" && !full) continue;  // not run without --full
     values[qualityKey(bench, row.at("config").asString(), row.at("metric").asString())] =
         support::formatDouble(row.at("value").asDouble(), 4);
   }
@@ -229,8 +267,8 @@ QualityValues committedQuality(const std::string& path) {
 }
 
 /// Returns the number of drifting/missing quality rows (0 = gate passes).
-int checkAgainstBaseline(const std::vector<Row>& rows, const std::string& path) {
-  const QualityValues committed = committedQuality(path);
+int checkAgainstBaseline(const std::vector<Row>& rows, const std::string& path, bool full) {
+  const QualityValues committed = committedQuality(path, full);
   QualityValues current;
   for (const Row& row : rows) {
     if (row.bench == "perf") continue;
@@ -292,6 +330,7 @@ int main(int argc, char** argv) {
     const int threads = flags.integer("threads");
     const std::string outPath = flags.text("out");
     const std::string checkPath = flags.text("check");
+    const bool full = flags.flag("full");
 
     rtlock::bench::banner("baseline runner — quality gate",
                           "Fig. 4/5/6 headline numbers (figures.hpp grids), fixed seeds",
@@ -301,14 +340,19 @@ int main(int argc, char** argv) {
     const auto start = Clock::now();
     runFig4(rows, seed, threads);
     runFig5(rows, seed, threads);
-    runFig6(rows, seed, flags.flag("full"), threads);
+    runFig6(rows, seed, threads);
     const std::size_t figureRows = rows.size();
     runAblations(rows, seed, threads);
+    const std::size_t ablationRows = rows.size();
+    if (full) runFig6Full(rows, seed, threads);
 
-    // The ablation rows print as a second table, so the figure table keeps
-    // its column widths.
-    for (const auto& [first, last] : {std::pair{std::size_t{0}, figureRows},
-                                      std::pair{figureRows, rows.size()}}) {
+    // The ablation and paper-sized Fig. 6 rows print as tables of their
+    // own, so the figure table keeps its column widths.
+    const std::size_t tableStarts[] = {0, figureRows, ablationRows, rows.size()};
+    for (std::size_t t = 0; t + 1 < std::size(tableStarts); ++t) {
+      const std::size_t first = tableStarts[t];
+      const std::size_t last = tableStarts[t + 1];
+      if (first == last) continue;
       support::Table table{{"bench", "config", "metric", "value", "wall_ms"}};
       for (std::size_t index = first; index < last; ++index) {
         const Row& row = rows[index];
@@ -328,7 +372,7 @@ int main(int argc, char** argv) {
       std::cout << "wrote " << outPath << "\n";
     }
 
-    if (!checkPath.empty() && checkAgainstBaseline(rows, checkPath) != 0) {
+    if (!checkPath.empty() && checkAgainstBaseline(rows, checkPath, full) != 0) {
       throw support::Error("quality gate failed against " + checkPath);
     }
   });

@@ -1,6 +1,8 @@
 #include "ml/forest.hpp"
 
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 namespace rtlock::ml {
 
@@ -21,17 +23,16 @@ void RandomForest::fit(const Dataset& data, support::Rng& rng) {
   treeHyper.maxDepth = hyper_.maxDepth;
   treeHyper.featureSubset = subset;
 
+  // Bootstrap by row (weights carried over): classic bagging.  Each sample
+  // is an index array into one gathered copy of the rows, drawn in the
+  // order a copied Dataset would list them.
+  CartKernel kernel{data};
+  std::vector<std::uint32_t> rows(data.size());
+  trees_.reserve(static_cast<std::size_t>(hyper_.trees));
   for (int t = 0; t < hyper_.trees; ++t) {
-    // Bootstrap by row (weights carried over): classic bagging.  Rows copy
-    // flat-matrix to flat-matrix — no per-row vector churn.
-    Dataset bootstrap{data.featureCount()};
-    bootstrap.reserveRows(data.size());
-    for (std::size_t i = 0; i < data.size(); ++i) {
-      const auto row = static_cast<std::size_t>(rng.below(data.size()));
-      bootstrap.add(data.row(row), data.label(row), data.weight(row));
-    }
+    for (std::uint32_t& row : rows) row = static_cast<std::uint32_t>(rng.below(data.size()));
     DecisionTree tree{treeHyper};
-    tree.fit(bootstrap, rng);
+    tree.fit(kernel, rows, rng);
     trees_.push_back(std::move(tree));
   }
 }

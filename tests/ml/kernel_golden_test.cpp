@@ -13,7 +13,10 @@
 //   - the predictions of an MLP whose hidden units do not fill whole
 //     four-unit lane blocks.
 //
-// The tables were recorded from the plain per-row kernels.  On a mismatch
+// The tables were recorded from the plain per-row kernels; the dense-values
+// table (features with more than 64 distinct values, so the trees' threshold
+// search subsamples) from the per-threshold tree search before the CART
+// kernel replaced it.  On a mismatch
 // the test prints the observed table in the same syntax; replacing a table
 // is a behaviour change and needs the quality re-baseline (BENCH_baseline).
 #include <gtest/gtest.h>
@@ -104,6 +107,26 @@ Dataset rawCodes() {
     const bool biased = (c1 + 2 * c2) % 3 == 0;
     data.add({static_cast<double>(c1), static_cast<double>(c2)},
              rng.below(10) < (biased ? 8u : 3u) ? 1 : 0);
+  }
+  return data;
+}
+
+/// 2-feature rows whose features take more than 64 distinct values, so the
+/// tree learners' threshold search subsamples (step > 1) at the top nodes:
+/// feature 0 is a shuffled ramp of 96 distinct quarter steps, feature 1
+/// draws from 150 values; integer weights, labels from a noisy band.
+Dataset denseValues() {
+  support::Rng rng{505};
+  std::vector<int> ramp(96);
+  for (int i = 0; i < 96; ++i) ramp[static_cast<std::size_t>(i)] = i;
+  rng.shuffle(ramp);
+  Dataset data{2};
+  for (const int step : ramp) {
+    const double x = 0.25 * static_cast<double>(step) - 9.0;
+    const double y = static_cast<double>(rng.below(150)) * 0.5 - 30.0;
+    const bool band = x * 3.0 > y && y > -x - 12.0;
+    data.add({x, y}, (rng.below(10) < (band ? 8u : 2u)) ? 1 : 0,
+             1.0 + static_cast<double>(rng.below(9)));
   }
   return data;
 }
@@ -807,6 +830,471 @@ const std::vector<Bits> kScaledWeightsProba = {
      0x3fd3b8870c8ae82cull, 0x3fd7cf5083e7cdc9ull, 0x3fd7cf5083e7cdc9ull},
 };
 
+const std::vector<Bits> kDenseValuesProba = {
+    // majority
+    {0x3fd6ac0c6fef6ac1ull, 0x3fd6ac0c6fef6ac1ull, 0x3fd6ac0c6fef6ac1ull,
+     0x3fd6ac0c6fef6ac1ull, 0x3fd6ac0c6fef6ac1ull, 0x3fd6ac0c6fef6ac1ull,
+     0x3fd6ac0c6fef6ac1ull, 0x3fd6ac0c6fef6ac1ull, 0x3fd6ac0c6fef6ac1ull,
+     0x3fd6ac0c6fef6ac1ull, 0x3fd6ac0c6fef6ac1ull, 0x3fd6ac0c6fef6ac1ull,
+     0x3fd6ac0c6fef6ac1ull, 0x3fd6ac0c6fef6ac1ull, 0x3fd6ac0c6fef6ac1ull,
+     0x3fd6ac0c6fef6ac1ull, 0x3fd6ac0c6fef6ac1ull, 0x3fd6ac0c6fef6ac1ull,
+     0x3fd6ac0c6fef6ac1ull, 0x3fd6ac0c6fef6ac1ull, 0x3fd6ac0c6fef6ac1ull,
+     0x3fd6ac0c6fef6ac1ull, 0x3fd6ac0c6fef6ac1ull, 0x3fd6ac0c6fef6ac1ull,
+     0x3fd6ac0c6fef6ac1ull, 0x3fd6ac0c6fef6ac1ull, 0x3fd6ac0c6fef6ac1ull,
+     0x3fd6ac0c6fef6ac1ull, 0x3fd6ac0c6fef6ac1ull, 0x3fd6ac0c6fef6ac1ull,
+     0x3fd6ac0c6fef6ac1ull, 0x3fd6ac0c6fef6ac1ull, 0x3fd6ac0c6fef6ac1ull,
+     0x3fd6ac0c6fef6ac1ull, 0x3fd6ac0c6fef6ac1ull, 0x3fd6ac0c6fef6ac1ull,
+     0x3fd6ac0c6fef6ac1ull, 0x3fd6ac0c6fef6ac1ull, 0x3fd6ac0c6fef6ac1ull,
+     0x3fd6ac0c6fef6ac1ull, 0x3fd6ac0c6fef6ac1ull, 0x3fd6ac0c6fef6ac1ull,
+     0x3fd6ac0c6fef6ac1ull, 0x3fd6ac0c6fef6ac1ull, 0x3fd6ac0c6fef6ac1ull,
+     0x3fd6ac0c6fef6ac1ull, 0x3fd6ac0c6fef6ac1ull, 0x3fd6ac0c6fef6ac1ull,
+     0x3fd6ac0c6fef6ac1ull, 0x3fd6ac0c6fef6ac1ull, 0x3fd6ac0c6fef6ac1ull,
+     0x3fd6ac0c6fef6ac1ull, 0x3fd6ac0c6fef6ac1ull, 0x3fd6ac0c6fef6ac1ull,
+     0x3fd6ac0c6fef6ac1ull, 0x3fd6ac0c6fef6ac1ull, 0x3fd6ac0c6fef6ac1ull,
+     0x3fd6ac0c6fef6ac1ull, 0x3fd6ac0c6fef6ac1ull, 0x3fd6ac0c6fef6ac1ull,
+     0x3fd6ac0c6fef6ac1ull, 0x3fd6ac0c6fef6ac1ull, 0x3fd6ac0c6fef6ac1ull,
+     0x3fd6ac0c6fef6ac1ull, 0x3fd6ac0c6fef6ac1ull, 0x3fd6ac0c6fef6ac1ull,
+     0x3fd6ac0c6fef6ac1ull, 0x3fd6ac0c6fef6ac1ull, 0x3fd6ac0c6fef6ac1ull,
+     0x3fd6ac0c6fef6ac1ull, 0x3fd6ac0c6fef6ac1ull, 0x3fd6ac0c6fef6ac1ull,
+     0x3fd6ac0c6fef6ac1ull, 0x3fd6ac0c6fef6ac1ull, 0x3fd6ac0c6fef6ac1ull,
+     0x3fd6ac0c6fef6ac1ull, 0x3fd6ac0c6fef6ac1ull, 0x3fd6ac0c6fef6ac1ull,
+     0x3fd6ac0c6fef6ac1ull, 0x3fd6ac0c6fef6ac1ull, 0x3fd6ac0c6fef6ac1ull,
+     0x3fd6ac0c6fef6ac1ull, 0x3fd6ac0c6fef6ac1ull, 0x3fd6ac0c6fef6ac1ull,
+     0x3fd6ac0c6fef6ac1ull, 0x3fd6ac0c6fef6ac1ull, 0x3fd6ac0c6fef6ac1ull,
+     0x3fd6ac0c6fef6ac1ull, 0x3fd6ac0c6fef6ac1ull, 0x3fd6ac0c6fef6ac1ull,
+     0x3fd6ac0c6fef6ac1ull, 0x3fd6ac0c6fef6ac1ull, 0x3fd6ac0c6fef6ac1ull,
+     0x3fd6ac0c6fef6ac1ull, 0x3fd6ac0c6fef6ac1ull, 0x3fd6ac0c6fef6ac1ull},
+    // histogram(smoothing=1.000000)
+    {0x3fb6ac0c6fef6ac1ull, 0x3fedef009f325ef0ull, 0x3fc6ac0c6fef6ac1ull,
+     0x3febde013e64bde0ull, 0x3fb6ac0c6fef6ac1ull, 0x3fae3abb3fe9e3acull,
+     0x3fed6ac0c6fef6acull, 0x3fa427277ff14273ull, 0x3fedb4399470db44ull,
+     0x3fec8e565ea948e5ull, 0x3fb2233d26592234ull, 0x3fedb4399470db44ull,
+     0x3fb2233d26592234ull, 0x3fed0c4a07fed0c5ull, 0x3fc6ac0c6fef6ac1ull,
+     0x3fead5818dfded58ull, 0x3febde013e64bde0ull, 0x3fbe3abb3fe9e3acull,
+     0x3fe5ab031bfbdab0ull, 0x3fb2233d26592234ull, 0x3fa427277ff14273ull,
+     0x3fa9e932c9119e93ull, 0x3fc6ac0c6fef6ac1ull, 0x3fa427277ff14273ull,
+     0x3fb6ac0c6fef6ac1ull, 0x3fbe3abb3fe9e3acull, 0x3febde013e64bde0ull,
+     0x3fbe3abb3fe9e3acull, 0x3fedef009f325ef0ull, 0x3fc6ac0c6fef6ac1ull,
+     0x3fbe3abb3fe9e3acull, 0x3fbe3abb3fe9e3acull, 0x3febde013e64bde0ull,
+     0x3fb2233d26592234ull, 0x3fa9e932c9119e93ull, 0x3fae3abb3fe9e3acull,
+     0x3fe91cacbd5291cbull, 0x3fb6ac0c6fef6ac1ull, 0x3fc6ac0c6fef6ac1ull,
+     0x3fec8e565ea948e5ull, 0x3fae3abb3fe9e3acull, 0x3fe5ab031bfbdab0ull,
+     0x3fae3abb3fe9e3acull, 0x3fa9e932c9119e93ull, 0x3fa2233d26592234ull,
+     0x3fb6ac0c6fef6ac1ull, 0x3fa2233d26592234ull, 0x3fa427277ff14273ull,
+     0x3fa2233d26592234ull, 0x3fa2233d26592234ull, 0x3fa2233d26592234ull,
+     0x3fec8e565ea948e5ull, 0x3fe5ab031bfbdab0ull, 0x3fead5818dfded58ull,
+     0x3fae3abb3fe9e3acull, 0x3fe5ab031bfbdab0ull, 0x3fa427277ff14273ull,
+     0x3fed6ac0c6fef6acull, 0x3fedb4399470db44ull, 0x3fe5ab031bfbdab0ull,
+     0x3fa9e932c9119e93ull, 0x3fa9e932c9119e93ull, 0x3fead5818dfded58ull,
+     0x3fa2233d26592234ull, 0x3fae3abb3fe9e3acull, 0x3fec8e565ea948e5ull,
+     0x3fb6ac0c6fef6ac1ull, 0x3fa427277ff14273ull, 0x3fb6ac0c6fef6ac1ull,
+     0x3fa2233d26592234ull, 0x3fa427277ff14273ull, 0x3fead5818dfded58ull,
+     0x3fa427277ff14273ull, 0x3fedb4399470db44ull, 0x3fa6ac0c6fef6ac1ull,
+     0x3fa2233d26592234ull, 0x3fb6ac0c6fef6ac1ull, 0x3fe5ab031bfbdab0ull,
+     0x3fa427277ff14273ull, 0x3fa427277ff14273ull, 0x3fa2233d26592234ull,
+     0x3fbe3abb3fe9e3acull, 0x3fa9e932c9119e93ull, 0x3fed0c4a07fed0c5ull,
+     0x3fb6ac0c6fef6ac1ull, 0x3fa9e932c9119e93ull, 0x3fec8e565ea948e5ull,
+     0x3fedb4399470db44ull, 0x3fae3abb3fe9e3acull, 0x3fedef009f325ef0ull,
+     0x3fb2233d26592234ull, 0x3fedb4399470db44ull, 0x3fa2233d26592234ull,
+     0x3fec8e565ea948e5ull, 0x3fedb4399470db44ull, 0x3fc6ac0c6fef6ac1ull},
+    // histogram(smoothing=0.100000)
+    {0x3f876746a5182c22ull, 0x3fefc5de4f625ed4ull, 0x3fa07d2051684da3ull,
+     0x3fef7ef9e863b341ull, 0x3f876746a5182c22ull, 0x3f7c73830efa3fb1ull,
+     0x3fefb57e48e6a4cfull, 0x3f71e9ea38d673f4ull, 0x3fefbeb1107e5140ull,
+     0x3fef9846657d53dfull, 0x3f81b1fd38250227ull, 0x3fefbeb1107e5140ull,
+     0x3f81b1fd38250227ull, 0x3fefa947723a9e41ull, 0x3fa07d2051684da3ull,
+     0x3fef555b0a103fa8ull, 0x3fef7ef9e863b341ull, 0x3f914621db611462ull,
+     0x3fee1f17d68ae1f1ull, 0x3f81b1fd38250227ull, 0x3f71e9ea38d673f4ull,
+     0x3f77c97e5c428930ull, 0x3fa07d2051684da3ull, 0x3f71e9ea38d673f4ull,
+     0x3f876746a5182c22ull, 0x3f914621db611462ull, 0x3fef7ef9e863b341ull,
+     0x3f914621db611462ull, 0x3fefc5de4f625ed4ull, 0x3fa07d2051684da3ull,
+     0x3f914621db611462ull, 0x3f914621db611462ull, 0x3fef7ef9e863b341ull,
+     0x3f81b1fd38250227ull, 0x3f77c97e5c428930ull, 0x3f7c73830efa3fb1ull,
+     0x3fef0418ad54f042ull, 0x3f876746a5182c22ull, 0x3fa07d2051684da3ull,
+     0x3fef9846657d53dfull, 0x3f7c73830efa3fb1ull, 0x3fee1f17d68ae1f1ull,
+     0x3f7c73830efa3fb1ull, 0x3f77c97e5c428930ull, 0x3f6fe3efbc647467ull,
+     0x3f876746a5182c22ull, 0x3f6fe3efbc647467ull, 0x3f71e9ea38d673f4ull,
+     0x3f6fe3efbc647467ull, 0x3f6fe3efbc647467ull, 0x3f6fe3efbc647467ull,
+     0x3fef9846657d53dfull, 0x3fee1f17d68ae1f1ull, 0x3fef555b0a103fa8ull,
+     0x3f7c73830efa3fb1ull, 0x3fee1f17d68ae1f1ull, 0x3f71e9ea38d673f4ull,
+     0x3fefb57e48e6a4cfull, 0x3fefbeb1107e5140ull, 0x3fee1f17d68ae1f1ull,
+     0x3f77c97e5c428930ull, 0x3f77c97e5c428930ull, 0x3fef555b0a103fa8ull,
+     0x3f6fe3efbc647467ull, 0x3f7c73830efa3fb1ull, 0x3fef9846657d53dfull,
+     0x3f876746a5182c22ull, 0x3f71e9ea38d673f4ull, 0x3f876746a5182c22ull,
+     0x3f6fe3efbc647467ull, 0x3f71e9ea38d673f4ull, 0x3fef555b0a103fa8ull,
+     0x3f71e9ea38d673f4ull, 0x3fefbeb1107e5140ull, 0x3f746fd185599d87ull,
+     0x3f6fe3efbc647467ull, 0x3f876746a5182c22ull, 0x3fee1f17d68ae1f1ull,
+     0x3f71e9ea38d673f4ull, 0x3f71e9ea38d673f4ull, 0x3f6fe3efbc647467ull,
+     0x3f914621db611462ull, 0x3f77c97e5c428930ull, 0x3fefa947723a9e41ull,
+     0x3f876746a5182c22ull, 0x3f77c97e5c428930ull, 0x3fef9846657d53dfull,
+     0x3fefbeb1107e5140ull, 0x3f7c73830efa3fb1ull, 0x3fefc5de4f625ed4ull,
+     0x3f81b1fd38250227ull, 0x3fefbeb1107e5140ull, 0x3f6fe3efbc647467ull,
+     0x3fef9846657d53dfull, 0x3fefbeb1107e5140ull, 0x3fa07d2051684da3ull},
+    // categorical-nb(alpha=1.000000)
+    {0x3fd846c8ba4a1dbaull, 0x3fef383410aad78aull, 0x3fe2e8cfa83213e5ull,
+     0x3fed8e9f3ca8462full, 0x3fd37a94ec16c334ull, 0x3fdcdadb48e20f5eull,
+     0x3fec65aa81164c07ull, 0x3fcb1f815c968651ull, 0x3feb1bc3c24ab781ull,
+     0x3fea99a60fb97222ull, 0x3fc4002ed94ab2efull, 0x3fefe204b24b47bdull,
+     0x3fe3c3d8be96b5c8ull, 0x3fec0009b76bfc78ull, 0x3feb08df820ce81aull,
+     0x3fef49f68d6fdea9ull, 0x3fe0d7aa5bc3c151ull, 0x3fb6af36277cee96ull,
+     0x3fd3b160ece29d64ull, 0x3f8897510f83586bull, 0x3f929e73e9938a83ull,
+     0x3f80356de855482cull, 0x3fcce777edd2b3eaull, 0x3fb4d815977caf89ull,
+     0x3fc04aa07d408777ull, 0x3fa3cd4a0fe2b6edull, 0x3fe7cd8bd3b0b8daull,
+     0x3fcd4212c5de5ea2ull, 0x3fef56b26f1c2a3aull, 0x3f7a0e01630180d1ull,
+     0x3fb5763fc8a43e23ull, 0x3f964304ce4c10fbull, 0x3fee412e78e31c16ull,
+     0x3f892c8c0d09393dull, 0x3fb2f6b57c984334ull, 0x3fe22999436749c2ull,
+     0x3fefbc2d0163ff7full, 0x3f95a80f89dbb769ull, 0x3fd03fccc413086full,
+     0x3fe81c1e87fa7866ull, 0x3f818c40976872afull, 0x3fe999a7d05ab5f3ull,
+     0x3fccc1f8b5bc2e44ull, 0x3fb1c98c995bbd94ull, 0x3f6c38bef57937dfull,
+     0x3f7eff80daa63c05ull, 0x3fa15091612a3ba8ull, 0x3f6d64b267e12a82ull,
+     0x3f664be2f469f099ull, 0x3f762898fa6d10b7ull, 0x3f60ddd9317a1f9full,
+     0x3feeb85554d0abdcull, 0x3fce1e5e0e9bb9e3ull, 0x3fefe204b24b47bdull,
+     0x3fc8d62fedfba983ull, 0x3fe6f2a8d1fd3ed7ull, 0x3f9cac5590447190ull,
+     0x3feb5eb490390534ull, 0x3fee16f1e1ee5293ull, 0x3fd3002516a1fd98ull,
+     0x3fcaf2c1cc7cab72ull, 0x3f719f94a0cce2faull, 0x3fee7456843983a7ull,
+     0x3f685730aeb58786ull, 0x3fb45d4b4f56035cull, 0x3fefece534fb58edull,
+     0x3f7e6807c5c79faaull, 0x3f78d606aa078318ull, 0x3fe2dd0d69fb2b33ull,
+     0x3fb377ebda693685ull, 0x3f774ae8be72aebcull, 0x3fef505332dc945bull,
+     0x3f5d3e536371364bull, 0x3feab3c1ad4a9464ull, 0x3f75213df0df9a24ull,
+     0x3fe07f182c2fc2cfull, 0x3f75ee071a310cd2ull, 0x3fe37a8476d12fa9ull,
+     0x3fce1e5e0e9bb9e3ull, 0x3f6f586c83c6d57eull, 0x3f664be2f469f099ull,
+     0x3fb6af36277cee9bull, 0x3fce1e5e0e9bb9e3ull, 0x3fef1920e589c2dfull,
+     0x3faaf2cd9c9455b8ull, 0x3f7086be96b0bdc0ull, 0x3fefd4b574b21119ull,
+     0x3fef56b26f1c2a3aull, 0x3f75213df0df9a24ull, 0x3fe6398e80da04f5ull,
+     0x3fb65dace2728d93ull, 0x3feb1194590c83b2ull, 0x3f7a60d7f2c4e9bcull,
+     0x3febd1cb54183c42ull, 0x3feef073ff13dc3cull, 0x3fb91dd8a12b6f54ull},
+    // categorical-nb(alpha=0.100000)
+    {0x3fd5099bee1d03d2ull, 0x3fefee1906528e13ull, 0x3fcf3ba99260041bull,
+     0x3fefbb8db1945cd8ull, 0x3fafa4306325f562ull, 0x3fbc5ac028581944ull,
+     0x3fed555acc296abeull, 0x3fa1aa93e147ebf5ull, 0x3fec1eac040957d0ull,
+     0x3feba5cb97fec635ull, 0x3f985ed60c0358cdull, 0x3feffe67d8523c60ull,
+     0x3fe4c16d388d058aull, 0x3fedbe496bd47289ull, 0x3fe51b8688985520ull,
+     0x3fefefdde4187452ull, 0x3fe1bc530f0b1dc6ull, 0x3f882ada181ee63bull,
+     0x3fe3f0776d65b7e0ull, 0x3f25e103bbc556f3ull, 0x3f5627771ebced8eull,
+     0x3f424ffbbc804346ull, 0x3fa3b5eedcf52c06ull, 0x3fab7cd6d067b482ull,
+     0x3f927f57d2da3b88ull, 0x3f72f364050b1e99ull, 0x3fe8effe5ac53071ull,
+     0x3fc73df9bbf06972ull, 0x3feff0ae137af97full, 0x3f3ce5e8e31f7308ull,
+     0x3f868492975510eaull, 0x3f5b03e2cbc6e0f5ull, 0x3fefd301b7b8379full,
+     0x3f27bd146c1c3902ull, 0x3f8400021aacf193ull, 0x3fe32629abd1618bull,
+     0x3feffc32592863e5ull, 0x3f5a23b879b63e69ull, 0x3faf945efe5da35dull,
+     0x3fe9aa1e9141abebull, 0x3f1f9c9dcd465bb3ull, 0x3feed233d58494a1ull,
+     0x3fa36f350a44dc40ull, 0x3f8262fb1760c189ull, 0x3f06c51ceed06fa4ull,
+     0x3f1a40a9d556e65full, 0x3f7040ea10d8fb16ull, 0x3f07c171b32cb0dcull,
+     0x3f01d0dfff607735ull, 0x3f1281d26cefd2daull, 0x3efa9bfb1eaf2988ull,
+     0x3fefe01c86bebf96ull, 0x3fc6be19fe7ce440ull, 0x3feffe67d8523c60ull,
+     0x3f9fbcfffc0825afull, 0x3fee1bc055f83675ull, 0x3f61e65c2fe79c4cull,
+     0x3fec579ae73f2b95ull, 0x3fefcec4f2273c88ull, 0x3fcd7543eafa9d99ull,
+     0x3fa197f9180b2cc6ull, 0x3f0d0cf16e72215cull, 0x3fefd69c290bb5ebull,
+     0x3f0387607fb406bcull, 0x3f8536f483cf81e7ull, 0x3fefffcfdd8e208aull,
+     0x3f1a53847d8123d2ull, 0x3f14aad906e33fc1ull, 0x3fe3e34529d945b6ull,
+     0x3fa97e6c3043be3dull, 0x3f134c7c7d5712e4ull, 0x3feff155113f421aull,
+     0x3ef6f3a58bcbf951ull, 0x3fef5b4372c008c4ull, 0x3f11b7a9ad8c5c64ull,
+     0x3fe16e8292d4648eull, 0x3f1219a51cf4210aull, 0x3fecd0907eb52109ull,
+     0x3fc66ca3fb7b26f6ull, 0x3f30fc0413359dc4ull, 0x3f01d0dfff607735ull,
+     0x3f87fddc36a1e525ull, 0x3fc6be19fe7ce440ull, 0x3fefeae9d0c106dbull,
+     0x3f73c338d72a7490ull, 0x3f0ae6e460a39dedull, 0x3fefff8d25dfc112ull,
+     0x3feff0ae137af97full, 0x3f1189e316275ebbull, 0x3fe74c5b2d1c2da1ull,
+     0x3f88fb5c9c6f2886ull, 0x3fec07da8abcac9bull, 0x3f1651a81fdd3648ull,
+     0x3feceeab6b1b3dd1ull, 0x3fefe60ec4591c02ull, 0x3f8aefb6a45220adull},
+    // gaussian-nb
+    {0x3fcd72f44085528full, 0x3fe12e437e20523bull, 0x3fde83e62a1d275eull,
+     0x3fb81903dbc0736aull, 0x3fe2b9fda54dd00full, 0x3fd8f6a4478d3715ull,
+     0x3fe431b75376dabbull, 0x3fb896938086fdebull, 0x3fd6356e36c0ea38ull,
+     0x3fe32762416587a7ull, 0x3fe2f86fdafdd39bull, 0x3fdc53dcb958fefbull,
+     0x3fd9aa59fa4b8413ull, 0x3fe57cf90c0caf1full, 0x3fd5534fd18413c7ull,
+     0x3fe2458f784b9d75ull, 0x3fe496577b1d82e1ull, 0x3fccae2a59e63e97ull,
+     0x3fc55c075270b924ull, 0x3fd48ca6212ac08aull, 0x3fd5100ba0d0ffacull,
+     0x3fce87d9e7f82bfaull, 0x3fde4e3ab7db284bull, 0x3fd7207777276ab5ull,
+     0x3fe53ba909c19dfcull, 0x3fcc69bf75c9f114ull, 0x3fbf4b6503881486ull,
+     0x3fd36a3bb9bcee25ull, 0x3fcf59b7aaef158eull, 0x3fbae45c970c97b0ull,
+     0x3fd6a9a14b793c0aull, 0x3fdb736303517e78ull, 0x3fe1874ba25581e7ull,
+     0x3fcec103041fd382ull, 0x3fca23dc0fbcfb5eull, 0x3fd736c6f66e8158ull,
+     0x3fddd91709c17c0bull, 0x3fcc5cc0f312a368ull, 0x3fd40ef86f6d57b9ull,
+     0x3fe341dbd066a0c1ull, 0x3fd09a4619b6303full, 0x3fe5e92a934da5b3ull,
+     0x3fe46cb0af494a36ull, 0x3fc01c7b8d476844ull, 0x3fc2cab27dcbda6dull,
+     0x3fd2e54c561b17abull, 0x3fd1e0a72c7fa5caull, 0x3fcaaa4dd7c79212ull,
+     0x3fd62087e0b57330ull, 0x3fcd64fdc83efe87ull, 0x3fbdb4f6ee7115d8ull,
+     0x3fe28648795bc44cull, 0x3fe404d0c4fd408cull, 0x3fdcbe48a8461a75ull,
+     0x3fe11e2cb82e5ddaull, 0x3fb973e2829a7fc6ull, 0x3fbd7be8b16e2978ull,
+     0x3fcf4240dde2e2bbull, 0x3fe508bbb8cf647full, 0x3fe07968f338ccafull,
+     0x3fdd86a0c1d8300eull, 0x3fd30e8361857794ull, 0x3fd76705ca7d9f67ull,
+     0x3fc07f66144f38d2ull, 0x3fc685fc8e564bb7ull, 0x3fe8eaf81ad0c9e2ull,
+     0x3fd02583e4f9c4d3ull, 0x3fd676a908e405e4ull, 0x3fdbcceb15d8bfe4ull,
+     0x3fe03d26ac7b6638ull, 0x3fce7150ae4d3b6cull, 0x3fcab4c5e8b272acull,
+     0x3fc89873987dc25cull, 0x3fd1998313280b65ull, 0x3fd3173ef88a717dull,
+     0x3fd1c58e9caca1dfull, 0x3fd965a798b27e3aull, 0x3fcc3a043364b644ull,
+     0x3fd52099645faedcull, 0x3fbfbf14450c1511ull, 0x3fd1133d70e034b1ull,
+     0x3fcb162cd8cb5a49ull, 0x3fe3b87a8dbdc99eull, 0x3fe2eba5ef981a84ull,
+     0x3fdd0a06b95469efull, 0x3fd5bd9d4cf8e141ull, 0x3fe8b7ceed0cfafcull,
+     0x3fcefc27d799a7d0ull, 0x3fcd3d6de8261de2ull, 0x3fe2ec7f315a9bc7ull,
+     0x3fc6089ed3d4bbb4ull, 0x3fe10dd9f5a9fbf5ull, 0x3fc9998e2ecd1738ull,
+     0x3fc1ef64b118de58ull, 0x3fdbd55b2c551ad0ull, 0x3fe2fbe3f244c73aull},
+    // logistic(lr=0.500000,l2=0.000100)
+    {0x3fd1ba302c089a84ull, 0x3fdf654796994b75ull, 0x3fdd6aa912b7e6b4ull,
+     0x3fc0ac815803b08aull, 0x3fe0c2e5c38e80abull, 0x3fd5e9f385240f67ull,
+     0x3fe4e46b8f3ac661ull, 0x3fbf4d8c9f7b3908ull, 0x3fd5b034c11ed5acull,
+     0x3fe4ce6e4d3502acull, 0x3fe5823b6c2a96a3ull, 0x3fd8f655c5a24f42ull,
+     0x3fd71bb057141053ull, 0x3fe298586511ca88ull, 0x3fdc830dfbc213a8ull,
+     0x3fdfeb634ed2fbd0ull, 0x3fe5c10ec2b48de7ull, 0x3fc9d9f555a32417ull,
+     0x3fd08a19dcfc8707ull, 0x3fd1afc5373ae6b1ull, 0x3fda57a56980ce20ull,
+     0x3fd10a73fafe1b4eull, 0x3fe33344c3f216ebull, 0x3fdf26e58d6c1162ull,
+     0x3fe25ea159df5280ull, 0x3fd4ba41b44605beull, 0x3fc692081d92ffadull,
+     0x3fd5e194f83cde20ull, 0x3fc8a98e2a838cd0ull, 0x3fc61e8ec2e62118ull,
+     0x3fdeb7c7e7dc82d0ull, 0x3fdee9ff8de25d2aull, 0x3fde736f7532e3eeull,
+     0x3fc587e7bbbab107ull, 0x3fd06468d742b987ull, 0x3fd6c7b916280965ull,
+     0x3fda9a1504fa6eeaull, 0x3fc1fedfe67f8e15ull, 0x3fd192676e53bf2aull,
+     0x3fe2b090d62ba48bull, 0x3fd334f9e28ac02bull, 0x3fe28fb8cfea2411ull,
+     0x3fe269c62e2eb272ull, 0x3fc80f2e959d74f0ull, 0x3fc8b1b64c93a5aaull,
+     0x3fd859b6d8ccbd30ull, 0x3fcd4d1f1abbcd46ull, 0x3fd483630c4479faull,
+     0x3fd489716346c7c3ull, 0x3fc5560ae7e362bdull, 0x3fc359ecd0023072ull,
+     0x3fe0081626c9b942ull, 0x3fe3b1ce19298623ull, 0x3fd950f668d2b7d4ull,
+     0x3fde86f51ad1a260ull, 0x3fc44741e48bc2edull, 0x3fc5b8955baf3f74ull,
+     0x3fd9b41d0e8fc710ull, 0x3fe1fc9995979c69ull, 0x3fdcefc52dfc35ddull,
+     0x3fe18dc4190b79f4ull, 0x3fd12a2da78401d1ull, 0x3fd7b6d4d1d34b3eull,
+     0x3fc706ab2eda0ebaull, 0x3fcf629b053dc3a6ull, 0x3fe4cf0e149fd6f7ull,
+     0x3fc83ba084ee2c33ull, 0x3fdd4ac9788061caull, 0x3fe2a3e9a4343f38ull,
+     0x3fe2acb71ba717c4ull, 0x3fce9fad038fed65ull, 0x3fcb59d8d0d2e6a4ull,
+     0x3fd1f55bb4b5cd52ull, 0x3fd00f18b9e7cd07ull, 0x3fd6d86ab8a7a327ull,
+     0x3fccf0247b4b447full, 0x3fd9a7fd56502d86ull, 0x3fc1863b8042c034ull,
+     0x3fd2b8b5261f1ee2ull, 0x3fcaccbfe5e21493ull, 0x3fce56b0a83f68a0ull,
+     0x3fd412db422fab98ull, 0x3fe37f2e1690b0d2ull, 0x3fe202172be69d49ull,
+     0x3fdafdcde70b6c78ull, 0x3fd320491d54e67eull, 0x3fe4d380c3566999ull,
+     0x3fc825ea6fac7372ull, 0x3fc5f9f399f2e389ull, 0x3fe0568915b0ad6full,
+     0x3fca6aab7314e8d0ull, 0x3fddcf281453da13ull, 0x3fd0491bbf7f2a5bull,
+     0x3fc1156ad737c5e1ull, 0x3fd88624116138d7ull, 0x3fe0748d2f7e48fdull},
+    // logistic(lr=0.100000,l2=0.001000)
+    {0x3fd1d3b3b384ef5eull, 0x3fdf5d2a63c9f551ull, 0x3fdd68208e183b79ull,
+     0x3fc0ee76a4b340dcull, 0x3fe0bc06d7f335afull, 0x3fd5f8a210429607ull,
+     0x3fe4d1f767fd231dull, 0x3fbfcfad0655842bull, 0x3fd5c0d8584add38ull,
+     0x3fe4bc072e67aed7ull, 0x3fe56e6bbcca1d6aull, 0x3fd8fda57a8f1036ull,
+     0x3fd7284e3853fba1ull, 0x3fe28bcf68a51464ull, 0x3fdc7e2a6165f67bull,
+     0x3fdfdfffa963bc99ull, 0x3fe5acf83aa90310ull, 0x3fca18844d7d2e70ull,
+     0x3fd0a626e46d820dull, 0x3fd1c6e707e89f16ull, 0x3fda5e3ddf3193ccull,
+     0x3fd12155063a4462ull, 0x3fe3240a89a5aa3bull, 0x3fdf2176a3382989ull,
+     0x3fe252a8adbc2990ull, 0x3fd4ce6e7dc6571bull, 0x3fc6cca8881cb93aull,
+     0x3fd5ee5f46567379ull, 0x3fc8e8105bafd0b7ull, 0x3fc6619ee3fbfd9full,
+     0x3fdeacdc13c553eaull, 0x3fdedf3bcdf9d93full, 0x3fde6c9cf607a1feull,
+     0x3fc5c73516ab88c7ull, 0x3fd07c151dc13235ull, 0x3fd6d5e13b4e1e75ull,
+     0x3fda9cb6388899a6ull, 0x3fc23d7bee8af874ull, 0x3fd1a9835e4a8d9full,
+     0x3fe2a56f3b8171c7ull, 0x3fd34b9b725eff5eull, 0x3fe283f4011f3775ull,
+     0x3fe25ef496a92d72ull, 0x3fc848bc3ede83e2ull, 0x3fc8eb252d13bc5full,
+     0x3fd8654f3b5efba6ull, 0x3fcd84d171166367ull, 0x3fd4926d7e878d36ull,
+     0x3fd49c49113758d5ull, 0x3fc5961c8b3bb015ull, 0x3fc39cb81d25c1b4ull,
+     0x3fe0025920d50f58ull, 0x3fe3a20564ecc5f7ull, 0x3fd9576be8ad2d3full,
+     0x3fde7ef6ed49692bull, 0x3fc48a8c9fdccb63ull, 0x3fc5f3930e17e732ull,
+     0x3fd9b62d5e8082ffull, 0x3fe1f1c0e6b10148ull, 0x3fdced41b037f1a2ull,
+     0x3fe182b35372691bull, 0x3fd141c067884edeull, 0x3fd7bfab99eb09aaull,
+     0x3fc748f740c53a2cull, 0x3fcf93be110dffa4ull, 0x3fe4be105abf8d56ull,
+     0x3fc878b248847cc2ull, 0x3fdd43dcf161b3afull, 0x3fe295ec78666e9aull,
+     0x3fe2a2118a4a312full, 0x3fced94f10df7e8eull, 0x3fcb91bf01b0985aull,
+     0x3fd20eeee742ec22ull, 0x3fd0285a280592acull, 0x3fd6e2aca114e4adull,
+     0x3fcd29f2edb1ecbcull, 0x3fd9af5a0bf33a0full, 0x3fc1c5a30eda2d74ull,
+     0x3fd2cef3570d07b5ull, 0x3fcb0cf828dfd3e1ull, 0x3fce8fb83b17e29aull,
+     0x3fd422f5fd6446e3ull, 0x3fe36fd3d95e37e6ull, 0x3fe1f87b39d53b18ull,
+     0x3fdb012af3524bbeull, 0x3fd3348c4a1b09acull, 0x3fe4c241ca885fd0ull,
+     0x3fc864c85535d831ull, 0x3fc63797d09eb446ull, 0x3fe05054fb755cbbull,
+     0x3fcaa2d76b06a42eull, 0x3fddca47ab560393ull, 0x3fd0652392801f3eull,
+     0x3fc156c6932eb288ull, 0x3fd88e9a067e6102ull, 0x3fe06e2368611e7eull},
+    // tree(depth=6)
+    {0x0000000000000000ull, 0x3ff0000000000000ull, 0x3fdc28f5c28f5c29ull,
+     0x3ff0000000000000ull, 0x0000000000000000ull, 0x0000000000000000ull,
+     0x3ff0000000000000ull, 0x0000000000000000ull, 0x3ff0000000000000ull,
+     0x3ff0000000000000ull, 0x0000000000000000ull, 0x3ff0000000000000ull,
+     0x0000000000000000ull, 0x3fe0000000000000ull, 0x0000000000000000ull,
+     0x3ff0000000000000ull, 0x3ff0000000000000ull, 0x0000000000000000ull,
+     0x3ff0000000000000ull, 0x0000000000000000ull, 0x0000000000000000ull,
+     0x0000000000000000ull, 0x0000000000000000ull, 0x0000000000000000ull,
+     0x0000000000000000ull, 0x0000000000000000ull, 0x3ff0000000000000ull,
+     0x0000000000000000ull, 0x3ff0000000000000ull, 0x0000000000000000ull,
+     0x0000000000000000ull, 0x0000000000000000ull, 0x3ff0000000000000ull,
+     0x0000000000000000ull, 0x0000000000000000ull, 0x3fdc28f5c28f5c29ull,
+     0x3ff0000000000000ull, 0x3fd0000000000000ull, 0x0000000000000000ull,
+     0x3fdc28f5c28f5c29ull, 0x0000000000000000ull, 0x3ff0000000000000ull,
+     0x3fdc28f5c28f5c29ull, 0x0000000000000000ull, 0x0000000000000000ull,
+     0x0000000000000000ull, 0x0000000000000000ull, 0x0000000000000000ull,
+     0x0000000000000000ull, 0x0000000000000000ull, 0x0000000000000000ull,
+     0x3ff0000000000000ull, 0x3ff0000000000000ull, 0x3ff0000000000000ull,
+     0x0000000000000000ull, 0x3ff0000000000000ull, 0x0000000000000000ull,
+     0x3ff0000000000000ull, 0x3ff0000000000000ull, 0x3ff0000000000000ull,
+     0x0000000000000000ull, 0x0000000000000000ull, 0x3ff0000000000000ull,
+     0x0000000000000000ull, 0x0000000000000000ull, 0x3ff0000000000000ull,
+     0x0000000000000000ull, 0x0000000000000000ull, 0x0000000000000000ull,
+     0x0000000000000000ull, 0x0000000000000000ull, 0x3ff0000000000000ull,
+     0x0000000000000000ull, 0x3ff0000000000000ull, 0x0000000000000000ull,
+     0x0000000000000000ull, 0x3fdc28f5c28f5c29ull, 0x3fd0000000000000ull,
+     0x0000000000000000ull, 0x0000000000000000ull, 0x0000000000000000ull,
+     0x0000000000000000ull, 0x3fe0000000000000ull, 0x3fdc28f5c28f5c29ull,
+     0x0000000000000000ull, 0x0000000000000000ull, 0x3ff0000000000000ull,
+     0x3ff0000000000000ull, 0x0000000000000000ull, 0x3ff0000000000000ull,
+     0x0000000000000000ull, 0x3ff0000000000000ull, 0x0000000000000000ull,
+     0x3ff0000000000000ull, 0x3ff0000000000000ull, 0x0000000000000000ull},
+    // tree(depth=12)
+    {0x0000000000000000ull, 0x3ff0000000000000ull, 0x0000000000000000ull,
+     0x3ff0000000000000ull, 0x0000000000000000ull, 0x0000000000000000ull,
+     0x3ff0000000000000ull, 0x0000000000000000ull, 0x3ff0000000000000ull,
+     0x3ff0000000000000ull, 0x0000000000000000ull, 0x3ff0000000000000ull,
+     0x0000000000000000ull, 0x3ff0000000000000ull, 0x0000000000000000ull,
+     0x3ff0000000000000ull, 0x3ff0000000000000ull, 0x0000000000000000ull,
+     0x3ff0000000000000ull, 0x0000000000000000ull, 0x0000000000000000ull,
+     0x0000000000000000ull, 0x0000000000000000ull, 0x0000000000000000ull,
+     0x0000000000000000ull, 0x0000000000000000ull, 0x3ff0000000000000ull,
+     0x0000000000000000ull, 0x3ff0000000000000ull, 0x0000000000000000ull,
+     0x0000000000000000ull, 0x0000000000000000ull, 0x3ff0000000000000ull,
+     0x0000000000000000ull, 0x0000000000000000ull, 0x0000000000000000ull,
+     0x3ff0000000000000ull, 0x0000000000000000ull, 0x0000000000000000ull,
+     0x3ff0000000000000ull, 0x0000000000000000ull, 0x3ff0000000000000ull,
+     0x0000000000000000ull, 0x0000000000000000ull, 0x0000000000000000ull,
+     0x0000000000000000ull, 0x0000000000000000ull, 0x0000000000000000ull,
+     0x0000000000000000ull, 0x0000000000000000ull, 0x0000000000000000ull,
+     0x3ff0000000000000ull, 0x3ff0000000000000ull, 0x3ff0000000000000ull,
+     0x0000000000000000ull, 0x3ff0000000000000ull, 0x0000000000000000ull,
+     0x3ff0000000000000ull, 0x3ff0000000000000ull, 0x3ff0000000000000ull,
+     0x0000000000000000ull, 0x0000000000000000ull, 0x3ff0000000000000ull,
+     0x0000000000000000ull, 0x0000000000000000ull, 0x3ff0000000000000ull,
+     0x0000000000000000ull, 0x0000000000000000ull, 0x0000000000000000ull,
+     0x0000000000000000ull, 0x0000000000000000ull, 0x3ff0000000000000ull,
+     0x0000000000000000ull, 0x3ff0000000000000ull, 0x0000000000000000ull,
+     0x0000000000000000ull, 0x0000000000000000ull, 0x3ff0000000000000ull,
+     0x0000000000000000ull, 0x0000000000000000ull, 0x0000000000000000ull,
+     0x0000000000000000ull, 0x0000000000000000ull, 0x3ff0000000000000ull,
+     0x0000000000000000ull, 0x0000000000000000ull, 0x3ff0000000000000ull,
+     0x3ff0000000000000ull, 0x0000000000000000ull, 0x3ff0000000000000ull,
+     0x0000000000000000ull, 0x3ff0000000000000ull, 0x0000000000000000ull,
+     0x3ff0000000000000ull, 0x3ff0000000000000ull, 0x0000000000000000ull},
+    // forest(trees=15,depth=10)
+    {0x0000000000000000ull, 0x3fe999999999999aull, 0x3fc1111111111111ull,
+     0x3fe7777777777777ull, 0x3fc999999999999aull, 0x3fb1111111111111ull,
+     0x3feddddddddddddeull, 0x3fc1111111111111ull, 0x3fe5555555555555ull,
+     0x3fe999999999999aull, 0x3fdddddddddddddeull, 0x3feddddddddddddeull,
+     0x3fc999999999999aull, 0x3fe5555555555555ull, 0x3fb1111111111111ull,
+     0x3febbbbbbbbbbbbcull, 0x3fe7777777777777ull, 0x0000000000000000ull,
+     0x3febbbbbbbbbbbbcull, 0x0000000000000000ull, 0x0000000000000000ull,
+     0x3fb1111111111111ull, 0x3fb1111111111111ull, 0x3fc1111111111111ull,
+     0x3fd1111111111111ull, 0x0000000000000000ull, 0x3fe7777777777777ull,
+     0x3fb1111111111111ull, 0x3ff0000000000000ull, 0x3fd999999999999aull,
+     0x0000000000000000ull, 0x0000000000000000ull, 0x3ff0000000000000ull,
+     0x3fc1111111111111ull, 0x0000000000000000ull, 0x3fd1111111111111ull,
+     0x3fe5555555555555ull, 0x3fd5555555555555ull, 0x0000000000000000ull,
+     0x3fe999999999999aull, 0x0000000000000000ull, 0x3ff0000000000000ull,
+     0x3fdddddddddddddeull, 0x3fd1111111111111ull, 0x0000000000000000ull,
+     0x3fb1111111111111ull, 0x3fb1111111111111ull, 0x0000000000000000ull,
+     0x0000000000000000ull, 0x3fd1111111111111ull, 0x3fd999999999999aull,
+     0x3ff0000000000000ull, 0x3fe1111111111111ull, 0x3ff0000000000000ull,
+     0x3fd5555555555555ull, 0x3fe999999999999aull, 0x3fd1111111111111ull,
+     0x3febbbbbbbbbbbbcull, 0x3febbbbbbbbbbbbcull, 0x3feddddddddddddeull,
+     0x3fc1111111111111ull, 0x3fb1111111111111ull, 0x3febbbbbbbbbbbbcull,
+     0x3fc1111111111111ull, 0x0000000000000000ull, 0x3feddddddddddddeull,
+     0x3fc1111111111111ull, 0x3fb1111111111111ull, 0x3fb1111111111111ull,
+     0x3fc999999999999aull, 0x0000000000000000ull, 0x3fe5555555555555ull,
+     0x3fb1111111111111ull, 0x3fe999999999999aull, 0x3fb1111111111111ull,
+     0x3fb1111111111111ull, 0x3fc1111111111111ull, 0x3fe999999999999aull,
+     0x0000000000000000ull, 0x3fc999999999999aull, 0x0000000000000000ull,
+     0x0000000000000000ull, 0x3fc999999999999aull, 0x3fe7777777777777ull,
+     0x3fb1111111111111ull, 0x0000000000000000ull, 0x3feddddddddddddeull,
+     0x3ff0000000000000ull, 0x3fc1111111111111ull, 0x3ff0000000000000ull,
+     0x0000000000000000ull, 0x3ff0000000000000ull, 0x0000000000000000ull,
+     0x3febbbbbbbbbbbbcull, 0x3fe7777777777777ull, 0x3fdddddddddddddeull},
+    // knn(k=5)
+    {0x0000000000000000ull, 0x3fdb6db6db6db6dbull, 0x3fdb6db6db6db6dbull,
+     0x3fcbd37a6f4de9bdull, 0x3fdb6db6db6db6dbull, 0x3fe9d89d89d89d8aull,
+     0x3fe7a6f4de9bd37aull, 0x3fcbd37a6f4de9bdull, 0x3fd2492492492492ull,
+     0x3fe8618618618618ull, 0x3fe0f0f0f0f0f0f1ull, 0x3fea492492492492ull,
+     0x3fd3333333333333ull, 0x3fe684bda12f684cull, 0x3fd2aaaaaaaaaaabull,
+     0x3fe90b21642c8591ull, 0x3fe8618618618618ull, 0x3fcc71c71c71c71cull,
+     0x3fa2492492492492ull, 0x0000000000000000ull, 0x0000000000000000ull,
+     0x3fc0000000000000ull, 0x3fe0f0f0f0f0f0f1ull, 0x0000000000000000ull,
+     0x3fe5c28f5c28f5c3ull, 0x3fa745d1745d1746ull, 0x3fc0000000000000ull,
+     0x3fc3333333333333ull, 0x3fd8ba2e8ba2e8baull, 0x3fcbd37a6f4de9bdull,
+     0x3fd2aaaaaaaaaaabull, 0x3fa5555555555555ull, 0x3ff0000000000000ull,
+     0x3fa3b13b13b13b14ull, 0x0000000000000000ull, 0x3fd999999999999aull,
+     0x3fe90b21642c8591ull, 0x0000000000000000ull, 0x0000000000000000ull,
+     0x3fda12f684bda12full, 0x0000000000000000ull, 0x3fee666666666666ull,
+     0x3fe4000000000000ull, 0x3fc0000000000000ull, 0x3fc2492492492492ull,
+     0x0000000000000000ull, 0x0000000000000000ull, 0x3fd0000000000000ull,
+     0x3fcaf286bca1af28ull, 0x3fe0000000000000ull, 0x3fc4a5294a5294a5ull,
+     0x3ff0000000000000ull, 0x3fd745d1745d1746ull, 0x3fea492492492492ull,
+     0x3fe286bca1af286cull, 0x3fcd1745d1745d17ull, 0x3fc0000000000000ull,
+     0x3fd6666666666666ull, 0x3fec000000000000ull, 0x3fee9bd37a6f4deaull,
+     0x3fcd1745d1745d17ull, 0x3fd1a7b9611a7b96ull, 0x3fdb13b13b13b13bull,
+     0x3fa2492492492492ull, 0x0000000000000000ull, 0x3ff0000000000000ull,
+     0x0000000000000000ull, 0x0000000000000000ull, 0x3fd5555555555555ull,
+     0x3fc364d9364d9365ull, 0x3fd2492492492492ull, 0x3fc2492492492492ull,
+     0x3fa642c8590b2164ull, 0x3fde9bd37a6f4deaull, 0x0000000000000000ull,
+     0x3fd94d653594d653ull, 0x3fe4ec4ec4ec4ec5ull, 0x3fd294a5294a5295ull,
+     0x0000000000000000ull, 0x3fb999999999999aull, 0x3fdd67c8a60dd67dull,
+     0x3fd0000000000000ull, 0x3fd745d1745d1746ull, 0x3fe199999999999aull,
+     0x3fe36db6db6db6dbull, 0x3fb745d1745d1746ull, 0x3fec71c71c71c71cull,
+     0x3fd8ba2e8ba2e8baull, 0x3fd0842108421084ull, 0x3fee666666666666ull,
+     0x3fbc71c71c71c71cull, 0x3fee9bd37a6f4deaull, 0x3fa3b13b13b13b14ull,
+     0x3fc0000000000000ull, 0x3fea492492492492ull, 0x3fee666666666666ull},
+    // knn(k=15)
+    {0x3fc4d653594d6536ull, 0x3fe0000000000000ull, 0x3fd83759f2298376ull,
+     0x3fc286bca1af286cull, 0x3fe0000000000000ull, 0x3fe1eb851eb851ecull,
+     0x3fd8000000000000ull, 0x3fc286bca1af286cull, 0x3fca895da895da89ull,
+     0x3fd8000000000000ull, 0x3fd7a17a17a17a18ull, 0x3fe8348348348348ull,
+     0x3fe10b21642c8591ull, 0x3fe8000000000000ull, 0x3fd15f15f15f15f1ull,
+     0x3fe8000000000000ull, 0x3fd8000000000000ull, 0x3fd46cefa8d9df52ull,
+     0x3fb3716aefcc26e3ull, 0x3fd8bf258bf258bfull, 0x3fc1a7b9611a7b96ull,
+     0x3fc83759f2298376ull, 0x3fd7a17a17a17a18ull, 0x3fc2121212121212ull,
+     0x3fe8000000000000ull, 0x3f98618618618618ull, 0x3fc5555555555555ull,
+     0x3fc93d4bb7e327a9ull, 0x3fd0fac687d6343full, 0x3fc1d2a2067b23a5ull,
+     0x3fd5f85bb39503d2ull, 0x3fd0000000000000ull, 0x3feb9dcee773b9ddull,
+     0x3fd3205e293205e3ull, 0x3fc6f96f96f96f97ull, 0x3fca895da895da89ull,
+     0x3fe52edf8c9ea5dcull, 0x3fc2c5f92c5f92c6ull, 0x3fd5a240e6c2b448ull,
+     0x3fd0690690690690ull, 0x3fc93d4bb7e327a9ull, 0x3feb1c71c71c71c7ull,
+     0x3fd9c71c71c71c72ull, 0x3fc6aefcc26e2d5eull, 0x3fc5555555555555ull,
+     0x3fc1a7b9611a7b96ull, 0x3fd59c427e56710aull, 0x3fc0f6bf3a9a3785ull,
+     0x3fd79435e50d7943ull, 0x3fd58b67ebb9079bull, 0x3fc286bca1af286cull,
+     0x3feadd3c0ca4587eull, 0x3fd5b1e5f75270d0ull, 0x3fe8348348348348ull,
+     0x3fe5555555555555ull, 0x3fc1d2a2067b23a5ull, 0x3fc6aefcc26e2d5eull,
+     0x3fb7e4b17e4b17e5ull, 0x3feaaaaaaaaaaaabull, 0x3fe3884fcace213full,
+     0x3fd8000000000000ull, 0x3fcf07c1f07c1f08ull, 0x3fcb6db6db6db6dbull,
+     0x3fc286bca1af286cull, 0x3fc5555555555555ull, 0x3fee2be2be2be2beull,
+     0x3fd06eb3e45306ebull, 0x3fd226357e16ece5ull, 0x3fd64d9364d9364eull,
+     0x3fc2f684bda12f68ull, 0x3fd68ba2e8ba2e8cull, 0x3fc79435e50d7943ull,
+     0x3fb3716aefcc26e3ull, 0x3fc93d4bb7e327a9ull, 0x3fb7a17a17a17a18ull,
+     0x3fd999999999999aull, 0x3fd7e4b17e4b17e5ull, 0x3fd1840ac7691841ull,
+     0x3fdc83cd4e930289ull, 0x3fc1d2a2067b23a5ull, 0x3fd5204f88b2f393ull,
+     0x3fc0f6bf3a9a3785ull, 0x3fd5b1e5f75270d0ull, 0x3fd79435e50d7943ull,
+     0x3fd6276276276276ull, 0x3fdbacf914c1bad0ull, 0x3fec962fc962fc96ull,
+     0x3fd0fac687d6343full, 0x3fcf81f81f81f820ull, 0x3fe76fc64f52edf9ull,
+     0x3fc6f96f96f96f97ull, 0x3fe6cb65b2d96cb6ull, 0x3fb6666666666666ull,
+     0x3fc161f9add3c0caull, 0x3fe8348348348348ull, 0x3fe435e50d79435eull},
+    // mlp(hidden=16)
+    {0x3fa9460212db4d11ull, 0x3fe88071acb06245ull, 0x3f932a50e1b81592ull,
+     0x3fc24db4d0669668ull, 0x3fe099f0c4bf8446ull, 0x3fb31d97ebae80efull,
+     0x3fe575a0540a794aull, 0x3fdad77b542609e0ull, 0x3fe037c286827b11ull,
+     0x3fe45a60866679a7ull, 0x3fe8c6ed740d536full, 0x3fee9604f129c97cull,
+     0x3fb2f99d242ae06dull, 0x3fe69b3c50e91213ull, 0x3fd280f8901a6697ull,
+     0x3fed73f04e6134f2ull, 0x3fea8f4c233de0cbull, 0x3fc94893daafed79ull,
+     0x3f8c18583fd03970ull, 0x3f5958da12fa24d9ull, 0x3f712245aa445e9full,
+     0x3fa40896e3ec95ccull, 0x3fc7c7bfd4be7fffull, 0x3f5271386c2fa47dull,
+     0x3fe90d874a64d867ull, 0x3fbadcba12566223ull, 0x3fc7092b1150a9fdull,
+     0x3fb1ffbec4165610ull, 0x3fe8cf24047f287cull, 0x3fa36bf6157ee7bbull,
+     0x3fb821cc82dc32bfull, 0x3f94721ba0691b7dull, 0x3fef81ac2cc880f1ull,
+     0x3fa8384f4c67c8e9ull, 0x3f83172e6ade8bacull, 0x3fdccab15ba2908eull,
+     0x3fd7c872a3f2e63dull, 0x3fa1dd0b9fc72f55ull, 0x3fae73f331ccbb26ull,
+     0x3febdc8175831ec2ull, 0x3fc5d58de2e20ad5ull, 0x3feafe43b831419bull,
+     0x3fde5801f5b6825aull, 0x3faf6c35d68c7a32ull, 0x3fc1c1ae37dd90bfull,
+     0x3fa539baf22f170aull, 0x3f826c995173d9f5ull, 0x3f75da02ff977458ull,
+     0x3fb44b371e37964bull, 0x3fd715075b707f0full, 0x3fb220684e574e61ull,
+     0x3fef9b6edcb3b802ull, 0x3fd2c38a61623006ull, 0x3fef2a829b2192ebull,
+     0x3fd0a80b339d02f0ull, 0x3fa5c54a84835688ull, 0x3fcccc9d2e7e242cull,
+     0x3fe6c9c4fd8a8f0cull, 0x3fefb4fb15b40972ull, 0x3fef60a4e78a9f04ull,
+     0x3fa4d987c9b93966ull, 0x3fdb588df853d7bfull, 0x3fd3c1337c08599aull,
+     0x3fa5710309ae38faull, 0x3f77e24996a775a8ull, 0x3feee6a470a9a80cull,
+     0x3f920b88fe2da96bull, 0x3fc13b9798982f88ull, 0x3fbc62b4c2b8578full,
+     0x3f8b37d471fdaac6ull, 0x3fa645032005d890ull, 0x3fea04862755189bull,
+     0x3f928b0de8ebf3b4ull, 0x3fe43f3c20dd6dbcull, 0x3fc69c35e5a38dbdull,
+     0x3fa2819a8a7b6373ull, 0x3faf630b7f984e55ull, 0x3fc0fe15928fe8f8ull,
+     0x3f8416abb40243bdull, 0x3f9b32c3327b7a15ull, 0x3fb4537e15bfc771ull,
+     0x3f7317dd1c3c9bbeull, 0x3fceb66901eb2472ull, 0x3fe5f97465861c3aull,
+     0x3fce3181739f6957ull, 0x3f857cf53e0dfaaeull, 0x3fefac30b96d7553ull,
+     0x3fe8fd866d88ddbbull, 0x3f94494cb8b13d13ull, 0x3fef16a1164fd4d9ull,
+     0x3fc8e208d7516621ull, 0x3fef5ce23ff45fb1ull, 0x3fa29ee3f1ece15eull,
+     0x3feb1c279e3db3c7ull, 0x3feeb6a3f886a86dull, 0x3fee798e8cd06437ull},
+};
+
 struct AutoMlGolden {
   std::string winner;
   std::uint64_t bestCvAccuracy;
@@ -1062,6 +1550,10 @@ TEST(KernelGoldenTest, PortfolioPredictionsOnExtendedRows) {
 
 TEST(KernelGoldenTest, PortfolioPredictionsOnScaledWeightsWithSignedZero) {
   expectPortfolioGolden("kScaledWeightsProba", scaledWeights(), kScaledWeightsProba);
+}
+
+TEST(KernelGoldenTest, PortfolioPredictionsOnDenseValues) {
+  expectPortfolioGolden("kDenseValuesProba", denseValues(), kDenseValuesProba);
 }
 
 TEST(KernelGoldenTest, MlpWithPartialLaneBlockOnExtendedRows) {
