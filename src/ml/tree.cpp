@@ -45,8 +45,8 @@ constexpr std::size_t kLanes = 2;
 /// inf * 0.0 is NaN.  The gains then follow ClassMass's expressions lane by
 /// lane.
 template <std::size_t Pairs>
-void scorePass(const double* values, const double* positive, const double* negative,
-               std::size_t n, const double* thresholds, double massTotal, double parentGini,
+void scorePass(const double* values, const double* positive, const double* negative, std::size_t n,
+               const double* thresholds, double massTotal, double parentGini,
                double* gains) noexcept {
   Lanes threshold[Pairs];
   std::memcpy(threshold, thresholds, sizeof threshold);
