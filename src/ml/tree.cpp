@@ -186,9 +186,12 @@ int CartKernel::buildNode(Growth& growth, std::size_t begin, std::size_t end, in
     // Candidate thresholds: midpoints between the node's distinct values in
     // ascending order (subsampled to maxThresholds).  Where the feature has
     // few levels the node marks the ranks it holds; otherwise it sorts its
-    // values.  Only -0.0 and 0.0 compare equal without being the same bits,
-    // and either one gives the same midpoint, so which of the two stands
-    // for both never shows.
+    // values.  Marking costs about n + levels and sorting n log n: on 3-6
+    // rows they break even near 2n levels, on 10 rows near 3n, and from 20
+    // rows on marking wins even at 8n.  Code-valued folds (at most 8 levels
+    // a feature) sort only nodes of under 4 rows.  Only -0.0 and 0.0
+    // compare equal without being the same bits, and either one gives the
+    // same midpoint, so which of the two stands for both never shows.
     const std::size_t firstLevel = levelStart_[static_cast<std::size_t>(feature)];
     const std::size_t levelCount = levelStart_[static_cast<std::size_t>(feature) + 1] - firstLevel;
     sorted_.clear();
